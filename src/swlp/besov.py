@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicFilter, cover_range, dyadic_block
-from .grid import SpectralField
+from .grid import SpectralField, xi_mag2
 
 __all__ = [
     "BesovSpec",
@@ -266,7 +266,7 @@ def heat_characterization_ratio(
         )
     n_pts = max(int(points_per_decade * math.log10(t_max / t_min)), 8)
     ts = np.geomspace(t_min, t_max, n_pts)
-    mag2 = field.grid.xi_mag() ** 2
+    mag2 = xi_mag2(field.grid)
     samples = np.empty(n_pts)
     for i, t in enumerate(ts):
         ut = SpectralField(field.grid, field.coeffs * np.exp(-t * mag2))

@@ -63,6 +63,9 @@ class DyadicFilter:
     l_min: int
     l_max: int
     weights: dict[int, np.ndarray] = field(repr=False)
+    # S_l multipliers, built on first request: a full prefix table would hold
+    # one more grid-sized array per level.
+    _below: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def levels(self) -> range:
@@ -74,12 +77,16 @@ class DyadicFilter:
         return self.weights[l]
 
     def cumulative_below(self, l: int) -> np.ndarray:
-        """Multiplier of S_l = sum_{k <= l-1} Delta_k."""
+        """Multiplier of S_l = sum_{k <= l-1} Delta_k; cached, read-only."""
         if l < self.l_min or l > self.l_max + 1:
             raise ValueError(f"level {l} outside [{self.l_min}, {self.l_max + 1}]")
-        out = np.zeros(self.grid.shape)
-        for k in range(self.l_min, l):
-            out += self.weights[k]
+        out = self._below.get(l)
+        if out is None:
+            out = np.zeros(self.grid.shape)
+            for k in range(self.l_min, l):
+                out += self.weights[k]
+            out.setflags(write=False)
+            self._below[l] = out
         return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "Grid",
     "SpectralField",
     "make_grid",
+    "xi_mag2",
     "transform",
     "inverse_transform",
     "dealias_mask",
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 _FFT_WORKERS = 2
+# Per-grid operators are cached for the few grids a process works on; the
+# bound keeps a sweep over many grid sizes from holding all of them.
+_OPERATOR_CACHE = 16
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -91,10 +96,7 @@ class Grid:
 
     def xi_mag(self) -> np.ndarray:
         """|xi| on the full frequency lattice."""
-        mag2 = np.zeros(self.shape)
-        for g in self.xi_grids():
-            mag2 = mag2 + g**2
-        return np.sqrt(mag2)
+        return np.sqrt(xi_mag2(self))
 
     def coords(self, axis: int) -> np.ndarray:
         shape = [1] * self.dim
@@ -117,6 +119,27 @@ def make_grid(dim: int, n: int, period) -> Grid:
     if any(a <= 0 for a in period):
         raise ValueError("period must be positive")
     return Grid(dim=dim, n=n, period=period)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE)
+def xi_mag2(grid: Grid) -> np.ndarray:
+    """|xi|^2 on the full frequency lattice; built once per grid, read-only."""
+    mag2 = np.zeros(grid.shape)
+    for g in grid.xi_grids():
+        mag2 = mag2 + g**2
+    return _read_only(mag2)
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE)
+def _inverse_xi_mag2(grid: Grid) -> np.ndarray:
+    """1/|xi|^2 with 0 at xi = 0; built once per grid, read-only."""
+    mag2 = xi_mag2(grid)
+    return _read_only(np.where(mag2 > 0, 1.0 / np.where(mag2 > 0, mag2, 1.0), 0.0))
 
 
 def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -217,8 +240,12 @@ class SpectralField:
         return bool(tail.size == 0 or tail.max() <= tol)
 
 
+@lru_cache(maxsize=_OPERATOR_CACHE)
 def dealias_mask(grid: Grid, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Boolean mask of retained modes: |k_i| < fraction * n/2 on every axis."""
+    """Boolean mask of retained modes: |k_i| < fraction * n/2 on every axis.
+
+    Built once per (grid, fraction), read-only.
+    """
     cut = fraction * grid.n / 2.0
     mask = np.ones(grid.shape, dtype=bool)
     for ax in range(grid.dim):
@@ -226,7 +253,7 @@ def dealias_mask(grid: Grid, fraction: float = 2.0 / 3.0) -> np.ndarray:
         shape[ax] = grid.n
         k = grid.wavenumbers(ax).reshape(shape)
         mask &= np.abs(k) < cut
-    return mask
+    return _read_only(mask)
 
 
 def dealias(field: SpectralField, fraction: float = 2.0 / 3.0) -> SpectralField:
@@ -278,8 +305,7 @@ def div(field: SpectralField) -> SpectralField:
 
 def laplacian(field: SpectralField) -> SpectralField:
     g = field.grid
-    mag2 = g.xi_mag() ** 2
-    return SpectralField(g, -mag2 * field.coeffs)
+    return SpectralField(g, -xi_mag2(g) * field.coeffs)
 
 
 def sym_grad(field: SpectralField) -> np.ndarray:
@@ -324,8 +350,7 @@ def helmholtz_split(field: SpectralField) -> tuple[SpectralField, SpectralField]
     if field.ncomp != g.dim:
         raise ValueError("helmholtz_split expects a dim-component field")
     xi = g.xi_grids()
-    mag2 = g.xi_mag() ** 2
-    inv = np.where(mag2 > 0, 1.0 / np.where(mag2 > 0, mag2, 1.0), 0.0)
+    inv = _inverse_xi_mag2(g)
     dot = np.zeros(g.shape, dtype=np.complex128)
     for ax in range(g.dim):
         dot += xi[ax] * field.coeffs[ax]

@@ -4,7 +4,9 @@ A run integrates the perturbation system from a Gaussian density bump plus
 a small random band-limited perturbation, records a fixed set of
 diagnostics at a snapshot cadence, and writes three artifacts into the
 output directory: ``series.csv``, ``summary.json``, and binary field dumps
-of the recomposed state at the final time.
+of the recomposed state at the final time.  A run stopped by a CFL
+violation or a blow-up still writes the rows computed before it and a
+summary naming the failure.
 """
 
 from __future__ import annotations
@@ -18,25 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .besov import (
-    HybridBesovSpec,
-    besov_minus1_infty,
-    block_norms,
-    hybrid_besov_norm,
-    lp_norm,
-)
+from .besov import HybridBesovSpec, besov_minus1_infty, hybrid_besov_norm, lp_norm
 from .dyadic import DyadicFilter, default_filter
-from .grid import SpectralField, dump_field, grad, make_grid
+from .grid import Grid, SpectralField, dump_field, helmholtz_split, make_grid
 from .quasi import gaussian_bump, kernel_decay_fit, kernel_rate
 from .solver import (
     BlowupError,
     CflError,
+    FtTracker,
+    GronwallTracker,
     SimState,
     SolverConfig,
     cfl_number,
     full_residual,
-    ft_specs,
-    grad_norm_field,
     initial_state,
     random_band_field,
     recompose,
@@ -91,12 +87,24 @@ class RunConfig:
     pert_h2_l_lo: int = -3
     pert_h2_l_hi: int = -2
     seed: int = 0
-    snapshot_dt: float = 0.125
-    second_order: bool = False
+    snapshot_dt: float = 0.1
     forcing: bool = True
     l0: int = 0
     cfl_max: float = 0.4
     dump_fields: bool = True
+
+    def __post_init__(self):
+        # bad physics, dt or run length fails here, before any work
+        self.solver_config()
+        _ = (self.n_steps, self.snap_stride)
+
+    @property
+    def n_steps(self) -> int:
+        return _whole_steps(self.t_end, self.dt, "t_end")
+
+    @property
+    def snap_stride(self) -> int:
+        return _whole_steps(self.snapshot_dt, self.dt, "snapshot_dt")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -106,12 +114,18 @@ class RunConfig:
             r_fric=self.r_fric,
             mode=self.mode,
             dt=self.dt,
-            t_end=self.t_end,
-            l0=self.l0,
-            second_order=self.second_order,
             forcing=self.forcing,
             cfl_max=self.cfl_max,
         )
+
+
+def _whole_steps(span: float, dt: float, name: str) -> int:
+    """``span / dt`` when it is a positive whole number; a span is never rounded."""
+    k = round(span / dt)
+    # relative slack: 0.2 / 0.05 is not exactly 4 in floating point
+    if k < 1 or not math.isclose(span / dt, k, rel_tol=1e-9):
+        raise ValueError(f"{name} = {span:g} is not a positive whole multiple of dt = {dt:g}")
+    return k
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -128,83 +142,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return RunConfig(**data)
 
 
-class _FtTracker:
-    """Incremental working-space norm over the snapshot history.
-
-    Keeps per-block running maxima (for the sup-in-time pair) and running
-    trapezoidal integrals (for the time-integrated pair), so the cumulative
-    norm at each snapshot costs one block decomposition per field.
-    """
-
-    def __init__(self, filt: DyadicFilter, dim: int, p: float, l0: int):
-        self.filt = filt
-        self.specs = ft_specs(dim, p, l0)
-        self.p = p
-        self.sup: dict[str, dict[int, float]] = {"h2": {}, "u2": {}}
-        self.integral: dict[str, dict[int, float]] = {"h2": {}, "u2": {}}
-        self.prev: dict[str, tuple[float, dict[int, float]]] | None = None
-
-    def update(self, t: float, h2: SpectralField, u2: SpectralField) -> float:
-        cur = {
-            "h2": block_norms(h2, self.p, self.filt),
-            "u2": block_norms(u2, self.p, self.filt),
-        }
-        for key in ("h2", "u2"):
-            for l, v in cur[key].items():
-                self.sup[key][l] = max(self.sup[key].get(l, 0.0), v)
-            if self.prev is not None:
-                t0, prev = self.prev
-                dt = t - t0
-                for l in cur[key]:
-                    self.integral[key][l] = self.integral[key].get(l, 0.0) + 0.5 * dt * (
-                        prev[key][l] + cur[key][l]
-                    )
-        self.prev = (t, cur)
-        return self.value()
-
-    def _weighted(self, per_block: dict[int, float], spec: HybridBesovSpec) -> float:
-        out = 0.0
-        for l, v in per_block.items():
-            s = spec.s_low if l <= spec.l0 else spec.s_high
-            out += (2.0**l) ** s * v
-        return out
-
-    def value(self) -> float:
-        out = self._weighted(self.sup["h2"], self.specs["h2_inf"])
-        out += self._weighted(self.sup["u2"], self.specs["u2_inf"])
-        out += self._weighted(self.integral["h2"], self.specs["h2_l1"])
-        out += self._weighted(self.integral["u2"], self.specs["u2_l1"])
-        return out
-
-
-class _GronwallTracker:
-    """Running trapezoidal integral of the Gronwall norm combination."""
-
-    def __init__(self, filt: DyadicFilter, dim: int, l0: int):
-        self.filt = filt
-        self.spec_q4 = HybridBesovSpec(dim / 2 - 0.5, dim / 2 + 0.5, 2, 2, math.inf, math.inf, l0)
-        self.spec_q1 = HybridBesovSpec(dim / 2 + 1, dim / 2 + 2, 2, 2, math.inf, math.inf, l0)
-        self.spec_du = HybridBesovSpec(dim / 2 - 1, dim / 2, 2, 2, math.inf, math.inf, l0)
-        self.total = 0.0
-        self.prev: tuple[float, float] | None = None
-
-    def update(self, state: SimState) -> float:
-        q1 = state.q1
-        du1 = grad_norm_field(state.u1_cache)
-        du = grad_norm_field(state.u1_cache + state.u2)
-        val = (
-            hybrid_besov_norm(q1, self.spec_q4, self.filt) ** 4
-            + hybrid_besov_norm(q1, self.spec_q1, self.filt)
-            + max(lp_norm(du1, math.inf), hybrid_besov_norm(du1, self.spec_du, self.filt))
-            + lp_norm(du, math.inf)
-        )
-        if self.prev is not None:
-            t0, v0 = self.prev
-            self.total += 0.5 * (state.t - t0) * (v0 + val)
-        self.prev = (state.t, val)
-        return self.total
-
-
 @dataclass
 class RunResult:
     config: RunConfig
@@ -214,7 +151,7 @@ class RunResult:
 
 
 def _diagnostics(state, scfg, filt, ft_tracker, gr_tracker):
-    rho, u = recompose(state, scfg)
+    rho, u = recompose(state)
     res_mass, res_mom = full_residual(state, scfg)
     mass = rho.mean()[0] * state.grid.volume
     return {
@@ -224,19 +161,16 @@ def _diagnostics(state, scfg, filt, ft_tracker, gr_tracker):
         "mass": mass,
         "res_mass": res_mass,
         "res_mom": res_mom,
-        "ft_norm": ft_tracker.update(state.t, state.h2, state.u2),
+        "ft_norm": ft_tracker.update(state),
         "V_T": gr_tracker.update(state),
         "cfl": cfl_number(state, scfg),
     }
 
 
-def run(config: RunConfig, out_dir=None) -> RunResult:
-    """Integrate a configured run and write series/summary/field artifacts."""
-    grid = make_grid(config.dim, config.n, config.period)
+def _initial_state(config: RunConfig, grid: Grid, filt: DyadicFilter) -> SimState:
+    """The bump plus the seeded random perturbation a run starts from."""
     scfg = config.solver_config()
-    filt = default_filter(grid)
     rng = np.random.default_rng(config.seed)
-
     q1 = gaussian_bump(grid, config.amplitude, config.width, config.mu)
     if config.eps > 0:
         h2_amp = config.eps * config.pert_h2
@@ -255,32 +189,47 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
         if config.pert_solenoidal:
             # divergence-free data deposits almost no density perturbation,
             # keeping the integrated working norm flat
-            from .grid import helmholtz_split
-            from .besov import lp_norm as _lp
-
             _, u2 = helmholtz_split(u2)
-            scale = _lp(u2, math.inf)
+            scale = lp_norm(u2, math.inf)
             if scale > 0:
                 u2 = u2 * (config.eps / scale)
     else:
         h2 = SpectralField.zeros(grid, 1)
         u2 = SpectralField.zeros(grid, grid.dim)
-    state = initial_state(q1, h2, u2, scfg)
+    return initial_state(q1, h2, u2, scfg)
 
-    ft_tracker = _FtTracker(filt, grid.dim, 2.0, config.l0)
-    gr_tracker = _GronwallTracker(filt, grid.dim, config.l0)
+
+def run(config: RunConfig, out_dir=None) -> RunResult:
+    """Integrate a configured run and write series/summary/field artifacts.
+
+    On a ``CflError`` or ``BlowupError`` the rows computed so far and a
+    summary with the failure status are written before the error is
+    re-raised.
+    """
+    grid = make_grid(config.dim, config.n, config.period)
+    scfg = config.solver_config()
+    filt = default_filter(grid)
+    state = _initial_state(config, grid, filt)
+
+    ft_tracker = FtTracker(filt, config.l0)
+    gr_tracker = GronwallTracker(filt, config.l0)
     rows = [_diagnostics(state, scfg, filt, ft_tracker, gr_tracker)]
     mass0 = rows[0]["mass"]
     rows[0]["mass_drift"] = 0.0
 
-    n_steps = int(round(config.t_end / config.dt))
-    snap_stride = max(1, int(round(config.snapshot_dt / config.dt)))
-    for k in range(1, n_steps + 1):
-        state = step(state, scfg)
-        if k % snap_stride == 0 or k == n_steps:
-            row = _diagnostics(state, scfg, filt, ft_tracker, gr_tracker)
-            row["mass_drift"] = abs(row["mass"] - mass0) / abs(mass0)
-            rows.append(row)
+    n_steps = config.n_steps
+    status, failure = "ok", None
+    try:
+        for k in range(1, n_steps + 1):
+            state = step(state, scfg)
+            if k % config.snap_stride == 0 or k == n_steps:
+                row = _diagnostics(state, scfg, filt, ft_tracker, gr_tracker)
+                row["mass_drift"] = abs(row["mass"] - mass0) / abs(mass0)
+                rows.append(row)
+    except CflError as exc:
+        status, failure = "cfl", exc
+    except BlowupError as exc:
+        status, failure = "blowup", exc
 
     result = RunResult(config=config, rows=rows, final_state=state, out_dir=None)
     if out_dir is not None:
@@ -289,6 +238,9 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
         _write_series(out_dir / "series.csv", rows)
         summary = {
             "config": dataclasses.asdict(config),
+            "status": status,
+            # the end of the step that failed; state.t is the last valid time
+            "t_fail": None if failure is None else state.t + config.dt,
             "t_final": state.t,
             "n_steps": n_steps,
             "final": {k: rows[-1][k] for k in SERIES_COLUMNS if k != "t"},
@@ -296,11 +248,13 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
             "ft_ratio": rows[-1]["ft_norm"] / rows[0]["ft_norm"] if rows[0]["ft_norm"] > 0 else None,
         }
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
-        if config.dump_fields:
-            rho, u = recompose(state, scfg)
+        if config.dump_fields and failure is None:
+            rho, u = recompose(state)
             dump_field(rho, out_dir / "rho_final", time=state.t)
             dump_field(u, out_dir / "u_final", time=state.t)
         result.out_dir = out_dir
+    if failure is not None:
+        raise failure
     return result
 
 

@@ -28,7 +28,7 @@ from .grid import (
     laplacian,
     mult,
     sym_grad,
-    transform,
+    xi_mag2,
 )
 
 __all__ = [
@@ -87,8 +87,7 @@ def heat_evolve(
     if q1_initial.ncomp != 1:
         raise ValueError("q1 must be a scalar field")
     _check_floor(1.0 + q1_initial.values[0], floor)
-    mag2 = q1_initial.grid.xi_mag() ** 2
-    coeffs = q1_initial.coeffs * np.exp(-mu * mag2 * t)
+    coeffs = q1_initial.coeffs * np.exp(-mu * xi_mag2(q1_initial.grid) * t)
     return HeatState(t=t, q1=SpectralField(q1_initial.grid, coeffs), mu=mu)
 
 
@@ -154,11 +153,9 @@ def gaussian_bump(
     var = 2.0 * mu * width
     xi = grid.xi_grids()
     phase = np.zeros(grid.shape, dtype=np.complex128)
-    mag2 = np.zeros(grid.shape)
     for ax in range(grid.dim):
         phase = phase - 1j * xi[ax] * center[ax]
-        mag2 = mag2 + xi[ax] ** 2
-    coeffs = amplitude * np.exp(-var * mag2 / 2.0 + phase)
+    coeffs = amplitude * np.exp(-var * xi_mag2(grid) / 2.0 + phase)
     # normalize so the collocation maximum is the requested amplitude
     f = SpectralField(grid, coeffs[None])
     peak = float(np.abs(f.values).max())
@@ -204,21 +201,22 @@ def kernel_decay_fit(
     return float(-slope)
 
 
+def _heat_rates(state: HeatState, floor: float = DENSITY_FLOOR):
+    """(rho1, d_t rho1, d_t u1) with the rates substituted from the heat equation:
+    d_t rho1 = mu Lap rho1 and d_t u1 = -mu grad(d_t rho1 / rho1)."""
+    g = state.grid
+    rho = SpectralField(g, state.q1.coeffs.copy())
+    rho.coeffs[(0,) * (g.dim + 1)] += 1.0
+    drho_dt = laplacian(rho) * state.mu
+    du1_dt = grad(mult(drho_dt, _reciprocal(rho, floor))) * (-state.mu)
+    return rho, drho_dt, du1_dt
+
+
 def _pressureless_momentum_parts(state: HeatState, floor: float = DENSITY_FLOOR):
     """Terms of d_t(rho1 u1) + div(rho1 u1 x u1) - div(mu rho1 D(u1))."""
-    g = state.grid
     mu = state.mu
-    q1 = state.q1
-    lnrho = log_density(q1, floor)
-    rho = SpectralField(g, q1.coeffs.copy())
-    zero = (0,) * g.dim
-    rho.coeffs[(0, *zero)] += 1.0
-    u1 = grad(lnrho) * (-mu)
-
-    # d_t rho1 = mu Lap rho1 ; d_t u1 = -mu grad(mu Lap rho1 / rho1)
-    drho_dt = laplacian(rho) * mu
-    ratio = mult(drho_dt, _reciprocal(rho, floor))
-    du1_dt = grad(ratio) * (-mu)
+    u1 = velocity_from_density(state, floor)
+    rho, drho_dt, du1_dt = _heat_rates(state, floor)
 
     rho_u = mult(rho, u1)
     dt_rho_u = mult(drho_dt, u1) + mult(rho, du1_dt)
@@ -342,7 +340,7 @@ def heat_estimate_ratio(
     if times[0] != 0.0:
         raise ValueError("forcing snapshots must start at t = 0")
     g = u0.grid
-    mag2 = g.xi_mag() ** 2
+    mag2 = xi_mag2(g)
     u_snaps = [(0.0, u0)]
     u_prev = u0.coeffs
     for (t_prev, f_prev), (t_next, f_next) in zip(f_snapshots[:-1], f_snapshots[1:]):

@@ -23,22 +23,17 @@ friction mode only.  grad v . D(w) contracts as sum_j d_j v (Dw)_{ji}
 Stepping is first-order IMEX: explicit transport/couplings, exact implicit
 multipliers for diffusion (and drag), applied per Helmholtz component --
 irrotational modes decay by 1/(1 + (mu |xi|^2 + r) dt), solenoidal modes by
-1/(1 + (mu |xi|^2 / 2 + r) dt).  An optional Heun pass on the explicit
-terms is available behind ``second_order``.
+1/(1 + (mu |xi|^2 / 2 + r) dt).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import (
-    HybridBesovSpec,
-    block_norms,
-    lp_norm,
-)
+from .besov import HybridBesovSpec, block_norms, hybrid_besov_norm, lp_norm
 from .dyadic import DyadicFilter, default_filter
 from .grid import (
     Grid,
@@ -48,11 +43,23 @@ from .grid import (
     dilate,
     div,
     grad,
-    laplacian,
+    helmholtz_split,
+    inverse_transform,
     mult,
     sym_grad,
+    transform,
+    xi_mag2,
 )
-from .quasi import DENSITY_FLOOR, HeatState, heat_evolve, log_density
+from .quasi import (
+    DENSITY_FLOOR,
+    HeatState,
+    _div_outer,
+    _div_scaled_symgrad,
+    _heat_rates,
+    _rel_l2,
+    heat_evolve,
+    velocity_from_density,
+)
 
 __all__ = [
     "SolverConfig",
@@ -67,9 +74,10 @@ __all__ = [
     "full_residual",
     "mass_drift",
     "gronwall_integrand",
-    "gronwall_exponent",
+    "GronwallTracker",
+    "ft_specs",
+    "FtTracker",
     "ft_norm",
-    "ft_norm_single",
     "scaling_check",
     "random_band_field",
 ]
@@ -97,13 +105,8 @@ class SolverConfig:
     r_fric: float = 0.0
     mode: str = "shallow_water"
     dt: float = 0.05
-    t_end: float = 10.0
-    dealias_frac: float = 2.0 / 3.0
     cfl_max: float = 0.4
-    l0: int = 0
-    second_order: bool = False
     forcing: bool = True
-    density_floor: float = DENSITY_FLOOR
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -166,10 +169,6 @@ class RhsTerms:
         return {k: lp_norm(v, 2.0) for k, v in self.terms.items()}
 
 
-def _u1_from_q1(q1: SpectralField, mu: float, floor: float) -> SpectralField:
-    return grad(log_density(q1, floor)) * (-mu)
-
-
 def initial_state(
     q1: SpectralField,
     h2: SpectralField,
@@ -179,13 +178,13 @@ def initial_state(
     g = q1.grid
     if h2.ncomp != 1 or u2.ncomp != g.dim:
         raise ValueError("h2 must be scalar and u2 a dim-component field")
-    q1 = dealias(q1, config.dealias_frac)
-    h2 = dealias(h2, config.dealias_frac)
-    u2 = dealias(u2, config.dealias_frac)
+    q1 = dealias(q1)
+    h2 = dealias(h2)
+    u2 = dealias(u2)
     rho = (1.0 + q1.values[0]) * np.exp(h2.values[0])
-    if rho.min() < config.density_floor:
+    if rho.min() < DENSITY_FLOOR:
         raise ValueError("recomposed density below the floor at t = 0")
-    u1 = _u1_from_q1(q1, config.mu, config.density_floor)
+    u1 = velocity_from_density(HeatState(t=0.0, q1=q1, mu=config.mu))
     return SimState(t=0.0, q1=q1, h2=h2, u2=u2, u1_cache=u1)
 
 
@@ -239,12 +238,10 @@ def assemble_rhs(state: SimState, config: SolverConfig, with_terms: bool = False
     dim = g.dim
     mu = config.mu
     rho = (1.0 + state.q1.values[0]) * np.exp(state.h2.values[0])
-    if rho.min() < config.density_floor:
+    if rho.min() < DENSITY_FLOOR:
         raise ValueError("recomposed density below the floor")
 
     xi = g.xi_grids()
-    from .grid import inverse_transform, transform
-
     u1c = state.u1_cache.coeffs
     u1v = state.u1_cache.values
     u2v = state.u2.values
@@ -280,7 +277,7 @@ def assemble_rhs(state: SimState, config: SolverConfig, with_terms: bool = False
     u2_rhs_v -= config.forcing_coeff * glr
     u2_rhs_v += mu * np.einsum("j...,ji...->i...", gh2, du1 + Du2)
 
-    mask = dealias_mask(g, config.dealias_frac)
+    mask = dealias_mask(g)
     h2_rhs = SpectralField(g, transform(h2_rhs_v[None], g) * mask)
     u2_rhs = SpectralField(g, transform(u2_rhs_v, g) * mask)
     return RhsTerms(h2_rhs=h2_rhs, u2_rhs=u2_rhs)
@@ -291,7 +288,7 @@ def _assemble_rhs_terms(state: SimState, config: SolverConfig) -> RhsTerms:
     mu = config.mu
     lnrho1_grad = state.u1_cache * (-1.0 / mu)  # grad ln rho1
     rho = (1.0 + state.q1.values[0]) * np.exp(state.h2.values[0])
-    if rho.min() < config.density_floor:
+    if rho.min() < DENSITY_FLOOR:
         raise ValueError("recomposed density below the floor")
     u1 = state.u1_cache
     u_tot = u1 + state.u2
@@ -325,15 +322,13 @@ def _assemble_rhs_terms(state: SimState, config: SolverConfig) -> RhsTerms:
 
 
 def _implicit_multipliers(grid: Grid, config: SolverConfig, dt: float):
-    mag2 = grid.xi_mag() ** 2
+    mag2 = xi_mag2(grid)
     m_par = 1.0 / (1.0 + dt * (config.mu * mag2 + config.drag))
     m_sol = 1.0 / (1.0 + dt * (0.5 * config.mu * mag2 + config.drag))
     return m_par, m_sol
 
 
 def _implicit_solve(u2_coeffs: np.ndarray, grid: Grid, m_par, m_sol) -> np.ndarray:
-    from .grid import helmholtz_split
-
     f = SpectralField(grid, u2_coeffs)
     par, sol = helmholtz_split(f)
     return par.coeffs * m_par + sol.coeffs * m_sol
@@ -350,9 +345,10 @@ def step(state: SimState, config: SolverConfig) -> SimState:
     """One IMEX step; q1 advances by its exact semigroup."""
     g = state.grid
     dt = config.dt
-    q1_next = heat_evolve(state.q1, config.mu, dt, config.density_floor).q1
+    heat_next = heat_evolve(state.q1, config.mu, dt)
+    q1_next = heat_next.q1
     if config.mode == "heat_only":
-        u1_next = _u1_from_q1(q1_next, config.mu, config.density_floor)
+        u1_next = velocity_from_density(heat_next)
         return SimState(t=state.t + dt, q1=q1_next, h2=state.h2, u2=state.u2, u1_cache=u1_next)
 
     cfl = cfl_number(state, config)
@@ -361,44 +357,23 @@ def step(state: SimState, config: SolverConfig) -> SimState:
 
     m_par, m_sol = _implicit_multipliers(g, config, dt)
     rhs = assemble_rhs(state, config)
+    h2_new = state.h2.coeffs + dt * rhs.h2_rhs.coeffs
+    u2_new = _implicit_solve(state.u2.coeffs + dt * rhs.u2_rhs.coeffs, g, m_par, m_sol)
 
-    def explicit_euler(h2c, u2c, r: RhsTerms):
-        return h2c + dt * r.h2_rhs.coeffs, u2c + dt * r.u2_rhs.coeffs
-
-    h2_star, u2_star = explicit_euler(state.h2.coeffs, state.u2.coeffs, rhs)
-    u2_star = _implicit_solve(u2_star, g, m_par, m_sol)
-
-    if config.second_order:
-        mid = SimState(
-            t=state.t + dt,
-            q1=q1_next,
-            h2=SpectralField(g, h2_star),
-            u2=SpectralField(g, u2_star),
-            u1_cache=_u1_from_q1(q1_next, config.mu, config.density_floor),
-        )
-        rhs2 = assemble_rhs(mid, config)
-        h2_new = state.h2.coeffs + 0.5 * dt * (rhs.h2_rhs.coeffs + rhs2.h2_rhs.coeffs)
-        u2_new = state.u2.coeffs + 0.5 * dt * (rhs.u2_rhs.coeffs + rhs2.u2_rhs.coeffs)
-        u2_new = _implicit_solve(u2_new, g, m_par, m_sol)
-    else:
-        h2_new, u2_new = h2_star, u2_star
-
-    h2_f = dealias(SpectralField(g, h2_new), config.dealias_frac)
-    u2_f = dealias(SpectralField(g, u2_new), config.dealias_frac)
+    h2_f = dealias(SpectralField(g, h2_new))
+    u2_f = dealias(SpectralField(g, u2_new))
     if not (np.isfinite(h2_f.values).all() and np.isfinite(u2_f.values).all()):
         raise BlowupError(f"non-finite sample at t = {state.t + dt:g}", state)
-    u1_next = _u1_from_q1(q1_next, config.mu, config.density_floor)
+    u1_next = velocity_from_density(heat_next)
     return SimState(t=state.t + dt, q1=q1_next, h2=h2_f, u2=u2_f, u1_cache=u1_next)
 
 
-def recompose(state: SimState, config: SolverConfig | None = None) -> tuple[SpectralField, SpectralField]:
+def recompose(state: SimState) -> tuple[SpectralField, SpectralField]:
     """(rho, u) = (rho1 e^{h2}, u1 + u2), re-band-limited."""
-    floor = config.density_floor if config else DENSITY_FLOOR
-    frac = config.dealias_frac if config else 2.0 / 3.0
     rho_vals = (1.0 + state.q1.values[0]) * np.exp(state.h2.values[0])
-    if rho_vals.min() < floor:
+    if rho_vals.min() < DENSITY_FLOOR:
         raise ValueError("recomposed density below the floor")
-    rho = dealias(SpectralField.from_values(state.grid, rho_vals), frac)
+    rho = dealias(SpectralField.from_values(state.grid, rho_vals))
     u = state.u1_cache + state.u2
     return rho, u
 
@@ -407,7 +382,7 @@ def _visc_sym_op(w: SpectralField, mu: float) -> SpectralField:
     """mu * div D(w) = mu/2 (Lap w + grad div w)."""
     g = w.grid
     xi = g.xi_grids()
-    mag2 = g.xi_mag() ** 2
+    mag2 = xi_mag2(g)
     divw = np.zeros(g.shape, dtype=np.complex128)
     for j in range(g.dim):
         divw += 1j * xi[j] * w.coeffs[j]
@@ -434,18 +409,10 @@ def full_residual(
     integrated system is an exact reformulation (residuals at the spectral
     truncation floor for any state).
     """
-    from .quasi import _reciprocal
-
     g = state.grid
     mu = config.mu
-    rho, u = recompose(state, config)
-    q1 = state.q1
-    rho1 = SpectralField(g, q1.coeffs.copy())
-    zero = (0,) * g.dim
-    rho1.coeffs[(0, *zero)] += 1.0
-
-    drho1_dt = laplacian(rho1) * mu
-    du1_dt = grad(mult(drho1_dt, _reciprocal(rho1, config.density_floor))) * (-mu)
+    rho, u = recompose(state)
+    _, drho1_dt, du1_dt = _heat_rates(state.heat_state(mu))
 
     if include_perturbation_rate:
         rhs = assemble_rhs(state, config)
@@ -455,17 +422,13 @@ def full_residual(
         dh2_dt = SpectralField.zeros(g, 1)
         du2_dt = SpectralField.zeros(g, g.dim)
 
-    exp_h2 = dealias(
-        SpectralField.from_values(g, np.exp(state.h2.values[0])), config.dealias_frac
-    )
+    exp_h2 = dealias(SpectralField.from_values(g, np.exp(state.h2.values[0])))
     drho_dt = mult(drho1_dt, exp_h2) + mult(rho, dh2_dt)
     du_dt = du1_dt + du2_dt
 
     rho_u = mult(rho, u)
     mass_res = drho_dt + div(rho_u)
-    mass_rel = _rel_norm(mass_res, [drho_dt, div(rho_u)])
-
-    from .quasi import _div_outer, _div_scaled_symgrad
+    mass_rel = _rel_l2(mass_res, [drho_dt, div(rho_u)])
 
     dt_rho_u = mult(drho_dt, u) + mult(rho, du_dt)
     conv = _div_outer(rho_u, u)
@@ -481,16 +444,8 @@ def full_residual(
         pressure = grad(rho) * config.a
         mom_res = mom_res + pressure
         terms += [pressure]
-    mom_rel = _rel_norm(mom_res, terms)
+    mom_rel = _rel_l2(mom_res, terms)
     return mass_rel, mom_rel
-
-
-def _rel_norm(res: SpectralField, scales) -> float:
-    num = lp_norm(res, 2.0)
-    den = max((lp_norm(s, 2.0) for s in scales), default=0.0)
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
 
 
 def mass_drift(history) -> float:
@@ -511,17 +466,12 @@ def mass_drift(history) -> float:
     return float(max(abs(m - m0) for m in masses) / abs(m0))
 
 
-def gronwall_integrand(
-    state: SimState,
-    config: SolverConfig,
-    filt: DyadicFilter,
-    spec_q_quartic: HybridBesovSpec,
-    spec_q_linear: HybridBesovSpec,
-    spec_du1: HybridBesovSpec,
-) -> float:
+def gronwall_integrand(state: SimState, filt: DyadicFilter, l0: int = 0) -> float:
     """Instantaneous integrand of the Gronwall exponent V(T)."""
-    from .besov import hybrid_besov_norm
-
+    dim = state.grid.dim
+    spec_q_quartic = HybridBesovSpec(dim / 2 - 0.5, dim / 2 + 0.5, 2, 2, math.inf, math.inf, l0)
+    spec_q_linear = HybridBesovSpec(dim / 2 + 1, dim / 2 + 2, 2, 2, math.inf, math.inf, l0)
+    spec_du1 = HybridBesovSpec(dim / 2 - 1, dim / 2, 2, 2, math.inf, math.inf, l0)
     q1 = state.q1
     u1 = state.u1_cache
     u = u1 + state.u2
@@ -533,6 +483,24 @@ def gronwall_integrand(
         + max(lp_norm(du1, math.inf), hybrid_besov_norm(du1, spec_du1, filt))
         + lp_norm(du, math.inf)
     )
+
+
+class GronwallTracker:
+    """V(T): running trapezoidal integral of ``gronwall_integrand`` over snapshots."""
+
+    def __init__(self, filt: DyadicFilter, l0: int = 0):
+        self.filt = filt
+        self.l0 = l0
+        self.total = 0.0
+        self.prev: tuple[float, float] | None = None
+
+    def update(self, state: SimState) -> float:
+        val = gronwall_integrand(state, self.filt, self.l0)
+        if self.prev is not None:
+            t0, v0 = self.prev
+            self.total += 0.5 * (state.t - t0) * (v0 + val)
+        self.prev = (state.t, val)
+        return self.total
 
 
 def grad_norm_field(u: SpectralField) -> SpectralField:
@@ -548,67 +516,73 @@ def grad_norm_field(u: SpectralField) -> SpectralField:
     return SpectralField(g, out)
 
 
-def gronwall_exponent(
-    history,
-    config: SolverConfig,
-    filt: DyadicFilter,
-    spec_q_quartic: HybridBesovSpec | None = None,
-    spec_q_linear: HybridBesovSpec | None = None,
-    spec_du1: HybridBesovSpec | None = None,
-) -> float:
-    """V(T): trapezoidal time integral of the Gronwall norm combination."""
-    if not history:
-        raise ValueError("empty history")
-    dim = history[0].grid.dim
-    l0 = config.l0
-    if spec_q_quartic is None:
-        spec_q_quartic = HybridBesovSpec(dim / 2 - 0.5, dim / 2 + 0.5, 2, 2, math.inf, math.inf, l0)
-    if spec_q_linear is None:
-        spec_q_linear = HybridBesovSpec(dim / 2 + 1, dim / 2 + 2, 2, 2, math.inf, math.inf, l0)
-    if spec_du1 is None:
-        spec_du1 = HybridBesovSpec(dim / 2 - 1, dim / 2, 2, 2, math.inf, math.inf, l0)
-    times = [s.t for s in history]
-    values = [
-        gronwall_integrand(s, config, filt, spec_q_quartic, spec_q_linear, spec_du1)
-        for s in history
-    ]
-    if len(times) == 1:
-        return 0.0
-    return float(np.trapezoid(values, times))
-
-
-def ft_specs(dim: int, p: float, l0: int):
+def ft_specs(dim: int, l0: int = 0):
     """The four hybrid specs of the working norm (h2 pair, u2 pair)."""
     return {
-        "h2_inf": HybridBesovSpec(dim / 2 - 1, dim / p, 2, p, 1, 1, l0),
-        "h2_l1": HybridBesovSpec(dim / 2 + 1, dim / p, 2, p, 1, 1, l0),
-        "u2_inf": HybridBesovSpec(dim / 2 - 1, dim / p - 1, 2, p, 1, 1, l0),
-        "u2_l1": HybridBesovSpec(dim / 2 + 1, dim / p + 1, 2, p, 1, 1, l0),
+        "h2_inf": HybridBesovSpec(dim / 2 - 1, dim / 2, 2, 2, 1, 1, l0),
+        "h2_l1": HybridBesovSpec(dim / 2 + 1, dim / 2, 2, 2, 1, 1, l0),
+        "u2_inf": HybridBesovSpec(dim / 2 - 1, dim / 2 - 1, 2, 2, 1, 1, l0),
+        "u2_l1": HybridBesovSpec(dim / 2 + 1, dim / 2 + 1, 2, 2, 1, 1, l0),
     }
 
 
-def ft_norm(history, filt: DyadicFilter, p: float = 2.0, l0: int = 0) -> float:
-    """Working-space norm of a (h2, u2) history: the sum of the four
-    Chemin-Lerner hybrid norms (sup-in-time pair + time-integrated pair)."""
-    from .besov import time_hybrid_besov_norm
+class FtTracker:
+    """Working-space norm of a growing (h2, u2) history.
 
+    The norm is the sum of four Chemin-Lerner hybrid norms: a sup-in-time
+    pair and a time-integrated pair.  The tracker keeps per-block running
+    maxima and running trapezoidal integrals, so each snapshot costs one
+    block decomposition per field.
+    """
+
+    def __init__(self, filt: DyadicFilter, l0: int = 0):
+        self.filt = filt
+        self.specs = ft_specs(filt.grid.dim, l0)
+        self.sup: dict[str, dict[int, float]] = {"h2": {}, "u2": {}}
+        self.integral: dict[str, dict[int, float]] = {"h2": {}, "u2": {}}
+        self.prev: tuple[float, dict[str, dict[int, float]]] | None = None
+
+    def update(self, state: SimState) -> float:
+        cur = {
+            "h2": block_norms(state.h2, 2.0, self.filt),
+            "u2": block_norms(state.u2, 2.0, self.filt),
+        }
+        for key in ("h2", "u2"):
+            for l, v in cur[key].items():
+                self.sup[key][l] = max(self.sup[key].get(l, 0.0), v)
+            if self.prev is not None:
+                t0, prev = self.prev
+                dt = state.t - t0
+                for l in cur[key]:
+                    self.integral[key][l] = self.integral[key].get(l, 0.0) + 0.5 * dt * (
+                        prev[key][l] + cur[key][l]
+                    )
+        self.prev = (state.t, cur)
+        return self.value()
+
+    def _weighted(self, per_block: dict[int, float], spec: HybridBesovSpec) -> float:
+        out = 0.0
+        for l, v in per_block.items():
+            s = spec.s_low if l <= spec.l0 else spec.s_high
+            out += (2.0**l) ** s * v
+        return out
+
+    def value(self) -> float:
+        out = self._weighted(self.sup["h2"], self.specs["h2_inf"])
+        out += self._weighted(self.sup["u2"], self.specs["u2_inf"])
+        out += self._weighted(self.integral["h2"], self.specs["h2_l1"])
+        out += self._weighted(self.integral["u2"], self.specs["u2_l1"])
+        return out
+
+
+def ft_norm(history, filt: DyadicFilter, l0: int = 0) -> float:
+    """Working-space norm of a (h2, u2) history of ``SimState`` snapshots."""
     if not history:
         raise ValueError("empty history")
-    dim = history[0].grid.dim
-    specs = ft_specs(dim, p, l0)
-    h2_snaps = [(s.t, s.h2) for s in history]
-    u2_snaps = [(s.t, s.u2) for s in history]
-    out = time_hybrid_besov_norm(h2_snaps, math.inf, specs["h2_inf"], filt)
-    out += time_hybrid_besov_norm(u2_snaps, math.inf, specs["u2_inf"], filt)
-    if len(history) >= 2:
-        out += time_hybrid_besov_norm(h2_snaps, 1.0, specs["h2_l1"], filt)
-        out += time_hybrid_besov_norm(u2_snaps, 1.0, specs["u2_l1"], filt)
-    return out
-
-
-def ft_norm_single(state: SimState, filt: DyadicFilter, p: float = 2.0, l0: int = 0) -> float:
-    """Instantaneous (initial-data) value: the two sup-in-time norms only."""
-    return ft_norm([state], filt, p, l0)
+    tracker = FtTracker(filt, l0)
+    for state in history:
+        tracker.update(state)
+    return tracker.value()
 
 
 def scaling_check(
@@ -626,9 +600,7 @@ def scaling_check(
     the mass-flux operator is checked with factor l^2.  Returns the max of
     the two relative discrepancies.
     """
-    from .quasi import _div_outer, _div_scaled_symgrad
-
-    rho, u = recompose(state, config)
+    rho, u = recompose(state)
     # The exactness of the check needs triple products of the dilated
     # fields to stay inside the dealiased band, and the operator output of
     # the undilated fields to stay dilatable: |k| < n/(10 l) is safe.
@@ -694,8 +666,6 @@ def random_band_field(
     elif norm == "l2":
         scale = lp_norm(f, 2.0)
     elif norm == "hybrid":
-        from .besov import hybrid_besov_norm
-
         if hspec is None:
             raise ValueError("hspec required for hybrid normalization")
         scale = hybrid_besov_norm(f, hspec, filt)

@@ -1,13 +1,10 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import swlp
 from swlp import SolverConfig, default_filter, gaussian_bump, make_grid
-
-warnings.filterwarnings("ignore", message="log-density truncation")
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +29,6 @@ from swlp.dyadic import dyadic_block
 from swlp.harness import fit_series
 from swlp.solver import random_band_field
 from swlp.sweeps import RATIO_NAMES, _TWO_SIDED, load_frozen, sweep_ratios
-
-warnings.filterwarnings("ignore", message="log-density truncation")
 
 
 def _report(num, name, ok, detail=""):
@@ -169,7 +166,7 @@ def test_criterion_08_conservation_and_convergence(acceptance_run):
         g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
         filt = default_filter(g)
         rng = np.random.default_rng(8)
-        cfg = SolverConfig(mu=0.5, a=0.01, dt=dt, t_end=0.1)
+        cfg = SolverConfig(mu=0.5, a=0.01, dt=dt)
         st = initial_state(
             gaussian_bump(g, 0.3, 1.0, 0.5),
             random_band_field(g, rng, 0, 2, 1, filt, amplitude=1e-2, norm="linf"),
@@ -221,7 +218,7 @@ def test_criterion_11_scaling_equivariance():
     g = make_grid(2, 256, (2 * math.pi, 2 * math.pi))
     filt = default_filter(g)
     rng = np.random.default_rng(11)
-    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, t_end=0.1)
+    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01)
     st = initial_state(
         gaussian_bump(g, 0.3, 1.0, 0.5),
         random_band_field(g, rng, 0, 2, 1, filt, amplitude=1e-2, norm="linf"),

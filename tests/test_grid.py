@@ -22,7 +22,9 @@ from swlp import (
     mult,
     sym_grad,
     transform,
+    xi_mag2,
 )
+from swlp.dyadic import default_filter
 
 
 def test_make_grid_validation():
@@ -162,3 +164,14 @@ def test_dealias_projection(seed, frac_idx):
     assert np.abs(dealias(d, frac).coeffs - d.coeffs).max() == 0.0
     mask = dealias_mask(g, frac)
     assert np.abs(d.coeffs - u.coeffs * mask).max() == 0.0
+
+
+def test_cached_operators_are_shared_and_read_only():
+    g = make_grid(2, 32, (2 * math.pi, 4 * math.pi))
+    filt = default_filter(g)
+    mag2 = xi_mag2(g)
+    assert xi_mag2(make_grid(2, 32, (2 * math.pi, 4 * math.pi))) is mag2
+    assert np.allclose(mag2, g.xi_mag() ** 2, rtol=1e-14, atol=0.0)
+    for arr in (mag2, dealias_mask(g), filt.cumulative_below(filt.l_max + 1)):
+        with pytest.raises(ValueError):
+            arr[(0,) * g.dim] = 1

@@ -1,23 +1,24 @@
 import csv
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from swlp.cli import main as cli_main
+from swlp.dyadic import default_filter
+from swlp.grid import make_grid
 from swlp.harness import (
     SERIES_COLUMNS,
     RunConfig,
+    _initial_state,
     fit_decay,
     fit_series,
     load_config,
     run,
     verify,
 )
-
-warnings.filterwarnings("ignore", message="log-density truncation")
+from swlp.solver import CflError, gronwall_integrand, step
 
 FAST = dict(n=64, dt=0.05, t_end=1.0, snapshot_dt=0.25, dump_fields=False)
 
@@ -55,6 +56,7 @@ def test_run_writes_artifacts(tmp_path):
     assert float(rows[-1]["t"]) == pytest.approx(1.0)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert {"ft_initial", "ft_ratio", "config", "final"} <= set(summary)
+    assert summary["status"] == "ok"
     assert res.rows[-1]["ft_norm"] > 0
 
 
@@ -64,6 +66,33 @@ def test_run_deterministic_per_seed(tmp_path):
     r3 = run(RunConfig(**FAST, seed=8))
     assert r1.rows[-1] == r2.rows[-1]
     assert r1.rows[-1]["besov_u_m1_inf"] != r3.rows[-1]["besov_u_m1_inf"]
+
+
+def test_v_t_is_trapezoid_of_gronwall_integrand():
+    cfg = RunConfig(**FAST)
+    res = run(cfg)
+    g = make_grid(cfg.dim, cfg.n, cfg.period)
+    filt = default_filter(g)
+    state = _initial_state(cfg, g, filt)
+    times, values = [state.t], [gronwall_integrand(state, filt)]
+    for k in range(1, cfg.n_steps + 1):
+        state = step(state, cfg.solver_config())
+        if k % cfg.snap_stride == 0:
+            times.append(state.t)
+            values.append(gronwall_integrand(state, filt))
+    assert [row["t"] for row in res.rows] == pytest.approx(times, rel=1e-12)
+    assert res.rows[-1]["V_T"] == pytest.approx(np.trapezoid(values, times), rel=1e-12)
+
+
+def test_failed_run_keeps_rows_and_status(tmp_path):
+    with pytest.raises(CflError):
+        run(RunConfig(**FAST, cfl_max=1e-6), out_dir=tmp_path / "out")
+    with open(tmp_path / "out" / "series.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["t"]) for r in rows] == [0.0]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "cfl"
+    assert summary["t_fail"] == pytest.approx(FAST["dt"])
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -142,6 +171,14 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert cli_main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("t_end", 1.01), ("snapshot_dt", 0.07), ("mu", -1.0)])
+def test_cli_bad_config_value_exit_2(tmp_path, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, key: value}))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_blowup_exit_3(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -150,6 +187,7 @@ def test_cli_blowup_exit_3(tmp_path):
                 **FAST,
                 "dt": 2.0,
                 "t_end": 4.0,
+                "snapshot_dt": 2.0,
                 "eps": 2.0,
                 "pert_l_lo": 0,
                 "pert_l_hi": 1,

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -22,17 +21,16 @@ from swlp import (
     scaling_check,
     step,
 )
+from swlp.besov import time_hybrid_besov_norm
 from swlp.dyadic import default_filter
-from swlp.solver import ft_norm, ft_norm_single, random_band_field
-
-warnings.filterwarnings("ignore", message="log-density truncation")
+from swlp.solver import ft_norm, ft_specs, random_band_field
 
 
 def _small_state(n=64, eps=1e-2, seed=3, mode="shallow_water", **kw):
     g = make_grid(2, n, (2 * math.pi, 2 * math.pi))
     filt = default_filter(g)
     rng = np.random.default_rng(seed)
-    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, t_end=0.1, mode=mode, **kw)
+    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, mode=mode, **kw)
     q1 = gaussian_bump(g, 0.3, 1.0, 0.5)
     h2 = random_band_field(g, rng, 0, 2, 1, filt, amplitude=eps, norm="linf")
     u2 = random_band_field(g, rng, 0, 2, g.dim, filt, amplitude=eps, norm="linf")
@@ -50,7 +48,7 @@ def test_fast_rhs_matches_term_sum():
 
 def test_zero_perturbation_stays_zero_without_forcing():
     g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
-    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, t_end=0.1, forcing=False)
+    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, forcing=False)
     q1 = gaussian_bump(g, 0.3, 1.0, 0.5)
     st = initial_state(q1, SpectralField.zeros(g, 1), SpectralField.zeros(g, 2), cfg)
     for _ in range(5):
@@ -64,7 +62,7 @@ def test_friction_exact_mode_keeps_perturbation_tiny():
     # so the forcing vanishes and the perturbation never grows.
     g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
     cfg = SolverConfig(
-        mu=0.5, a=0.0, Fr=1.0, r_fric=2.0, dt=0.01, t_end=0.1, mode="friction"
+        mu=0.5, a=0.0, Fr=1.0, r_fric=2.0, dt=0.01, mode="friction"
     )
     assert cfg.friction_exact
     q1 = gaussian_bump(g, 0.3, 1.0, 0.5)
@@ -112,7 +110,7 @@ def test_first_order_time_convergence():
 
 def test_cfl_error_raised():
     g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
-    cfg = SolverConfig(mu=0.5, a=0.01, dt=1.0, t_end=2.0, cfl_max=0.4)
+    cfg = SolverConfig(mu=0.5, a=0.01, dt=1.0, cfl_max=0.4)
     q1 = gaussian_bump(g, 0.5, 1.0, 0.5)
     rng = np.random.default_rng(0)
     filt = default_filter(g)
@@ -143,7 +141,7 @@ def test_mass_drift_small_and_dt_convergent():
         cfg = SolverConfig(**{**cfg.__dict__, "dt": dt})
         masses = []
         for _ in range(int(round(0.1 / dt)) + 1):
-            rho, _ = recompose(st, cfg)
+            rho, _ = recompose(st)
             masses.append((st.t, float(rho.mean()[0])))
             st = step(st, cfg)
         return mass_drift(masses)
@@ -164,14 +162,14 @@ def test_scaling_equivariance_and_negative_control():
 
 def test_recompose_positive_density():
     st, cfg, _ = _small_state()
-    rho, u = recompose(st, cfg)
+    rho, u = recompose(st)
     assert rho.values[0].min() > 0
     assert u.ncomp == 2
 
 
 def test_initial_state_validates_shapes():
     g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
-    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, t_end=0.1)
+    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01)
     q1 = gaussian_bump(g, 0.3, 1.0, 0.5)
     with pytest.raises(ValueError):
         initial_state(q1, SpectralField.zeros(g, 2), SpectralField.zeros(g, 2), cfg)
@@ -181,14 +179,28 @@ def test_initial_state_validates_shapes():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(mu=-1.0, a=0.01, dt=0.01, t_end=0.1)
+        SolverConfig(mu=-1.0, a=0.01, dt=0.01)
     with pytest.raises(ValueError):
-        SolverConfig(mu=0.5, a=0.01, dt=0.01, t_end=0.1, mode="bogus")
+        SolverConfig(mu=0.5, a=0.01, dt=0.01, mode="bogus")
 
 
-def test_ft_norm_single_matches_history_start():
+def test_ft_norm_matches_time_hybrid_norms():
     st, cfg, filt = _small_state()
-    single = ft_norm_single(st, filt)
-    full = ft_norm([st], filt)
-    assert single == pytest.approx(full, rel=1e-12)
-    assert single > 0
+    history = [st]
+    for _ in range(2):
+        history.append(step(history[-1], cfg))
+    specs = ft_specs(2)
+    h2_snaps = [(s.t, s.h2) for s in history]
+    u2_snaps = [(s.t, s.u2) for s in history]
+    reference = (
+        time_hybrid_besov_norm(h2_snaps, math.inf, specs["h2_inf"], filt)
+        + time_hybrid_besov_norm(u2_snaps, math.inf, specs["u2_inf"], filt)
+        + time_hybrid_besov_norm(h2_snaps, 1.0, specs["h2_l1"], filt)
+        + time_hybrid_besov_norm(u2_snaps, 1.0, specs["u2_l1"], filt)
+    )
+    assert ft_norm(history, filt) == pytest.approx(reference, rel=1e-12)
+    assert reference > 0
+    start = time_hybrid_besov_norm(h2_snaps[:1], math.inf, specs["h2_inf"], filt)
+    start += time_hybrid_besov_norm(u2_snaps[:1], math.inf, specs["u2_inf"], filt)
+    assert ft_norm(history[:1], filt) == pytest.approx(start, rel=1e-12)
+    assert start > 0
