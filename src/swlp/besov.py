@@ -6,6 +6,17 @@ constant c has norm |c| * vol**(1/p) and norms are stable under grid
 refinement (decay fits compare across resolutions).  ``p = inf`` is the max
 of the pointwise magnitude.  Vector fields use the pointwise Euclidean
 magnitude.  All dyadic sums exclude the mean mode (homogeneous convention).
+
+p = 2 norms never leave coefficient space.  ``values`` is the real part of
+the inverse DFT, and the real part of a field is the field with the
+Hermitian part of its coefficients, c_h(k) = (c(k) + conj(c(-k)))/2, so
+Parseval gives ``lp_norm(u, 2)**2 = vol * sum |c_h|^2`` exactly -- the
+collocation definition above, also for coefficients that are not Hermitian
+(an undealiased gradient's Nyquist modes).  Plain sum |c|^2 is not exact
+there.  Every block weight is real and even in xi, so the Hermitian part of
+Delta_l u is phi_l c_h, and one power array |c_h|^2 per field gives the L2
+norm of every block.  The L^inf blocks of ``besov_minus1_infty`` go
+through one stacked inverse transform per field.
 """
 
 from __future__ import annotations
@@ -16,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicFilter, cover_range, dyadic_block
-from .grid import SpectralField, xi_mag2
+from .dyadic import DyadicFilter
+from .grid import SpectralField, inverse_transform, xi_mag2
 
 __all__ = [
     "BesovSpec",
@@ -80,30 +91,54 @@ class HybridBesovSpec:
         return BesovSpec(self.s_high, self.p_high, self.r_high)
 
 
-def pointwise_magnitude(field: SpectralField) -> np.ndarray:
-    v = field.values
-    if v.shape[0] == 1:
-        return np.abs(v[0])
-    return np.sqrt(np.sum(v**2, axis=0))
+def _check_grid(field: SpectralField, filt: DyadicFilter) -> None:
+    if field.grid != filt.grid:
+        raise ValueError("grid mismatch")
+
+
+def _power(field: SpectralField) -> np.ndarray:
+    """|c_h|^2 summed over components, c_h the Hermitian part of the coefficients."""
+    c = field.coeffs
+    axes = tuple(range(1, c.ndim))
+    # c(-k) in fft layout: reverse every axis, then move index 0 back to the front
+    h = 0.5 * (c + np.conj(np.roll(np.flip(c, axes), 1, axes)))
+    return np.einsum("c...,c...->...", h.real, h.real) + np.einsum("c...,c...->...", h.imag, h.imag)
+
+
+def _weighted_sum(w: np.ndarray, power: np.ndarray) -> float:
+    """sum w^2 * power over the lattice, without a grid-sized w^2 temporary."""
+    return float(np.einsum("i,i,i->", w.ravel(), w.ravel(), power.ravel()))
+
+
+def _lp(values: np.ndarray, p: float, volume: float) -> list[float]:
+    """L^p norms of a stack of fields given as values (fields, ncomp, *grid)."""
+    mag = np.abs(values[:, 0]) if values.shape[1] == 1 else np.sqrt(np.sum(values**2, axis=1))
+    axes = tuple(range(1, mag.ndim))
+    if math.isinf(p):
+        return [float(v) for v in mag.max(axis=axes)]
+    return [float(v) for v in (np.mean(mag**p, axis=axes) * volume) ** (1.0 / p)]
+
+
+def _stacked_lp(field: SpectralField, multipliers: list[np.ndarray], p: float) -> list[float]:
+    """L^p norms of the fields m * u for every multiplier m, in one inverse transform."""
+    g = field.grid
+    values = inverse_transform(np.stack([field.coeffs * m for m in multipliers]), g)
+    return _lp(values, p, g.volume)
+
 
 def lp_norm(field: SpectralField, p: float) -> float:
     p = _check_index(p, "p")
-    mag = pointwise_magnitude(field)
-    if math.isinf(p):
-        return float(mag.max())
-    vol = field.grid.volume
-    return float((np.mean(mag**p) * vol) ** (1.0 / p))
+    if p == 2.0:
+        return math.sqrt(field.grid.volume * float(np.sum(_power(field))))
+    return _lp(field.values[None], p, field.grid.volume)[0]
 
 
-def _staleness_check(field: SpectralField, filt: DyadicFilter) -> None:
+def _staleness_check(power: np.ndarray, filt: DyadicFilter) -> None:
     covered = filt.cumulative_below(filt.l_max + 1)
-    c = field.coeffs
-    total = float(np.sum(np.abs(c) ** 2))
-    zero = (0,) * field.grid.dim
-    total -= float(np.sum(np.abs(c[(slice(None), *zero)]) ** 2))
+    total = float(np.sum(power)) - float(power[(0,) * power.ndim])
     if total <= 0:
         return
-    inside = float(np.sum(np.abs(c * covered) ** 2))
+    inside = _weighted_sum(covered, power)
     if 1.0 - inside / total > 1e-3:
         warnings.warn(
             "more than 0.1% of the L2 mass sits in blocks outside the filter "
@@ -112,11 +147,34 @@ def _staleness_check(field: SpectralField, filt: DyadicFilter) -> None:
         )
 
 
+def _block_norms(
+    field: SpectralField, p: float, filt: DyadicFilter, power: np.ndarray | None = None
+) -> dict[int, float]:
+    if p == 2.0:
+        if power is None:
+            power = _power(field)
+        vol = field.grid.volume
+        return {l: math.sqrt(vol * _weighted_sum(filt.weight(l), power)) for l in filt.levels}
+    # one transform per block: a stack of all blocks would hold (levels x field) at once
+    return {l: _stacked_lp(field, [filt.weight(l)], p)[0] for l in filt.levels}
+
+
 def block_norms(field: SpectralField, p: float, filt: DyadicFilter) -> dict[int, float]:
-    """L^p norms of every dyadic block within the filter range."""
-    return {
-        l: lp_norm(dyadic_block(filt, field, l), p) for l in filt.levels
-    }
+    """L^p norms of every dyadic block within the filter range.
+
+    p = 2 comes by Parseval from one power array per field, with no inverse
+    transform; any other p takes one inverse transform per block.
+    """
+    _check_grid(field, filt)
+    return _block_norms(field, _check_index(p, "p"), filt)
+
+
+def _checked_tables(field: SpectralField, filt: DyadicFilter, ps) -> dict[float, dict[int, float]]:
+    """Block-norm tables for each distinct p, after the filter-range check."""
+    _check_grid(field, filt)
+    power = _power(field)
+    _staleness_check(power, filt)
+    return {p: _block_norms(field, p, filt, power) for p in set(ps)}
 
 
 def _accumulate(weighted: list[float], r: float) -> float:
@@ -128,8 +186,7 @@ def _accumulate(weighted: list[float], r: float) -> float:
 
 
 def besov_norm(field: SpectralField, spec: BesovSpec, filt: DyadicFilter) -> float:
-    _staleness_check(field, filt)
-    norms = block_norms(field, spec.p, filt)
+    norms = _checked_tables(field, filt, [spec.p])[spec.p]
     weighted = [2.0 ** (l * spec.s) * norms[l] for l in filt.levels]
     return _accumulate(weighted, spec.r)
 
@@ -137,13 +194,9 @@ def besov_norm(field: SpectralField, spec: BesovSpec, filt: DyadicFilter) -> flo
 def hybrid_besov_norm(field: SpectralField, hspec: HybridBesovSpec, filt: DyadicFilter) -> float:
     if hspec.l0 < filt.l_min - 1 or hspec.l0 > filt.l_max:
         raise ValueError(f"l0 = {hspec.l0} outside the filter range")
-    _staleness_check(field, filt)
-    low, high = [], []
-    for l in filt.levels:
-        if l <= hspec.l0:
-            low.append(2.0 ** (l * hspec.s_low) * lp_norm(dyadic_block(filt, field, l), hspec.p_low))
-        else:
-            high.append(2.0 ** (l * hspec.s_high) * lp_norm(dyadic_block(filt, field, l), hspec.p_high))
+    tables = _checked_tables(field, filt, [hspec.p_low, hspec.p_high])
+    low = [2.0 ** (l * hspec.s_low) * tables[hspec.p_low][l] for l in filt.levels if l <= hspec.l0]
+    high = [2.0 ** (l * hspec.s_high) * tables[hspec.p_high][l] for l in filt.levels if l > hspec.l0]
     return _accumulate(low, hspec.r_low) + _accumulate(high, hspec.r_high)
 
 
@@ -185,10 +238,9 @@ def time_hybrid_besov_norm(snapshots, rho: float, hspec: HybridBesovSpec, filt: 
     levels = list(filt.levels)
     low_series, high_series = [], []
     for _, f in snapshots:
-        bn_low = block_norms(f, hspec.p_low, filt)
-        bn_high = block_norms(f, hspec.p_high, filt)
-        low_series.append([bn_low[l] for l in levels if l <= hspec.l0])
-        high_series.append([bn_high[l] for l in levels if l > hspec.l0])
+        tables = {p: block_norms(f, p, filt) for p in {hspec.p_low, hspec.p_high}}
+        low_series.append([tables[hspec.p_low][l] for l in levels if l <= hspec.l0])
+        high_series.append([tables[hspec.p_high][l] for l in levels if l > hspec.l0])
     out = 0.0
     for series, sub, s_exp, r in (
         (np.asarray(low_series), [l for l in levels if l <= hspec.l0], hspec.s_low, hspec.r_low),
@@ -209,19 +261,18 @@ def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | 
     for decay diagnostics where the homogeneous sup is dominated by the
     ever-lower frequency content of spreading heat profiles).
     """
-    if low_cut is None:
-        vals = [2.0 ** (-l) * lp_norm(dyadic_block(filt, field, l), INF) for l in filt.levels]
-        return max(vals) if vals else 0.0
-    from .dyadic import freq_split
-
-    low, _ = freq_split(filt, field, low_cut - 1)
-    vals = [2.0 ** (-low_cut) * lp_norm(low, INF)]
-    vals += [
-        2.0 ** (-l) * lp_norm(dyadic_block(filt, field, l), INF)
-        for l in filt.levels
-        if l >= low_cut
-    ]
-    return max(vals)
+    _check_grid(field, filt)
+    levels = [l for l in filt.levels if low_cut is None or l >= low_cut]
+    weights = [2.0 ** (-l) for l in levels]
+    multipliers = [filt.weight(l) for l in levels]
+    if low_cut is not None:
+        # S_{low_cut} u, the blocks below low_cut lumped into one piece (zero
+        # when low_cut <= l_min, all blocks when low_cut > l_max)
+        weights.insert(0, 2.0 ** (-low_cut))
+        multipliers.insert(0, filt.cumulative_below(min(max(low_cut, filt.l_min), filt.l_max + 1)))
+    if not multipliers:
+        return 0.0
+    return max(w * v for w, v in zip(weights, _stacked_lp(field, multipliers, INF)))
 
 
 def active_levels(field: SpectralField, filt: DyadicFilter, rel_tol: float = 1e-10) -> list[int]:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .besov import BesovSpec, HybridBesovSpec, besov_norm, hybrid_besov_norm, lp_norm
+from .besov import BesovSpec, HybridBesovSpec, besov_norm, block_norms, hybrid_besov_norm, lp_norm
 from .dyadic import DyadicFilter, dyadic_block
 from .grid import SpectralField, mult
 
@@ -147,14 +147,10 @@ def hybrid_para_ratio(
     if op == "para":
         num = hybrid_besov_norm(para(filt, u, v), hspec_out, filt)
     elif op in ("remainder_high", "remainder_low"):
-        r = remainder(filt, u, v)
-        num = 0.0
-        for l in filt.levels:
-            if (l > hspec_out.l0) != (op == "remainder_high"):
-                continue
-            s = hspec_out.s_high if op == "remainder_high" else hspec_out.s_low
-            p = hspec_out.p_high if op == "remainder_high" else hspec_out.p_low
-            num += 2.0 ** (l * s) * lp_norm(dyadic_block(filt, r, l), p)
+        high = op == "remainder_high"
+        s, p = (hspec_out.s_high, hspec_out.p_high) if high else (hspec_out.s_low, hspec_out.p_low)
+        norms = block_norms(remainder(filt, u, v), p, filt)
+        num = sum(2.0 ** (l * s) * norms[l] for l in filt.levels if (l > hspec_out.l0) == high)
     else:
         raise ValueError(f"unknown operator {op!r}")
     return num / den

@@ -235,26 +235,29 @@ def _reciprocal(rho: SpectralField, floor: float) -> SpectralField:
 def _div_outer(a: SpectralField, b: SpectralField) -> SpectralField:
     """div(a x b) for vector fields a, b: component i is sum_j d_j (a_j b_i)."""
     g = a.grid
-    out = np.zeros((g.dim, *g.shape), dtype=np.complex128)
+    dim = g.dim
+    # all products a_j b_i in one forward transform and one dealias (it is linear)
+    prods = (b.values[:, None] * a.values[None, :]).reshape(dim * dim, *g.shape)
+    prod = dealias(SpectralField.from_values(g, prods)).coeffs.reshape(dim, dim, *g.shape)
+    out = np.zeros((dim, *g.shape), dtype=np.complex128)
     xi = g.xi_grids()
-    for i in range(g.dim):
-        for j in range(g.dim):
-            prod = mult(a.component(j), b.component(i))
-            out[i] += 1j * xi[j] * prod.coeffs[0]
+    for i in range(dim):
+        for j in range(dim):
+            out[i] += 1j * xi[j] * prod[i, j]
     return SpectralField(g, out)
 
 
 def _div_scaled_symgrad(rho: SpectralField, u: SpectralField, mu: float) -> SpectralField:
     """div(mu rho D(u)): component i is sum_j d_j (mu rho (Du)_{ij})."""
     g = u.grid
-    D = sym_grad(u)
+    dim = g.dim
+    D = SpectralField(g, sym_grad(u).reshape(dim * dim, *g.shape))
+    prod = mult(rho, D).coeffs.reshape(dim, dim, *g.shape)
     xi = g.xi_grids()
-    out = np.zeros((g.dim, *g.shape), dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            dij = SpectralField(g, D[i, j][None])
-            prod = mult(rho, dij)
-            out[i] += 1j * xi[j] * mu * prod.coeffs[0]
+    out = np.zeros((dim, *g.shape), dtype=np.complex128)
+    for i in range(dim):
+        for j in range(dim):
+            out[i] += 1j * xi[j] * mu * prod[i, j]
     return SpectralField(g, out)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +158,15 @@ class SimState:
 
     def heat_state(self, mu: float) -> HeatState:
         return HeatState(t=self.t, q1=self.q1, mu=mu)
+
+    @cached_property
+    def _recomposed(self) -> tuple[SpectralField, SpectralField]:
+        """(rho, u) = (rho1 e^{h2}, u1 + u2), re-band-limited; built once per state."""
+        rho_vals = (1.0 + self.q1.values[0]) * np.exp(self.h2.values[0])
+        if rho_vals.min() < DENSITY_FLOOR:
+            raise ValueError("recomposed density below the floor")
+        rho = dealias(SpectralField.from_values(self.grid, rho_vals))
+        return rho, self.u1_cache + self.u2
 
 
 @dataclass
@@ -369,13 +379,11 @@ def step(state: SimState, config: SolverConfig) -> SimState:
 
 
 def recompose(state: SimState) -> tuple[SpectralField, SpectralField]:
-    """(rho, u) = (rho1 e^{h2}, u1 + u2), re-band-limited."""
-    rho_vals = (1.0 + state.q1.values[0]) * np.exp(state.h2.values[0])
-    if rho_vals.min() < DENSITY_FLOOR:
-        raise ValueError("recomposed density below the floor")
-    rho = dealias(SpectralField.from_values(state.grid, rho_vals))
-    u = state.u1_cache + state.u2
-    return rho, u
+    """(rho, u) = (rho1 e^{h2}, u1 + u2), re-band-limited.
+
+    Computed once per state: every later call returns the same two fields.
+    """
+    return state._recomposed
 
 
 def _visc_sym_op(w: SpectralField, mu: float) -> SpectralField:
@@ -414,17 +422,14 @@ def full_residual(
     rho, u = recompose(state)
     _, drho1_dt, du1_dt = _heat_rates(state.heat_state(mu))
 
+    exp_h2 = dealias(SpectralField.from_values(g, np.exp(state.h2.values[0])))
+    drho_dt = mult(drho1_dt, exp_h2)
+    du_dt = du1_dt
     if include_perturbation_rate:
         rhs = assemble_rhs(state, config)
-        dh2_dt = rhs.h2_rhs
         du2_dt = rhs.u2_rhs + _visc_sym_op(state.u2, mu) + state.u2 * (-config.drag)
-    else:
-        dh2_dt = SpectralField.zeros(g, 1)
-        du2_dt = SpectralField.zeros(g, g.dim)
-
-    exp_h2 = dealias(SpectralField.from_values(g, np.exp(state.h2.values[0])))
-    drho_dt = mult(drho1_dt, exp_h2) + mult(rho, dh2_dt)
-    du_dt = du1_dt + du2_dt
+        drho_dt = drho_dt + mult(rho, rhs.h2_rhs)
+        du_dt = du_dt + du2_dt
 
     rho_u = mult(rho, u)
     mass_res = drho_dt + div(rho_u)

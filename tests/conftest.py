@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,3 +33,19 @@ def acceptance_run(tmp_path_factory):
                        t_end=20.0, amplitude=0.5, width=1.0, eps=1e-3, seed=0)
     out = tmp_path_factory.mktemp("acceptance_run")
     return run(config, out_dir=out)
+
+
+@pytest.fixture
+def inverse_transforms(monkeypatch):
+    """Counts calls of ``grid.inverse_transform`` made from any swlp module."""
+    original = swlp.grid.inverse_transform
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("swlp") and getattr(module, "inverse_transform", None) is original:
+            monkeypatch.setattr(module, "inverse_transform", counted)
+    return calls

@@ -15,6 +15,7 @@ from swlp import (
     block_norms,
     default_filter,
     dyadic_block,
+    freq_split,
     grad,
     heat_characterization_ratio,
     hybrid_besov_norm,
@@ -131,6 +132,36 @@ def test_besov_minus1_infty_modes(grid2d, filt2d, rng):
     assert hom > 0
     nonhom = besov_minus1_infty(u, filt2d, low_cut=2)
     assert nonhom > 0
+    # the stacked transform against one transform per block
+    blocks = {l: 2.0 ** (-l) * lp_norm(dyadic_block(filt2d, u, l), math.inf) for l in filt2d.levels}
+    assert hom == pytest.approx(max(blocks.values()), rel=1e-14)
+    low = 2.0**-2 * lp_norm(freq_split(filt2d, u, 1)[0], math.inf)
+    assert nonhom == pytest.approx(max([low] + [v for l, v in blocks.items() if l >= 2]), rel=1e-14)
+
+
+def _white_noise(grid, ncomp):
+    return SpectralField.from_values(grid, np.random.default_rng(5).standard_normal((ncomp, *grid.shape)))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "two_component", "undealiased_grad"])
+def test_l2_norms_by_parseval_match_collocation(grid2d, filt2d, kind):
+    f = {
+        "scalar": lambda: _white_noise(grid2d, 1),
+        "two_component": lambda: _white_noise(grid2d, 2),
+        # Nyquist modes of a gradient are not Hermitian: sum |c|^2 is off there
+        "undealiased_grad": lambda: grad(_white_noise(grid2d, 1)),
+    }[kind]()
+
+    def collocation(field):
+        return math.sqrt(grid2d.volume * float(np.mean(np.sum(field.values**2, axis=0))))
+
+    assert lp_norm(f, 2.0) == pytest.approx(collocation(f), rel=1e-13)
+    norms = block_norms(f, 2.0, filt2d)
+    for l in filt2d.levels:
+        assert norms[l] == pytest.approx(collocation(dyadic_block(filt2d, f, l)), rel=1e-13)
+    if kind == "undealiased_grad":
+        plain = math.sqrt(grid2d.volume * float(np.sum(np.abs(f.coeffs) ** 2)))
+        assert abs(plain / collocation(f) - 1.0) > 1e-2
 
 
 def test_active_levels(grid2d, filt2d, rng):

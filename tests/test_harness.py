@@ -11,6 +11,7 @@ from swlp.grid import make_grid
 from swlp.harness import (
     SERIES_COLUMNS,
     RunConfig,
+    _diagnostics,
     _initial_state,
     fit_decay,
     fit_series,
@@ -18,7 +19,7 @@ from swlp.harness import (
     run,
     verify,
 )
-from swlp.solver import CflError, gronwall_integrand, step
+from swlp.solver import CflError, FtTracker, GronwallTracker, gronwall_integrand, step
 
 FAST = dict(n=64, dt=0.05, t_end=1.0, snapshot_dt=0.25, dump_fields=False)
 
@@ -82,6 +83,19 @@ def test_v_t_is_trapezoid_of_gronwall_integrand():
             values.append(gronwall_integrand(state, filt))
     assert [row["t"] for row in res.rows] == pytest.approx(times, rel=1e-12)
     assert res.rows[-1]["V_T"] == pytest.approx(np.trapezoid(values, times), rel=1e-12)
+
+
+def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms):
+    # 14 are needed; one transform per dyadic block or per product would
+    # make about 70
+    config = RunConfig(**FAST)
+    grid = make_grid(2, config.n, config.period)
+    filt = default_filter(grid)
+    scfg = config.solver_config()
+    state = step(_initial_state(config, grid, filt), scfg)
+    del inverse_transforms[:]
+    _diagnostics(state, scfg, filt, FtTracker(filt), GronwallTracker(filt))
+    assert len(inverse_transforms) <= 16
 
 
 def test_failed_run_keeps_rows_and_status(tmp_path):

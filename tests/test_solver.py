@@ -21,9 +21,9 @@ from swlp import (
     scaling_check,
     step,
 )
-from swlp.besov import time_hybrid_besov_norm
+from swlp.besov import hybrid_besov_norm, time_hybrid_besov_norm
 from swlp.dyadic import default_filter
-from swlp.solver import ft_norm, ft_specs, random_band_field
+from swlp.solver import FtTracker, ft_norm, ft_specs, gronwall_integrand, random_band_field
 
 
 def _small_state(n=64, eps=1e-2, seed=3, mode="shallow_water", **kw):
@@ -165,6 +165,30 @@ def test_recompose_positive_density():
     rho, u = recompose(st)
     assert rho.values[0].min() > 0
     assert u.ncomp == 2
+    # computed once per state
+    again = recompose(st)
+    assert again[0] is rho and again[1] is u
+
+
+def test_p2_snapshot_norms_make_no_inverse_transform(inverse_transforms, monkeypatch):
+    st, cfg, filt = _small_state()
+    st = step(st, cfg)
+    del inverse_transforms[:]
+    tracker = FtTracker(filt)
+    tracker.update(st)
+    assert inverse_transforms == []
+
+    inside = []
+
+    def counted_hybrid(*args):
+        before = len(inverse_transforms)
+        out = hybrid_besov_norm(*args)
+        inside.append(len(inverse_transforms) - before)
+        return out
+
+    monkeypatch.setattr("swlp.solver.hybrid_besov_norm", counted_hybrid)
+    gronwall_integrand(st, filt)
+    assert inside == [0, 0, 0]
 
 
 def test_initial_state_validates_shapes():
