@@ -1,4 +1,4 @@
-"""Run orchestration: JSON config, CSV time series, summaries, verification.
+"""Run orchestration: JSON config, CSV time series, summaries, decay fits.
 
 A run integrates the perturbation system from a Gaussian density bump plus
 a small random band-limited perturbation, records a fixed set of
@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .besov import HybridBesovSpec, besov_minus1_infty, hybrid_besov_norm, lp_norm
+from .besov import besov_minus1_infty, lp_norm
 from .dyadic import DyadicFilter, default_filter
 from .grid import Grid, SpectralField, dump_field, helmholtz_split, make_grid
-from .quasi import gaussian_bump, kernel_decay_fit, kernel_rate
+from .quasi import gaussian_bump
 from .solver import (
     BlowupError,
     CflError,
@@ -48,7 +48,6 @@ __all__ = [
     "run",
     "fit_decay",
     "fit_series",
-    "verify",
 ]
 
 SERIES_COLUMNS = (
@@ -346,151 +345,3 @@ def fit_series(series_path, t_min: float = 2.0, t_max: float = 20.0) -> dict:
         "passed": rep_rho.passed and rep_u.passed,
         "window": [t_min, t_max],
     }
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-
-def _check(name, value, bound, passed=None):
-    if passed is None:
-        passed = bool(value <= bound)
-    return {"name": name, "value": float(value), "bound": float(bound), "passed": bool(passed)}
-
-
-def _verify_lp() -> list[dict]:
-    from .dyadic import dyadic_block
-
-    g = make_grid(2, 64, (2 * np.pi, 2 * np.pi))
-    filt = default_filter(g)
-    rng = np.random.default_rng(7)
-    f = SpectralField.from_values(g, rng.standard_normal((1, *g.shape)))
-    total = np.zeros(g.shape)
-    for l in filt.levels:
-        total += filt.weight(l)
-    mask = g.xi_mag() > 0
-    checks = [_check("partition_of_unity", np.abs(total[mask] - 1.0).max(), 1e-10)]
-    recon = SpectralField.zeros(g, 1)
-    for l in filt.levels:
-        recon = recon + dyadic_block(filt, f, l)
-    mean = SpectralField(g, f.coeffs * (~mask))
-    checks.append(
-        _check("block_reconstruction", lp_norm(f - mean - recon, 2.0) / lp_norm(f, 2.0), 1e-12)
-    )
-    return checks
-
-
-def _verify_besov() -> list[dict]:
-    g = make_grid(2, 64, (2 * np.pi, 2 * np.pi))
-    filt = default_filter(g)
-    rng = np.random.default_rng(8)
-    f = random_band_field(g, rng, -1, 3, 1, filt, amplitude=1.0)
-    from .besov import BesovSpec, besov_norm
-
-    n_plain = besov_norm(f, BesovSpec(1.0, 2, 1), filt)
-    n_hyb = hybrid_besov_norm(f, HybridBesovSpec(1.0, 1.0, 2, 2, 1, 1, 0), filt)
-    checks = [_check("hybrid_matches_plain", abs(n_plain - n_hyb) / n_plain, 1e-12)]
-    two = f * 2.0
-    checks.append(
-        _check(
-            "homogeneity",
-            abs(besov_norm(two, BesovSpec(1.0, 2, 1), filt) - 2 * n_plain) / (2 * n_plain),
-            1e-12,
-        )
-    )
-    return checks
-
-
-def _verify_paraproduct() -> list[dict]:
-    from .grid import dealias, mult
-    from .paraproduct import bony_parts
-
-    g = make_grid(2, 64, (2 * np.pi, 2 * np.pi))
-    filt = default_filter(g)
-    rng = np.random.default_rng(9)
-    checks = []
-    worst = 0.0
-    for _ in range(5):
-        u = dealias(SpectralField.from_values(g, rng.standard_normal((1, *g.shape))))
-        v = dealias(SpectralField.from_values(g, rng.standard_normal((1, *g.shape))))
-        tuv, tvu, rem = bony_parts(filt, u, v)
-        prod = mult(u, v)
-        worst = max(worst, lp_norm(tuv + tvu + rem - prod, 2.0) / lp_norm(prod, 2.0))
-    checks.append(_check("bony_identity", worst, 1e-12))
-    return checks
-
-
-def _verify_quasi() -> list[dict]:
-    from .quasi import friction_exact_residual, heat_evolve, quasi_residual
-
-    g = make_grid(1, 1024, (2 * np.pi,))
-    q0 = gaussian_bump(g, 0.5, 1.0, 0.1)
-    st = heat_evolve(q0, 0.1, 0.5)
-    mr, pr = quasi_residual(st)
-    checks = [
-        _check("quasi_mass_residual_1d", mr, 1e-8),
-        _check("quasi_momentum_residual_1d", pr, 1e-8),
-    ]
-    rep = friction_exact_residual(st, Fr=1.0, r=10.0)
-    checks.append(_check("friction_exact", rep.residual, 1e-8))
-    neg = friction_exact_residual(st, Fr=1.0, r=3.0)
-    checks.append(_check("friction_negative_control", 1e-3, neg.residual, passed=neg.residual > 1e-3))
-    return checks
-
-
-def _verify_solver() -> list[dict]:
-    g = make_grid(2, 128, (2 * np.pi, 2 * np.pi))
-    filt = default_filter(g)
-    rng = np.random.default_rng(10)
-    cfg = SolverConfig(mu=0.1, a=1e-2, dt=0.01)
-    q1 = gaussian_bump(g, 0.3, 0.5, cfg.mu)
-    h2 = random_band_field(g, rng, 0, 2, 1, filt, amplitude=1e-3)
-    u2 = random_band_field(g, rng, 0, 2, 2, filt, amplitude=1e-3)
-    st = initial_state(q1, h2, u2, cfg)
-    mr, pr = full_residual(st, cfg, include_perturbation_rate=True)
-    checks = [
-        _check("reformulation_mass", mr, 1e-8),
-        _check("reformulation_momentum", pr, 1e-8),
-    ]
-    from .solver import scaling_check
-
-    checks.append(_check("scaling_equivariance", scaling_check(st, cfg, 2), 1e-10))
-    return checks
-
-
-def _verify_decay() -> list[dict]:
-    g = make_grid(2, 128, (64.0, 64.0))
-    q0 = gaussian_bump(g, 0.5, 1.0, 0.1)
-    checks = []
-    for alpha, p, name in ((0, math.inf, "kernel_rate_linf"), (0, 2.0, "kernel_rate_l2")):
-        fitted = kernel_decay_fit(q0, 0.1, alpha, p, (2.0, 20.0))
-        expected = kernel_rate(2, alpha, p)
-        checks.append(
-            _check(name, abs(fitted - expected) / expected, 0.15)
-        )
-    return checks
-
-
-_SUITES = {
-    "lp": _verify_lp,
-    "besov": _verify_besov,
-    "paraproduct": _verify_paraproduct,
-    "quasi": _verify_quasi,
-    "solver": _verify_solver,
-    "decay": _verify_decay,
-}
-
-
-def verify(suite: str = "all") -> dict:
-    """Run a named verification suite; returns a JSON-serializable report."""
-    if suite == "all":
-        names = list(_SUITES)
-    elif suite in _SUITES:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; choose from {list(_SUITES) + ['all']}")
-    report = {"suites": {}, "passed": True}
-    for name in names:
-        checks = _SUITES[name]()
-        report["suites"][name] = checks
-        report["passed"] = report["passed"] and all(c["passed"] for c in checks)
-    return report

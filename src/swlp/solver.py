@@ -345,8 +345,8 @@ def _implicit_solve(u2_coeffs: np.ndarray, grid: Grid, m_par, m_sol) -> np.ndarr
 
 
 def cfl_number(state: SimState, config: SolverConfig) -> float:
-    u = state.u1_cache + state.u2
-    umax = float(np.abs(u.values).max())
+    # the values of both fields are cached on them, and assemble_rhs reads them too
+    umax = float(np.abs(state.u1_cache.values + state.u2.values).max())
     g = state.grid
     return umax * config.dt * g.n / min(g.period)
 

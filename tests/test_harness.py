@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from swlp import checks
 from swlp.cli import main as cli_main
 from swlp.dyadic import default_filter
 from swlp.grid import make_grid
@@ -17,9 +19,8 @@ from swlp.harness import (
     fit_series,
     load_config,
     run,
-    verify,
 )
-from swlp.solver import CflError, FtTracker, GronwallTracker, gronwall_integrand, step
+from swlp.solver import CflError, FtTracker, GronwallTracker, cfl_number, gronwall_integrand, step
 
 FAST = dict(n=64, dt=0.05, t_end=1.0, snapshot_dt=0.25, dump_fields=False)
 
@@ -86,14 +87,20 @@ def test_v_t_is_trapezoid_of_gronwall_integrand():
 
 
 def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms):
-    # 14 are needed; one transform per dyadic block or per product would
-    # make about 70
     config = RunConfig(**FAST)
     grid = make_grid(2, config.n, config.period)
     filt = default_filter(grid)
     scfg = config.solver_config()
-    state = step(_initial_state(config, grid, filt), scfg)
+    stepped = step(_initial_state(config, grid, filt), scfg)
     del inverse_transforms[:]
+    state = step(stepped, scfg)
+    # a step needs 7; cfl_number reads the u1 and u2 values that
+    # assemble_rhs reads as well, so calling it again needs none
+    cfl_number(stepped, scfg)
+    assert len(inverse_transforms) <= 7
+    del inverse_transforms[:]
+    # 14 are needed; one transform per dyadic block or per product would
+    # make about 70
     _diagnostics(state, scfg, filt, FtTracker(filt), GronwallTracker(filt))
     assert len(inverse_transforms) <= 16
 
@@ -160,12 +167,6 @@ def test_fit_series_from_csv(tmp_path):
     assert by_col["besov_u_m1_inf"]["exponent"] == pytest.approx(1.5, abs=0.1)
 
 
-@pytest.mark.parametrize("suite", ["lp", "besov", "paraproduct", "quasi"])
-def test_verify_fast_suites(suite):
-    rep = verify(suite)
-    assert rep["passed"], rep
-
-
 def test_cli_run_and_fit_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(FAST))
@@ -211,8 +212,17 @@ def test_cli_blowup_exit_3(tmp_path):
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
-def test_cli_verify_exit_code(tmp_path):
+def test_cli_verify_exit_code(tmp_path, monkeypatch):
+    assert set(checks.SUITES) == {"lp", "besov", "paraproduct", "quasi", "solver", "decay"}
     out = tmp_path / "report.json"
     assert cli_main(["verify", "--suite", "lp", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["passed"]
+    # one failing criterion fails its suite: exit 1
+    entry = next(c for c in checks.REGISTRY if c.number == 12)
+    failing = dataclasses.replace(entry, evaluate=lambda: ([checks.check("forced", 1.0, "<=", 0.0)], ""))
+    monkeypatch.setattr(checks, "REGISTRY", [failing if c is entry else c for c in checks.REGISTRY])
+    assert cli_main(["verify", "--suite", "lp", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    assert [r["name"] for r in rep["suites"]["lp"] if not r["passed"]] == ["forced"]

@@ -22,19 +22,15 @@ from swlp import (
     step,
 )
 from swlp.besov import hybrid_besov_norm, time_hybrid_besov_norm
+from swlp.checks import perturbed_state
 from swlp.dyadic import default_filter
 from swlp.solver import FtTracker, ft_norm, ft_specs, gronwall_integrand, random_band_field
 
 
 def _small_state(n=64, eps=1e-2, seed=3, mode="shallow_water", **kw):
-    g = make_grid(2, n, (2 * math.pi, 2 * math.pi))
-    filt = default_filter(g)
-    rng = np.random.default_rng(seed)
     cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, mode=mode, **kw)
-    q1 = gaussian_bump(g, 0.3, 1.0, 0.5)
-    h2 = random_band_field(g, rng, 0, 2, 1, filt, amplitude=eps, norm="linf")
-    u2 = random_band_field(g, rng, 0, 2, g.dim, filt, amplitude=eps, norm="linf")
-    return initial_state(q1, h2, u2, cfg), cfg, filt
+    st = perturbed_state(n, seed, cfg, eps)
+    return st, cfg, default_filter(st.grid)
 
 
 def test_fast_rhs_matches_term_sum():
