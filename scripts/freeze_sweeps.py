@@ -9,7 +9,6 @@ an operator's normalization deliberately changes.
 import csv
 import json
 import math
-from pathlib import Path
 
 from swlp.sweeps import RATIO_NAMES, _TWO_SIDED, frozen_path, sweep_ratios
 

@@ -275,10 +275,11 @@ def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | 
     return max(w * v for w, v in zip(weights, _stacked_lp(field, multipliers, INF)))
 
 
-def active_levels(field: SpectralField, filt: DyadicFilter, rel_tol: float = 1e-10) -> list[int]:
+def active_levels(field: SpectralField, filt: DyadicFilter) -> list[int]:
+    """Blocks whose L2 norm exceeds 1e-10 of the largest block's."""
     norms = block_norms(field, 2.0, filt)
     top = max(norms.values()) if norms else 0.0
-    return [l for l, v in norms.items() if v > rel_tol * top] if top > 0 else []
+    return [l for l, v in norms.items() if v > 1e-10 * top] if top > 0 else []
 
 
 def heat_characterization_ratio(
@@ -287,16 +288,14 @@ def heat_characterization_ratio(
     p: float,
     r: float,
     filt: DyadicFilter,
-    t_min: float | None = None,
-    t_max: float | None = None,
-    points_per_decade: int = 8,
 ) -> float:
     """Ratio of the heat-semigroup quantity to the B^{-2s}_{p,r} norm.
 
     The semigroup quantity is || t^s ||e^{t Lap} u||_{L^p} ||_{L^r(dt/t)},
-    truncated to a log-spaced window [t_min, t_max] covering the dyadic
-    scales t ~ 2^{-2l} of the field's active blocks.  Returns nan for the
-    zero field (degenerate, not an error).
+    truncated to a window [t_min, t_max] sampled at 8 log-spaced points per
+    decade (at least 8), which covers the dyadic scales t ~ 2^{-2l} of the
+    field's active blocks with three blocks to spare on each side.  Returns
+    nan for the zero field (degenerate, not an error).
     """
     if s <= 0:
         raise ValueError("s must be positive")
@@ -304,18 +303,9 @@ def heat_characterization_ratio(
     if denom == 0.0:
         return math.nan
     active = active_levels(field, filt)
-    lo, hi = min(active), max(active)
-    need_min = 2.0 ** (-2.0 * (hi + 3))
-    need_max = 2.0 ** (-2.0 * (lo - 3))
-    if t_min is None:
-        t_min = need_min
-    if t_max is None:
-        t_max = need_max
-    if t_min > need_min or t_max < need_max:
-        raise ValueError(
-            "truncation window does not cover the field's active dyadic scales"
-        )
-    n_pts = max(int(points_per_decade * math.log10(t_max / t_min)), 8)
+    t_min = 2.0 ** (-2.0 * (max(active) + 3))
+    t_max = 2.0 ** (-2.0 * (min(active) - 3))
+    n_pts = max(int(8 * math.log10(t_max / t_min)), 8)
     ts = np.geomspace(t_min, t_max, n_pts)
     mag2 = xi_mag2(field.grid)
     samples = np.empty(n_pts)

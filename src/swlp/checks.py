@@ -18,7 +18,7 @@ import numpy as np
 from .besov import BesovSpec, HybridBesovSpec, besov_norm, hybrid_besov_norm, lp_norm
 from .dyadic import default_filter, dyadic_block
 from .grid import SpectralField, make_grid, mult
-from .harness import RunResult, fit_series
+from .harness import DECAY_FITS, RunResult, fit_series
 from .paraproduct import para, remainder
 from .quasi import (
     friction_exact_residual,
@@ -157,7 +157,16 @@ def friction_exactness():
     )
 
 
-@_criterion(5, "decay", "decay exponents (rho: 1.0 +/- 0.15, u: 1.5 +/- 0.20)", needs_run=True)
+def _decay_bound(fit) -> str:
+    """A fit's expected exponent in the 2-d acceptance run and its tolerance."""
+    _, alpha, tolerance = fit
+    return f"{kernel_rate(2, alpha, math.inf):.1f} +/- {tolerance:.2f}"
+
+
+_DECAY_TITLE = "decay exponents (rho: {}, u: {})".format(*map(_decay_bound, DECAY_FITS))
+
+
+@_criterion(5, "decay", _DECAY_TITLE, needs_run=True)
 def decay_exponents(run: RunResult):
     rho, u = fit_series(run.out_dir / "series.csv")["fits"]
     records = [

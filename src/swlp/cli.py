@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .checks import SUITES, verify
-from .harness import fit_series, load_config, run
+from .harness import FIT_WINDOW, fit_series, load_config, run
 from .solver import BlowupError, CflError
 
 
@@ -44,8 +44,8 @@ def main(argv=None) -> int:
 
     p_fit = sub.add_parser("fit", help="fit decay exponents from a run's series.csv")
     p_fit.add_argument("--out", type=str, required=True, help="run output directory")
-    p_fit.add_argument("--t-min", type=float, default=2.0, dest="t_min")
-    p_fit.add_argument("--t-max", type=float, default=20.0, dest="t_max")
+    p_fit.add_argument("--t-min", type=float, default=FIT_WINDOW[0], dest="t_min")
+    p_fit.add_argument("--t-max", type=float, default=FIT_WINDOW[1], dest="t_max")
 
     args = parser.parse_args(argv)
 
@@ -82,7 +82,12 @@ def main(argv=None) -> int:
         if not series.exists():
             print(f"config error: no series.csv under {args.out}", file=sys.stderr)
             return 2
-        report = fit_series(series, t_min=args.t_min, t_max=args.t_max)
+        try:
+            # an empty or too-short window, or no readable summary.json beside the series
+            report = fit_series(series, t_min=args.t_min, t_max=args.t_max)
+        except (ValueError, KeyError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         (Path(args.out) / "fit.json").write_text(json.dumps(report, indent=2))
         print(json.dumps(report, indent=2))
         return 0 if report["passed"] else 1

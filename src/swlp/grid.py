@@ -234,11 +234,6 @@ class SpectralField:
         if other.ncomp != self.ncomp:
             raise ValueError("component-count mismatch")
 
-    def is_band_limited(self, fraction: float = 2.0 / 3.0, tol: float = 0.0) -> bool:
-        mask = dealias_mask(self.grid, fraction)
-        tail = np.abs(self.coeffs[:, ~mask])
-        return bool(tail.size == 0 or tail.max() <= tol)
-
 
 @lru_cache(maxsize=_OPERATOR_CACHE)
 def dealias_mask(grid: Grid, fraction: float = 2.0 / 3.0) -> np.ndarray:
@@ -261,7 +256,7 @@ def dealias(field: SpectralField, fraction: float = 2.0 / 3.0) -> SpectralField:
     return SpectralField(field.grid, field.coeffs * mask)
 
 
-def mult(u: SpectralField, v: SpectralField, fraction: float = 2.0 / 3.0) -> SpectralField:
+def mult(u: SpectralField, v: SpectralField) -> SpectralField:
     """Dealiased pointwise product.
 
     Scalar*scalar, scalar*vector, or componentwise when shapes match.
@@ -276,7 +271,7 @@ def mult(u: SpectralField, v: SpectralField, fraction: float = 2.0 / 3.0) -> Spe
     elif u.ncomp != v.ncomp:
         raise ValueError("component-count mismatch")
     prod = SpectralField.from_values(u.grid, a * b)
-    return dealias(prod, fraction)
+    return dealias(prod)
 
 
 def grad(field: SpectralField) -> SpectralField:

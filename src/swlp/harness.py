@@ -23,7 +23,7 @@ import numpy as np
 from .besov import besov_minus1_infty, lp_norm
 from .dyadic import DyadicFilter, default_filter
 from .grid import Grid, SpectralField, dump_field, helmholtz_split, make_grid
-from .quasi import gaussian_bump
+from .quasi import gaussian_bump, kernel_rate
 from .solver import (
     BlowupError,
     CflError,
@@ -44,6 +44,8 @@ __all__ = [
     "RunResult",
     "DecayReport",
     "SERIES_COLUMNS",
+    "DECAY_FITS",
+    "FIT_WINDOW",
     "load_config",
     "run",
     "fit_decay",
@@ -62,6 +64,12 @@ SERIES_COLUMNS = (
     "V_T",
     "cfl",
 )
+
+# (series column, derivative order |alpha| of its heat-kernel L^inf rate, tolerance
+# on the fitted exponent): the expected exponent is kernel_rate(N, |alpha|, inf)
+DECAY_FITS = (("linf_rho_minus_1", 0, 0.15), ("besov_u_m1_inf", 1, 0.20))
+# the default fit window (t_min, t_max)
+FIT_WINDOW = (2.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,12 @@ class RunConfig:
     dump_fields: bool = True
 
     def __post_init__(self):
-        # bad physics, dt or run length fails here, before any work
+        # a bad grid, physics, amplitude, dt or run length fails here, before any work
+        make_grid(self.dim, self.n, self.period)
         self.solver_config()
         _ = (self.n_steps, self.snap_stride)
+        if self.amplitude <= -1.0:
+            raise ValueError(f"amplitude = {self.amplitude:g} leaves no positive density; need > -1")
 
     @property
     def n_steps(self) -> int:
@@ -284,16 +295,15 @@ def fit_decay(
     values,
     expected: float,
     tolerance: float,
-    t_min: float = 2.0,
-    t_max: float = 20.0,
-    subtract_floor: bool = True,
+    t_min: float = FIT_WINDOW[0],
+    t_max: float = FIT_WINDOW[1],
 ) -> DecayReport:
     """Least-squares slope of log(value - floor) against log(1 + t).
 
-    The floor is the late-time plateau (mean of the last ~10% of samples in
-    the window, scaled down) subtracted so residual contamination from the
-    perturbation does not bias the power-law fit; it is skipped if the
-    signal has not flattened.
+    The floor is a late-time plateau subtracted so residual contamination
+    from the perturbation does not bias the power-law fit; it is the level
+    in [0, 0.9 min(value)] that makes the remainder closest to a power law
+    (0 if the signal has not flattened).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -301,19 +311,15 @@ def fit_decay(
     t = times[sel]
     v = values[sel]
     if t.size < 4:
-        raise ValueError("too few samples in the fit window")
+        raise ValueError(f"too few samples in the fit window: {t.size} < 4")
     x = np.log1p(t)
-    floor = 0.0
-    if subtract_floor:
-        # pick the plateau level that makes the remainder closest to a
-        # power law (smallest least-squares residual in log-log)
-        best = np.inf
-        for cand in np.linspace(0.0, 0.9 * v.min(), 200):
-            y = np.log(v - cand)
-            res = np.polyfit(x, y, 1, full=True)[1]
-            res = float(res[0]) if res.size else 0.0
-            if res < best:
-                best, floor = res, float(cand)
+    floor, best = 0.0, np.inf
+    # the smallest least-squares residual in log-log picks the plateau level
+    for cand in np.linspace(0.0, 0.9 * v.min(), 200):
+        res = np.polyfit(x, np.log(v - cand), 1, full=True)[1]
+        res = float(res[0]) if res.size else 0.0
+        if res < best:
+            best, floor = res, float(cand)
     y = np.log(v - floor)
     slope = np.polyfit(x, y, 1)[0]
     return DecayReport(
@@ -326,22 +332,27 @@ def fit_decay(
     )
 
 
-def fit_series(series_path, t_min: float = 2.0, t_max: float = 20.0) -> dict:
-    """Fit the two decay columns of a series.csv; returns a report dict."""
-    times, rho_vals, u_vals = [], [], []
-    dim = None
+def fit_series(series_path, t_min: float = FIT_WINDOW[0], t_max: float = FIT_WINDOW[1]) -> dict:
+    """Fit the decay columns of a series.csv; returns a report dict.
+
+    The expected exponents are the heat-kernel rates in the dimension N of
+    the run, read from the ``summary.json`` beside the series.
+    """
+    series_path = Path(series_path)
+    if t_min >= t_max:
+        raise ValueError(f"empty fit window: t_min = {t_min:g} >= t_max = {t_max:g}")
+    summary = json.loads((series_path.parent / "summary.json").read_text())
+    dim = summary["config"]["dim"]
     with open(series_path) as fh:
-        for row in csv.DictReader(fh):
-            times.append(float(row["t"]))
-            rho_vals.append(float(row["linf_rho_minus_1"]))
-            u_vals.append(float(row["besov_u_m1_inf"]))
-    # expected exponents for the heat-dominated regime in 2-d
-    rep_rho = fit_decay(times, rho_vals, expected=1.0, tolerance=0.15, t_min=t_min, t_max=t_max)
-    rep_u = fit_decay(times, u_vals, expected=1.5, tolerance=0.20, t_min=t_min, t_max=t_max)
-    rep_rho = dataclasses.replace(rep_rho, column="linf_rho_minus_1")
-    rep_u = dataclasses.replace(rep_u, column="besov_u_m1_inf")
+        rows = list(csv.DictReader(fh))
+    times = [float(row["t"]) for row in rows]
+    reports = []
+    for column, alpha, tolerance in DECAY_FITS:
+        values = [float(row[column]) for row in rows]
+        rep = fit_decay(times, values, kernel_rate(dim, alpha, math.inf), tolerance, t_min, t_max)
+        reports.append(dataclasses.replace(rep, column=column))
     return {
-        "fits": [dataclasses.asdict(r) | {"passed": r.passed} for r in (rep_rho, rep_u)],
-        "passed": rep_rho.passed and rep_u.passed,
+        "fits": [dataclasses.asdict(r) | {"passed": r.passed} for r in reports],
+        "passed": all(r.passed for r in reports),
         "window": [t_min, t_max],
     }

@@ -70,15 +70,14 @@ def kernel_rate(dim: int, alpha_order: int, p: float) -> float:
     return dim / 2.0 * (1.0 - inv_p) + alpha_order / 2.0
 
 
-def _check_floor(rho_values: np.ndarray, floor: float) -> None:
+def _check_floor(rho_values: np.ndarray) -> None:
+    """Reject density samples below ``DENSITY_FLOOR`` or NaN (a minimum over values, no transform)."""
     low = float(rho_values.min())
-    if low < floor:
-        raise ValueError(f"density floor violated: min(rho1) = {low:.3g} < {floor:.3g}")
+    if not low >= DENSITY_FLOOR:
+        raise ValueError(f"density floor violated: min(rho) = {low:.3g} < {DENSITY_FLOOR:.3g}")
 
 
-def heat_evolve(
-    q1_initial: SpectralField, mu: float, t: float, floor: float = DENSITY_FLOOR
-) -> HeatState:
+def heat_evolve(q1_initial: SpectralField, mu: float, t: float) -> HeatState:
     """Exact semigroup solution of d_t rho1 = mu Lap rho1 at time t >= 0."""
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -86,24 +85,19 @@ def heat_evolve(
         raise ValueError("t must be nonnegative")
     if q1_initial.ncomp != 1:
         raise ValueError("q1 must be a scalar field")
-    _check_floor(1.0 + q1_initial.values[0], floor)
+    _check_floor(1.0 + q1_initial.values[0])
     coeffs = q1_initial.coeffs * np.exp(-mu * xi_mag2(q1_initial.grid) * t)
     return HeatState(t=t, q1=SpectralField(q1_initial.grid, coeffs), mu=mu)
 
 
-def advance(state: HeatState, dt: float) -> HeatState:
-    evolved = heat_evolve(state.q1, state.mu, dt)
-    return HeatState(t=state.t + dt, q1=evolved.q1, mu=state.mu)
-
-
-def log_density(q1: SpectralField, floor: float = DENSITY_FLOOR) -> SpectralField:
+def log_density(q1: SpectralField) -> SpectralField:
     """ln(1 + q1) evaluated pointwise and re-projected to the dealiased band.
 
     The log is not band-limited; a warning fires when the discarded tail
     carries more than 1e-10 of the L2 mass.
     """
     rho = 1.0 + q1.values[0]
-    _check_floor(rho, floor)
+    _check_floor(rho)
     full = SpectralField.from_values(q1.grid, np.log(rho))
     trimmed = dealias(full)
     total = float(np.sum(np.abs(full.coeffs) ** 2))
@@ -117,49 +111,39 @@ def log_density(q1: SpectralField, floor: float = DENSITY_FLOOR) -> SpectralFiel
     return trimmed
 
 
-def velocity_from_density(state: HeatState, floor: float = DENSITY_FLOOR) -> SpectralField:
+def velocity_from_density(state: HeatState) -> SpectralField:
     """u1 = -mu grad(ln rho1); irrotational by construction."""
-    return grad(log_density(state.q1, floor)) * (-state.mu)
+    return grad(log_density(state.q1)) * (-state.mu)
 
 
 def max_principle_check(
-    state: HeatState,
-    initial_min: float,
-    initial_max: float,
-    tol: float = 1e-8,
+    state: HeatState, initial_min: float, initial_max: float
 ) -> tuple[float, float, bool]:
+    """min and max of rho1, and whether both stay within 1e-8 of the initial range."""
     rho = state.rho1_values()
     lo, hi = float(rho.min()), float(rho.max())
-    ok = lo >= initial_min - tol and hi <= initial_max + tol
+    ok = lo >= initial_min - 1e-8 and hi <= initial_max + 1e-8
     return lo, hi, ok
 
 
-def gaussian_bump(
-    grid: Grid,
-    amplitude: float,
-    width: float,
-    mu: float,
-    center: tuple[float, ...] | None = None,
-) -> SpectralField:
-    """Gaussian initial bump with variance 2*mu*width per axis.
+def gaussian_bump(grid: Grid, amplitude: float, width: float, mu: float) -> SpectralField:
+    """Gaussian bump at the box center with variance 2*mu*width per axis.
 
     ``width`` is the diffusion-time offset t0: the bump evolves under the
     heat flow exactly like the kernel at time t0 + t, so its L^p norms
     follow (t0 + t)^{-r} power laws with no transient.  Built in Fourier
-    space, hence exactly periodic.
+    space, hence exactly periodic.  A negative ``amplitude`` gives a dip.
     """
-    if center is None:
-        center = tuple(a / 2 for a in grid.period)
     var = 2.0 * mu * width
     xi = grid.xi_grids()
     phase = np.zeros(grid.shape, dtype=np.complex128)
     for ax in range(grid.dim):
-        phase = phase - 1j * xi[ax] * center[ax]
-    coeffs = amplitude * np.exp(-var * xi_mag2(grid) / 2.0 + phase)
-    # normalize so the collocation maximum is the requested amplitude
+        phase = phase - 1j * xi[ax] * (grid.period[ax] / 2)
+    coeffs = abs(amplitude) * np.exp(-var * xi_mag2(grid) / 2.0 + phase)
+    # scale the unsigned profile so its peak is |amplitude|, with amplitude's sign
     f = SpectralField(grid, coeffs[None])
     peak = float(np.abs(f.values).max())
-    return f * (amplitude / peak)
+    return f * (amplitude / peak) if peak > 0 else f
 
 
 def kernel_decay_fit(
@@ -168,9 +152,9 @@ def kernel_decay_fit(
     alpha_order: int,
     p: float,
     t_window: tuple[float, float],
-    n_samples: int = 24,
 ) -> float:
-    """Log-log slope (positive convention) of ||D^alpha q1(t)||_{L^p} vs 1+t.
+    """Log-log slope (positive convention) of ||D^alpha q1(t)||_{L^p} vs 1+t,
+    sampled at 24 log-spaced times.
 
     The window must stay in the pre-saturation regime: sqrt(4 mu t) must not
     exceed an eighth of the smallest period, else the torus images destroy
@@ -187,8 +171,8 @@ def kernel_decay_fit(
         )
     if alpha_order not in (0, 1, 2):
         raise ValueError("alpha_order must be 0, 1 or 2")
-    times = np.geomspace(1.0 + t0, 1.0 + t1, n_samples) - 1.0
-    norms = np.empty(n_samples)
+    times = np.geomspace(1.0 + t0, 1.0 + t1, 24) - 1.0
+    norms = np.empty(times.size)
     for i, t in enumerate(times):
         st = heat_evolve(q1_initial, mu, t)
         f = st.q1
@@ -201,22 +185,22 @@ def kernel_decay_fit(
     return float(-slope)
 
 
-def _heat_rates(state: HeatState, floor: float = DENSITY_FLOOR):
+def _heat_rates(state: HeatState):
     """(rho1, d_t rho1, d_t u1) with the rates substituted from the heat equation:
     d_t rho1 = mu Lap rho1 and d_t u1 = -mu grad(d_t rho1 / rho1)."""
     g = state.grid
     rho = SpectralField(g, state.q1.coeffs.copy())
     rho.coeffs[(0,) * (g.dim + 1)] += 1.0
     drho_dt = laplacian(rho) * state.mu
-    du1_dt = grad(mult(drho_dt, _reciprocal(rho, floor))) * (-state.mu)
+    du1_dt = grad(mult(drho_dt, _reciprocal(rho))) * (-state.mu)
     return rho, drho_dt, du1_dt
 
 
-def _pressureless_momentum_parts(state: HeatState, floor: float = DENSITY_FLOOR):
+def _pressureless_momentum_parts(state: HeatState):
     """Terms of d_t(rho1 u1) + div(rho1 u1 x u1) - div(mu rho1 D(u1))."""
     mu = state.mu
-    u1 = velocity_from_density(state, floor)
-    rho, drho_dt, du1_dt = _heat_rates(state, floor)
+    u1 = velocity_from_density(state)
+    rho, drho_dt, du1_dt = _heat_rates(state)
 
     rho_u = mult(rho, u1)
     dt_rho_u = mult(drho_dt, u1) + mult(rho, du1_dt)
@@ -226,9 +210,9 @@ def _pressureless_momentum_parts(state: HeatState, floor: float = DENSITY_FLOOR)
     return dt_rho_u, conv, visc, rho, u1, drho_dt
 
 
-def _reciprocal(rho: SpectralField, floor: float) -> SpectralField:
+def _reciprocal(rho: SpectralField) -> SpectralField:
     vals = rho.values
-    _check_floor(vals[0], floor)
+    _check_floor(vals[0])
     return dealias(SpectralField.from_values(rho.grid, 1.0 / vals))
 
 
@@ -269,14 +253,14 @@ def _rel_l2(residual: SpectralField, scales: list[SpectralField]) -> float:
     return num / den
 
 
-def quasi_residual(state: HeatState, floor: float = DENSITY_FLOOR) -> tuple[float, float]:
+def quasi_residual(state: HeatState) -> tuple[float, float]:
     """Relative L2 residuals of the pressureless system at the state.
 
     mass:     d_t rho1 + div(rho1 u1)
     momentum: d_t(rho1 u1) + div(rho1 u1 x u1) - div(mu rho1 D(u1))
     with d_t terms substituted analytically via the heat equation.
     """
-    dt_rho_u, conv, visc, rho, u1, drho_dt = _pressureless_momentum_parts(state, floor)
+    dt_rho_u, conv, visc, rho, u1, drho_dt = _pressureless_momentum_parts(state)
     mass_res = drho_dt + div(mult(rho, u1))
     mass_rel = _rel_l2(mass_res, [drho_dt, div(mult(rho, u1))])
     mom_res = dt_rho_u + conv - visc
@@ -293,7 +277,7 @@ class FrictionReport:
     grad_rho_norm: float
 
 
-def friction_exact_residual(state: HeatState, Fr: float, r: float, floor: float = DENSITY_FLOOR) -> FrictionReport:
+def friction_exact_residual(state: HeatState, Fr: float, r: float) -> FrictionReport:
     """Relative L2 momentum residual of the friction system at the state.
 
     Includes grad(rho)/Fr^2 + r rho u; the friction and pressure terms
@@ -302,7 +286,7 @@ def friction_exact_residual(state: HeatState, Fr: float, r: float, floor: float 
     """
     if Fr <= 0 or r < 0:
         raise ValueError("need Fr > 0 and r >= 0")
-    dt_rho_u, conv, visc, rho, u1, _ = _pressureless_momentum_parts(state, floor)
+    dt_rho_u, conv, visc, rho, u1, _ = _pressureless_momentum_parts(state)
     pressure = grad(rho) * (1.0 / Fr**2)
     drag = mult(rho, u1) * r
     mom_res = dt_rho_u + conv - visc + pressure + drag

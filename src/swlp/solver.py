@@ -29,7 +29,7 @@ irrotational modes decay by 1/(1 + (mu |xi|^2 + r) dt), solenoidal modes by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,13 +47,12 @@ from .grid import (
     helmholtz_split,
     inverse_transform,
     mult,
-    sym_grad,
     transform,
     xi_mag2,
 )
 from .quasi import (
-    DENSITY_FLOOR,
     HeatState,
+    _check_floor,
     _div_outer,
     _div_scaled_symgrad,
     _heat_rates,
@@ -65,7 +64,6 @@ from .quasi import (
 __all__ = [
     "SolverConfig",
     "SimState",
-    "RhsTerms",
     "CflError",
     "BlowupError",
     "initial_state",
@@ -73,12 +71,10 @@ __all__ = [
     "step",
     "recompose",
     "full_residual",
-    "mass_drift",
     "gronwall_integrand",
     "GronwallTracker",
     "ft_specs",
     "FtTracker",
-    "ft_norm",
     "scaling_check",
     "random_band_field",
 ]
@@ -139,10 +135,6 @@ class SolverConfig:
     def drag(self) -> float:
         return self.r_fric if self.mode == "friction" else 0.0
 
-    @property
-    def friction_exact(self) -> bool:
-        return abs(self.r_fric * self.mu * self.Fr**2 - 1.0) <= 1e-12
-
 
 @dataclass(frozen=True)
 class SimState:
@@ -163,20 +155,9 @@ class SimState:
     def _recomposed(self) -> tuple[SpectralField, SpectralField]:
         """(rho, u) = (rho1 e^{h2}, u1 + u2), re-band-limited; built once per state."""
         rho_vals = (1.0 + self.q1.values[0]) * np.exp(self.h2.values[0])
-        if rho_vals.min() < DENSITY_FLOOR:
-            raise ValueError("recomposed density below the floor")
+        _check_floor(rho_vals)
         rho = dealias(SpectralField.from_values(self.grid, rho_vals))
         return rho, self.u1_cache + self.u2
-
-
-@dataclass
-class RhsTerms:
-    h2_rhs: SpectralField
-    u2_rhs: SpectralField
-    terms: dict[str, SpectralField] = field(repr=False, default_factory=dict)
-
-    def term_norms(self) -> dict[str, float]:
-        return {k: lp_norm(v, 2.0) for k, v in self.terms.items()}
 
 
 def initial_state(
@@ -191,65 +172,22 @@ def initial_state(
     q1 = dealias(q1)
     h2 = dealias(h2)
     u2 = dealias(u2)
-    rho = (1.0 + q1.values[0]) * np.exp(h2.values[0])
-    if rho.min() < DENSITY_FLOOR:
-        raise ValueError("recomposed density below the floor at t = 0")
+    _check_floor((1.0 + q1.values[0]) * np.exp(h2.values[0]))
     u1 = velocity_from_density(HeatState(t=0.0, q1=q1, mu=config.mu))
     return SimState(t=0.0, q1=q1, h2=h2, u2=u2, u1_cache=u1)
 
 
-def _grad_contract_sym(v_grad: SpectralField, D: np.ndarray, grid: Grid) -> SpectralField:
-    """(grad v . D w)_i = sum_j d_j v (Dw)_{ji}, dealiased."""
-    out = SpectralField.zeros(grid, grid.dim)
-    for i in range(grid.dim):
-        acc = None
-        for j in range(grid.dim):
-            prod = mult(v_grad.component(j), SpectralField(grid, D[j, i][None]))
-            acc = prod if acc is None else acc + prod
-        out.coeffs[i] = acc.coeffs[0]
-    return out
-
-
-def _advect_scalar(u: SpectralField, s_grad: SpectralField, grid: Grid) -> SpectralField:
-    """u . grad s for a scalar s, given grad s."""
-    acc = None
-    for j in range(grid.dim):
-        prod = mult(u.component(j), s_grad.component(j))
-        acc = prod if acc is None else acc + prod
-    return acc
-
-
-def _advect_vector(u: SpectralField, w: SpectralField, grid: Grid) -> SpectralField:
-    """(u . grad) w for a vector w."""
-    xi = grid.xi_grids()
-    out = SpectralField.zeros(grid, grid.dim)
-    for i in range(grid.dim):
-        acc = None
-        for j in range(grid.dim):
-            dw = SpectralField(grid, (1j * xi[j] * w.coeffs[i])[None])
-            prod = mult(u.component(j), dw)
-            acc = prod if acc is None else acc + prod
-        out.coeffs[i] = acc.coeffs[0]
-    return out
-
-
-def assemble_rhs(state: SimState, config: SolverConfig, with_terms: bool = False) -> RhsTerms:
-    """Explicit right-hand sides of the perturbation system.
+def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, SpectralField]:
+    """Explicit right-hand sides ``(h2_rhs, u2_rhs)`` of the perturbation system.
 
     Diffusion of u2 (and the friction drag) are left to the implicit part
-    of the stepper and are not included here.  The default path assembles
-    everything in collocation space with one forward transform per output
-    component; ``with_terms`` switches to the slower per-term construction
-    exposing the named breakdown.
+    of the stepper and are not included here.  Everything is assembled in
+    collocation space with one forward transform per output component.
     """
-    if with_terms:
-        return _assemble_rhs_terms(state, config)
     g = state.grid
     dim = g.dim
     mu = config.mu
-    rho = (1.0 + state.q1.values[0]) * np.exp(state.h2.values[0])
-    if rho.min() < DENSITY_FLOOR:
-        raise ValueError("recomposed density below the floor")
+    _check_floor((1.0 + state.q1.values[0]) * np.exp(state.h2.values[0]))
 
     xi = g.xi_grids()
     u1c = state.u1_cache.coeffs
@@ -290,45 +228,7 @@ def assemble_rhs(state: SimState, config: SolverConfig, with_terms: bool = False
     mask = dealias_mask(g)
     h2_rhs = SpectralField(g, transform(h2_rhs_v[None], g) * mask)
     u2_rhs = SpectralField(g, transform(u2_rhs_v, g) * mask)
-    return RhsTerms(h2_rhs=h2_rhs, u2_rhs=u2_rhs)
-
-
-def _assemble_rhs_terms(state: SimState, config: SolverConfig) -> RhsTerms:
-    g = state.grid
-    mu = config.mu
-    lnrho1_grad = state.u1_cache * (-1.0 / mu)  # grad ln rho1
-    rho = (1.0 + state.q1.values[0]) * np.exp(state.h2.values[0])
-    if rho.min() < DENSITY_FLOOR:
-        raise ValueError("recomposed density below the floor")
-    u1 = state.u1_cache
-    u_tot = u1 + state.u2
-    h2_grad = grad(state.h2)
-    Du1 = sym_grad(u1)
-    Du2 = sym_grad(state.u2)
-
-    terms_h: dict[str, SpectralField] = {}
-    terms_h["h2_transport"] = _advect_scalar(u_tot, h2_grad, g) * (-1.0)
-    terms_h["h2_div_u2"] = div(state.u2) * (-1.0)
-    terms_h["h2_coupling"] = _advect_scalar(state.u2, lnrho1_grad, g) * (-1.0)
-
-    terms_u: dict[str, SpectralField] = {}
-    terms_u["u2_transport"] = _advect_vector(u_tot, state.u2, g) * (-1.0)
-    terms_u["u2_pressure"] = grad(state.h2) * (-config.pressure_coeff)
-    terms_u["u2_shear_u1"] = _advect_vector(state.u2, u1, g) * (-1.0)
-    terms_u["u2_visc_coupling"] = _grad_contract_sym(lnrho1_grad, Du2, g) * mu
-    terms_u["u2_forcing"] = lnrho1_grad * (-config.forcing_coeff)
-    terms_u["u2_h2_du1"] = _grad_contract_sym(h2_grad, Du1, g) * mu
-    terms_u["u2_h2_du2"] = _grad_contract_sym(h2_grad, Du2, g) * mu
-
-    h2_rhs = SpectralField.zeros(g, 1)
-    for v in terms_h.values():
-        h2_rhs = h2_rhs + v
-    u2_rhs = SpectralField.zeros(g, g.dim)
-    for v in terms_u.values():
-        u2_rhs = u2_rhs + v
-    terms = dict(terms_h)
-    terms.update(terms_u)
-    return RhsTerms(h2_rhs=h2_rhs, u2_rhs=u2_rhs, terms=terms)
+    return h2_rhs, u2_rhs
 
 
 def _implicit_multipliers(grid: Grid, config: SolverConfig, dt: float):
@@ -366,9 +266,9 @@ def step(state: SimState, config: SolverConfig) -> SimState:
         raise CflError(f"advective CFL {cfl:.3g} exceeds cap {config.cfl_max:.3g}")
 
     m_par, m_sol = _implicit_multipliers(g, config, dt)
-    rhs = assemble_rhs(state, config)
-    h2_new = state.h2.coeffs + dt * rhs.h2_rhs.coeffs
-    u2_new = _implicit_solve(state.u2.coeffs + dt * rhs.u2_rhs.coeffs, g, m_par, m_sol)
+    h2_rhs, u2_rhs = assemble_rhs(state, config)
+    h2_new = state.h2.coeffs + dt * h2_rhs.coeffs
+    u2_new = _implicit_solve(state.u2.coeffs + dt * u2_rhs.coeffs, g, m_par, m_sol)
 
     h2_f = dealias(SpectralField(g, h2_new))
     u2_f = dealias(SpectralField(g, u2_new))
@@ -426,9 +326,9 @@ def full_residual(
     drho_dt = mult(drho1_dt, exp_h2)
     du_dt = du1_dt
     if include_perturbation_rate:
-        rhs = assemble_rhs(state, config)
-        du2_dt = rhs.u2_rhs + _visc_sym_op(state.u2, mu) + state.u2 * (-config.drag)
-        drho_dt = drho_dt + mult(rho, rhs.h2_rhs)
+        h2_rhs, u2_rhs = assemble_rhs(state, config)
+        du2_dt = u2_rhs + _visc_sym_op(state.u2, mu) + state.u2 * (-config.drag)
+        drho_dt = drho_dt + mult(rho, h2_rhs)
         du_dt = du_dt + du2_dt
 
     rho_u = mult(rho, u)
@@ -451,24 +351,6 @@ def full_residual(
         terms += [pressure]
     mom_rel = _rel_l2(mom_res, terms)
     return mass_rel, mom_rel
-
-
-def mass_drift(history) -> float:
-    """Max relative deviation of the total mass from its initial value.
-
-    ``history`` is a sequence of (t, total_mass) pairs or SimState objects.
-    """
-    masses = []
-    for item in history:
-        if isinstance(item, SimState):
-            rho, _ = recompose(item)
-            masses.append(rho.mean()[0] * item.grid.volume)
-        else:
-            masses.append(item[1])
-    if len(masses) < 2:
-        raise ValueError("need at least two snapshots")
-    m0 = masses[0]
-    return float(max(abs(m - m0) for m in masses) / abs(m0))
 
 
 def gronwall_integrand(state: SimState, filt: DyadicFilter, l0: int = 0) -> float:
@@ -580,26 +462,15 @@ class FtTracker:
         return out
 
 
-def ft_norm(history, filt: DyadicFilter, l0: int = 0) -> float:
-    """Working-space norm of a (h2, u2) history of ``SimState`` snapshots."""
-    if not history:
-        raise ValueError("empty history")
-    tracker = FtTracker(filt, l0)
-    for state in history:
-        tracker.update(state)
-    return tracker.value()
-
-
 def scaling_check(
     state: SimState,
     config: SolverConfig,
     l_factor: int,
-    include_pressure: bool = True,
     adjust_pressure: bool = True,
 ) -> float:
     """Equivariance defect of the spatial operators under x -> l x, u -> l u.
 
-    Compares the convective + viscous (+ pressure, with the coefficient
+    Compares the convective + viscous + pressure (with the coefficient
     rescaled by l^2 when ``adjust_pressure``) momentum operator applied to
     the index-dilated state against the dilated, l^3-scaled operator output;
     the mass-flux operator is checked with factor l^2.  Returns the max of
@@ -616,10 +487,7 @@ def scaling_check(
 
     def mom_op(rho_f, u_f, a_coeff):
         rho_u = mult(rho_f, u_f)
-        out = _div_outer(rho_u, u_f) - _div_scaled_symgrad(rho_f, u_f, mu)
-        if include_pressure:
-            out = out + grad(rho_f) * a_coeff
-        return out
+        return _div_outer(rho_u, u_f) - _div_scaled_symgrad(rho_f, u_f, mu) + grad(rho_f) * a_coeff
 
     def mass_op(rho_f, u_f):
         return div(mult(rho_f, u_f))
@@ -651,12 +519,10 @@ def random_band_field(
     filt: DyadicFilter | None = None,
     amplitude: float = 1.0,
     norm: str = "linf",
-    hspec: HybridBesovSpec | None = None,
 ) -> SpectralField:
     """Random real field band-limited to dyadic blocks [l_lo, l_hi].
 
-    Normalized so the chosen norm equals ``amplitude`` ("linf", "l2", or a
-    hybrid Besov norm when ``hspec`` is given and norm == "hybrid").
+    Normalized so the chosen norm ("linf" or "l2") equals ``amplitude``.
     """
     if filt is None:
         filt = default_filter(grid)
@@ -670,10 +536,6 @@ def random_band_field(
         scale = lp_norm(f, math.inf)
     elif norm == "l2":
         scale = lp_norm(f, 2.0)
-    elif norm == "hybrid":
-        if hspec is None:
-            raise ValueError("hspec required for hybrid normalization")
-        scale = hybrid_besov_norm(f, hspec, filt)
     else:
         raise ValueError(f"unknown normalization {norm!r}")
     if scale == 0.0:

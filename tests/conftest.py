@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import swlp
-from swlp import SolverConfig, default_filter, gaussian_bump, make_grid
+from swlp import default_filter, make_grid
 
 
 @pytest.fixture(scope="session")

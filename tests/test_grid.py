@@ -77,7 +77,7 @@ def test_mult_is_dealiased_product():
     w = mult(u, v)
     # product fits inside the retained band -> exact
     assert np.abs(w.values[0] - np.sin(5 * x) * np.cos(7 * x)).max() < 1e-13
-    assert w.is_band_limited(2.0 / 3.0)
+    assert np.abs(w.coeffs[:, ~dealias_mask(g)]).max() == 0.0
 
 
 def test_mult_broadcasts_scalar_vector():
@@ -159,7 +159,6 @@ def test_dealias_projection(seed, frac_idx):
     rng = np.random.default_rng(seed)
     u = SpectralField.from_values(g, rng.standard_normal((1, *g.shape)))
     d = dealias(u, frac)
-    assert d.is_band_limited(frac)
     # idempotent
     assert np.abs(dealias(d, frac).coeffs - d.coeffs).max() == 0.0
     mask = dealias_mask(g, frac)

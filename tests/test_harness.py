@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -160,6 +159,8 @@ def test_fit_series_from_csv(tmp_path):
             row["linf_rho_minus_1"] = 2.0 * (1 + ti) ** -1.0
             row["besov_u_m1_inf"] = 1.0 * (1 + ti) ** -1.5
             w.writerow(row)
+    # the expected exponents come from the run's dimension, in its summary
+    (tmp_path / "summary.json").write_text(json.dumps({"config": {"dim": 2}}))
     rep = fit_series(path)
     assert rep["passed"]
     by_col = {f["column"]: f for f in rep["fits"]}
@@ -178,6 +179,13 @@ def test_cli_run_and_fit_exit_codes(tmp_path):
     assert (out / "fit.json").exists()
     # fit on a missing directory -> exit 2
     assert cli_main(["fit", "--out", str(tmp_path / "nope")]) == 2
+    # an unusable window: fewer than 4 samples, or t_min >= t_max -> exit 2
+    assert cli_main(["fit", "--out", str(out), "--t-min", "30"]) == 2
+    assert cli_main(["fit", "--out", str(out), "--t-min", "0", "--t-max", "0.5"]) == 2
+    assert cli_main(["fit", "--out", str(out), "--t-min", "1", "--t-max", "1"]) == 2
+    # no summary.json beside the series -> exit 2
+    (out / "summary.json").unlink()
+    assert cli_main(["fit", "--out", str(out), "--t-min", "0.2", "--t-max", "1.0"]) == 2
 
 
 def test_cli_bad_config_exit_2(tmp_path):
@@ -186,7 +194,18 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert cli_main(["run", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("key, value", [("t_end", 1.01), ("snapshot_dt", 0.07), ("mu", -1.0)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("t_end", 1.01),
+        ("snapshot_dt", 0.07),
+        ("mu", -1.0),
+        ("n", 100),
+        ("dim", 4),
+        ("period", -1.0),
+        ("amplitude", -1.0),
+    ],
+)
 def test_cli_bad_config_value_exit_2(tmp_path, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**FAST, key: value}))

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from swlp import (
-    HeatState,
     SpectralField,
-    advance,
     friction_exact_residual,
     gaussian_bump,
     heat_estimate_ratio,
@@ -92,8 +90,9 @@ def test_heat_evolve_single_mode():
     st = heat_evolve(q0, 0.7, 0.5)
     expected = 0.3 * math.exp(-0.7 * 4 * 0.5) * np.cos(2 * x)
     assert np.abs(st.q1.values[0] - expected).max() < 1e-14
-    st2 = advance(st, 0.25)
-    assert st2.t == pytest.approx(0.75)
+    # semigroup: evolving t = 0.5 and then 0.25 more is evolving t = 0.75
+    later = heat_evolve(st.q1, 0.7, 0.25)
+    assert np.abs(later.q1.coeffs - heat_evolve(q0, 0.7, 0.75).q1.coeffs).max() < 1e-15
 
 
 def test_heat_evolve_validation():
@@ -106,6 +105,9 @@ def test_heat_evolve_validation():
     low = SpectralField.from_values(g, np.full((1, 64), -0.9999999))
     with pytest.raises(ValueError):
         heat_evolve(low, 1.0, 0.0)
+    nan = SpectralField.from_values(g, np.full((1, 64), np.nan))
+    with pytest.raises(ValueError):
+        heat_evolve(nan, 1.0, 0.0)
 
 
 def test_gaussian_bump_amplitude_and_mean():
@@ -114,6 +116,14 @@ def test_gaussian_bump_amplitude_and_mean():
     assert q0.values[0].max() == pytest.approx(0.5, rel=1e-12)
     assert q0.values[0].min() > -1e-10
     assert q0.mean()[0] > 0
+
+
+def test_gaussian_bump_negative_amplitude_is_a_dip():
+    g = make_grid(2, 128, (64.0, 64.0))
+    dip = gaussian_bump(g, -0.5, 1.0, 0.1)
+    assert dip.values[0].min() == pytest.approx(-0.5, abs=1e-12)
+    assert np.abs(dip.coeffs + gaussian_bump(g, 0.5, 1.0, 0.1).coeffs).max() < 1e-15
+    assert np.abs(gaussian_bump(g, 0.0, 1.0, 0.1).coeffs).max() == 0.0
 
 
 def test_velocity_is_gradient():

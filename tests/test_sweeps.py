@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from swlp.sweeps import RATIO_NAMES, _TWO_SIDED, frozen_path, load_frozen, sweep_ratios
