@@ -13,10 +13,11 @@ Hermitian part of its coefficients, c_h(k) = (c(k) + conj(c(-k)))/2, so
 Parseval gives ``lp_norm(u, 2)**2 = vol * sum |c_h|^2`` exactly -- the
 collocation definition above, also for coefficients that are not Hermitian
 (an undealiased gradient's Nyquist modes).  Plain sum |c|^2 is not exact
-there.  Every block weight is real and even in xi, so the Hermitian part of
-Delta_l u is phi_l c_h, and one power array |c_h|^2 per field gives the L2
-norm of every block.  The L^inf blocks of ``besov_minus1_infty`` go
-through one stacked inverse transform per field.
+there.  Every block weight is real and radial in xi, so the Hermitian part
+of Delta_l u is phi_l c_h, and one power array |c_h|^2 per field, summed
+over each |xi| shell of the filter, gives the L2 norm of every block.  The
+L^inf blocks of ``besov_minus1_infty`` go through one stacked inverse
+transform per field.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ def _power(field: SpectralField) -> np.ndarray:
     return np.einsum("c...,c...->...", h.real, h.real) + np.einsum("c...,c...->...", h.imag, h.imag)
 
 
-def _weighted_sum(w: np.ndarray, power: np.ndarray) -> float:
-    """sum w^2 * power over the lattice, without a grid-sized w^2 temporary."""
-    return float(np.einsum("i,i,i->", w.ravel(), w.ravel(), power.ravel()))
-
-
 def _lp(values: np.ndarray, p: float, volume: float) -> list[float]:
     """L^p norms of a stack of fields given as values (fields, ncomp, *grid)."""
     mag = np.abs(values[:, 0]) if values.shape[1] == 1 else np.sqrt(np.sum(values**2, axis=1))
@@ -133,12 +129,16 @@ def lp_norm(field: SpectralField, p: float) -> float:
     return _lp(field.values[None], p, field.grid.volume)[0]
 
 
-def _staleness_check(power: np.ndarray, filt: DyadicFilter) -> None:
-    covered = filt.cumulative_below(filt.l_max + 1)
-    total = float(np.sum(power)) - float(power[(0,) * power.ndim])
+def _shell_power(field: SpectralField, filt: DyadicFilter) -> np.ndarray:
+    """|c_h|^2 summed over each |xi| shell of the filter."""
+    return np.bincount(filt.shell.ravel(), _power(field).ravel(), minlength=filt.table.shape[1])
+
+
+def _staleness_check(shell_power: np.ndarray, filt: DyadicFilter) -> None:
+    total = float(np.sum(shell_power[1:]))  # shell 0 is the mean mode
     if total <= 0:
         return
-    inside = _weighted_sum(covered, power)
+    inside = float(filt.table.sum(axis=0) ** 2 @ shell_power)
     if 1.0 - inside / total > 1e-3:
         warnings.warn(
             "more than 0.1% of the L2 mass sits in blocks outside the filter "
@@ -148,13 +148,13 @@ def _staleness_check(power: np.ndarray, filt: DyadicFilter) -> None:
 
 
 def _block_norms(
-    field: SpectralField, p: float, filt: DyadicFilter, power: np.ndarray | None = None
+    field: SpectralField, p: float, filt: DyadicFilter, shell_power: np.ndarray | None = None
 ) -> dict[int, float]:
     if p == 2.0:
-        if power is None:
-            power = _power(field)
-        vol = field.grid.volume
-        return {l: math.sqrt(vol * _weighted_sum(filt.weight(l), power)) for l in filt.levels}
+        if shell_power is None:
+            shell_power = _shell_power(field, filt)
+        energies = filt.table**2 @ shell_power
+        return {l: math.sqrt(field.grid.volume * float(e)) for l, e in zip(filt.levels, energies)}
     # one transform per block: a stack of all blocks would hold (levels x field) at once
     return {l: _stacked_lp(field, [filt.weight(l)], p)[0] for l in filt.levels}
 
@@ -172,9 +172,9 @@ def block_norms(field: SpectralField, p: float, filt: DyadicFilter) -> dict[int,
 def _checked_tables(field: SpectralField, filt: DyadicFilter, ps) -> dict[float, dict[int, float]]:
     """Block-norm tables for each distinct p, after the filter-range check."""
     _check_grid(field, filt)
-    power = _power(field)
-    _staleness_check(power, filt)
-    return {p: _block_norms(field, p, filt, power) for p in set(ps)}
+    shell_power = _shell_power(field, filt)
+    _staleness_check(shell_power, filt)
+    return {p: _block_norms(field, p, filt, shell_power) for p in set(ps)}
 
 
 def _accumulate(weighted: list[float], r: float) -> float:
@@ -269,7 +269,7 @@ def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | 
         # S_{low_cut} u, the blocks below low_cut lumped into one piece (zero
         # when low_cut <= l_min, all blocks when low_cut > l_max)
         weights.insert(0, 2.0 ** (-low_cut))
-        multipliers.insert(0, filt.cumulative_below(min(max(low_cut, filt.l_min), filt.l_max + 1)))
+        multipliers.insert(0, filt.band(filt.l_min, low_cut - 1))
     if not multipliers:
         return 0.0
     return max(w * v for w, v in zip(weights, _stacked_lp(field, multipliers, INF)))

@@ -5,6 +5,13 @@ stretched logarithmically onto the annulus 3/4 <= r <= 8/3, and then
 normalized pointwise by the full dyadic sum so the partition of unity holds
 exactly on the resolved frequency lattice.  The k = 0 mode carries zero
 weight in every block (frequency decompositions act modulo constants).
+
+Every phi_l depends on |xi| alone, so a filter stores one shell index (the
+rank of each lattice point's |xi|^2 among the distinct values) and a
+levels x shells table of phi_l, evaluated on the distinct |xi| only; at 512^2
+over period 64 that is 27 435 shells and about 4 MiB in place of ten
+grid-sized arrays.  ``band(lo, hi)`` gathers the multiplier of any range of
+levels onto the lattice, and ``weight`` and ``cumulative_below`` are bands.
 """
 
 from __future__ import annotations
@@ -14,12 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, _read_only, xi_mag2
 
 __all__ = [
     "DyadicFilter",
     "build_dyadic_filter",
     "default_filter",
+    "default_levels",
     "dyadic_block",
     "low_sum",
     "freq_split",
@@ -55,85 +63,87 @@ def cover_range(xi: float) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DyadicFilter:
-    """Sampled dyadic partition phi(2^-l xi) for l in [l_min, l_max]."""
+    """Sampled dyadic partition phi(2^-l xi) for l in [l_min, l_max].
+
+    ``shell`` gives each lattice point the index of its |xi|^2 among the
+    distinct values on the lattice, and row l - l_min of ``table`` holds
+    phi_l on those shells; both are read-only.
+    """
 
     grid: Grid
     l_min: int
     l_max: int
-    weights: dict[int, np.ndarray] = field(repr=False)
-    # S_l multipliers, built on first request: a full prefix table would hold
-    # one more grid-sized array per level.
-    _below: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+    shell: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)
 
     @property
     def levels(self) -> range:
         return range(self.l_min, self.l_max + 1)
 
+    def band(self, lo: int, hi: int) -> np.ndarray:
+        """Multiplier sum_{l=lo}^{hi} phi_l on the lattice; levels outside the filter are zero."""
+        lo, hi = max(lo, self.l_min), min(hi, self.l_max)
+        if lo > hi:
+            return np.zeros(self.grid.shape)
+        return self.table[lo - self.l_min : hi - self.l_min + 1].sum(axis=0)[self.shell]
+
     def weight(self, l: int) -> np.ndarray:
         if l < self.l_min or l > self.l_max:
             raise ValueError(f"block level {l} outside [{self.l_min}, {self.l_max}]")
-        return self.weights[l]
+        return self.band(l, l)
 
     def cumulative_below(self, l: int) -> np.ndarray:
-        """Multiplier of S_l = sum_{k <= l-1} Delta_k; cached, read-only."""
+        """Multiplier of S_l = sum_{k <= l-1} Delta_k."""
         if l < self.l_min or l > self.l_max + 1:
             raise ValueError(f"level {l} outside [{self.l_min}, {self.l_max + 1}]")
-        out = self._below.get(l)
-        if out is None:
-            out = np.zeros(self.grid.shape)
-            for k in range(self.l_min, l):
-                out += self.weights[k]
-            out.setflags(write=False)
-            self._below[l] = out
-        return out
+        return self.band(self.l_min, l - 1)
+
+
+def default_levels(grid: Grid) -> tuple[int, int]:
+    """Levels (l_min, l_max) whose annuli cover every resolved frequency of the grid."""
+    mag2 = xi_mag2(grid)
+    l_min, _ = cover_range(math.sqrt(float(mag2[mag2 > 0].min())))
+    _, l_max = cover_range(math.sqrt(float(mag2.max())))
+    return l_min, l_max
 
 
 def build_dyadic_filter(grid: Grid, l_min: int, l_max: int) -> DyadicFilter:
     if l_min >= l_max:
         raise ValueError("l_min must be < l_max")
-    mag = grid.xi_mag()
-    xi_top = float(mag.max())
+    # the profile depends on |xi| alone: evaluate it once per distinct |xi|^2
+    mag2, shell = np.unique(xi_mag2(grid), return_inverse=True)
+    mag = np.sqrt(mag2)
+    xi_top = float(mag[-1])
     if ANNULUS_LO * 2.0**l_max > xi_top:
         raise ValueError(
             f"block {l_max} lies entirely beyond the resolvable frequencies"
         )
-    nonzero = mag[mag > 0]
-    xi_bot = float(nonzero.min())
+    xi_bot = float(mag[1])  # mag[0] = 0 is the mean mode
     if ANNULUS_HI * 2.0**l_min < xi_bot:
         raise ValueError(f"block {l_min} lies entirely below the resolved lattice")
 
     # Pointwise normalization over the *full* dyadic cover of every lattice
     # frequency, independent of the requested range, so truncating the range
     # never distorts the retained blocks.
-    lo_all, _ = cover_range(xi_bot)
-    _, hi_all = cover_range(xi_top)
-    total = np.zeros(grid.shape)
+    lo_all, hi_all = default_levels(grid)
+    total = np.zeros_like(mag)
     raw: dict[int, np.ndarray] = {}
     for l in range(lo_all, hi_all + 1):
         raw[l] = _profile(mag / 2.0**l)
         total += raw[l]
     pos = total > 0
-    weights: dict[int, np.ndarray] = {}
-    for l in range(l_min, l_max + 1):
-        w = raw.get(l)
-        if w is None:
-            w = np.zeros(grid.shape)
-        out = np.zeros(grid.shape)
-        out[pos] = w[pos] / total[pos]
-        weights[l] = out
-    return DyadicFilter(grid=grid, l_min=l_min, l_max=l_max, weights=weights)
+    table = np.zeros((l_max - l_min + 1, mag.size))
+    for i, l in enumerate(range(l_min, l_max + 1)):
+        if l in raw:
+            table[i, pos] = raw[l][pos] / total[pos]
+    return DyadicFilter(grid, l_min, l_max, _read_only(shell.reshape(grid.shape)), _read_only(table))
 
 
 def default_filter(grid: Grid) -> DyadicFilter:
     """Filter whose range covers every resolved frequency of the grid."""
-    mag = grid.xi_mag()
-    xi_bot = float(mag[mag > 0].min())
-    xi_top = float(mag.max())
-    l_min, _ = cover_range(xi_bot)
-    _, l_max = cover_range(xi_top)
-    return build_dyadic_filter(grid, l_min, l_max)
+    return build_dyadic_filter(grid, *default_levels(grid))
 
 
 def dyadic_block(filt: DyadicFilter, u: SpectralField, l: int) -> SpectralField:
@@ -152,13 +162,7 @@ def low_sum(filt: DyadicFilter, u: SpectralField, l: int) -> SpectralField:
 
 def freq_split(filt: DyadicFilter, u: SpectralField, l0: int) -> tuple[SpectralField, SpectralField]:
     """(u_BF, u_HF) with u_BF = sum_{l <= l0} Delta_l u; sum is u - mean."""
-    top = filt.cumulative_below(filt.l_max + 1)
-    if l0 < filt.l_min:
-        low_mult = np.zeros(filt.grid.shape)
-    else:
-        low_mult = filt.cumulative_below(min(l0, filt.l_max) + 1)
-    high_mult = top - low_mult
     return (
-        SpectralField(u.grid, u.coeffs * low_mult),
-        SpectralField(u.grid, u.coeffs * high_mult),
+        SpectralField(u.grid, u.coeffs * filt.band(filt.l_min, l0)),
+        SpectralField(u.grid, u.coeffs * filt.band(l0 + 1, filt.l_max)),
     )

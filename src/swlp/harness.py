@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .besov import besov_minus1_infty, lp_norm
-from .dyadic import DyadicFilter, default_filter
+from .dyadic import DyadicFilter, default_filter, default_levels
 from .grid import Grid, SpectralField, dump_field, helmholtz_split, make_grid
 from .quasi import gaussian_bump, kernel_rate
 from .solver import (
@@ -31,6 +31,7 @@ from .solver import (
     GronwallTracker,
     SimState,
     SolverConfig,
+    _check_band,
     cfl_number,
     full_residual,
     initial_state,
@@ -102,11 +103,17 @@ class RunConfig:
 
     def __post_init__(self):
         # a bad grid, physics, amplitude, dt or run length fails here, before any work
-        make_grid(self.dim, self.n, self.period)
+        grid = make_grid(self.dim, self.n, self.period)
         self.solver_config()
         _ = (self.n_steps, self.snap_stride)
         if self.amplitude <= -1.0:
             raise ValueError(f"amplitude = {self.amplitude:g} leaves no positive density; need > -1")
+        # the perturbation bands _initial_state draws from must hold a level of the run's filter
+        if self.eps > 0:
+            levels = default_levels(grid)
+            _check_band("[pert_l_lo, pert_l_hi]", self.pert_l_lo, self.pert_l_hi, *levels)
+            if self.eps * self.pert_h2 > 0:
+                _check_band("[pert_h2_l_lo, pert_h2_l_hi]", self.pert_h2_l_lo, self.pert_h2_l_hi, *levels)
 
     @property
     def n_steps(self) -> int:

@@ -42,11 +42,7 @@ def _mean_field(u: SpectralField) -> SpectralField:
 
 def _low_with_mean(filt: DyadicFilter, u: SpectralField, l: int) -> SpectralField:
     """S_{l} including the k = 0 mode, so S of a constant is the constant."""
-    mean = _mean_field(u)
-    if l <= filt.l_min:
-        return mean
-    mult_w = filt.cumulative_below(min(l, filt.l_max + 1))
-    return SpectralField(u.grid, u.coeffs * mult_w + mean.coeffs)
+    return SpectralField(u.grid, u.coeffs * filt.band(filt.l_min, l - 1) + _mean_field(u).coeffs)
 
 
 def para(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> SpectralField:
@@ -76,11 +72,7 @@ def remainder(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> Spectra
         du = dyadic_block(filt, u, q)
         if np.abs(du.coeffs).max() == 0.0:
             continue
-        tilde = np.zeros(filt.grid.shape)
-        for qq in (q - 1, q, q + 1):
-            if filt.l_min <= qq <= filt.l_max:
-                tilde += filt.weight(qq)
-        dv = SpectralField(v.grid, v.coeffs * tilde)
+        dv = SpectralField(v.grid, v.coeffs * filt.band(q - 1, q + 1))
         out = out + mult(du, dv)
     return out
 

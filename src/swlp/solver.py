@@ -510,6 +510,11 @@ def scaling_check(
     return max(rel(mom_lhs, mom_rhs), rel(mass_lhs, mass_rhs))
 
 
+def _check_band(name: str, l_lo: int, l_hi: int, l_min: int, l_max: int) -> None:
+    if max(l_lo, l_min) > min(l_hi, l_max):
+        raise ValueError(f"{name} = [{l_lo}, {l_hi}] holds none of the filter levels [{l_min}, {l_max}]")
+
+
 def random_band_field(
     grid: Grid,
     rng: np.random.Generator,
@@ -523,15 +528,14 @@ def random_band_field(
     """Random real field band-limited to dyadic blocks [l_lo, l_hi].
 
     Normalized so the chosen norm ("linf" or "l2") equals ``amplitude``.
+    A band that holds none of the filter's levels is rejected.
     """
     if filt is None:
         filt = default_filter(grid)
+    _check_band("[l_lo, l_hi]", l_lo, l_hi, filt.l_min, filt.l_max)
     noise = rng.standard_normal((ncomp, *grid.shape))
     f = SpectralField.from_values(grid, noise)
-    band = np.zeros(grid.shape)
-    for l in range(max(l_lo, filt.l_min), min(l_hi, filt.l_max) + 1):
-        band += filt.weight(l)
-    f = SpectralField(grid, f.coeffs * band)
+    f = SpectralField(grid, f.coeffs * filt.band(l_lo, l_hi))
     if norm == "linf":
         scale = lp_norm(f, math.inf)
     elif norm == "l2":

@@ -18,7 +18,66 @@ from swlp import (
     lp_norm,
     make_grid,
 )
+from swlp.dyadic import _profile
 from swlp.solver import random_band_field
+
+
+def _full_lattice_weights(grid, l_min, l_max):
+    """Oracle: phi_l as one grid-sized array per level, normalized pointwise
+    over the full dyadic cover of the lattice."""
+    mag = grid.xi_mag()
+    lo_all, _ = cover_range(float(mag[mag > 0].min()))
+    _, hi_all = cover_range(float(mag.max()))
+    total = np.zeros(grid.shape)
+    raw = {}
+    for l in range(lo_all, hi_all + 1):
+        raw[l] = _profile(mag / 2.0**l)
+        total += raw[l]
+    pos = total > 0
+    weights = {}
+    for l in range(l_min, l_max + 1):
+        out = np.zeros(grid.shape)
+        if l in raw:
+            out[pos] = raw[l][pos] / total[pos]
+        weights[l] = out
+    return weights
+
+
+@pytest.mark.parametrize(
+    "dim, n, period",
+    [(1, 64, 2 * math.pi), (2, 32, (2 * math.pi, 4 * math.pi)), (3, 16, 2 * math.pi)],
+    ids=["1d", "2d_anisotropic", "3d"],
+)
+def test_weight_matches_full_lattice_oracle(dim, n, period):
+    g = make_grid(dim, n, period)
+    filt = default_filter(g)
+    oracle = _full_lattice_weights(g, filt.l_min, filt.l_max)
+    for l in filt.levels:
+        assert np.array_equal(filt.weight(l), oracle[l]), l
+    # a range narrower than the default keeps the same blocks
+    narrow = build_dyadic_filter(g, filt.l_min + 1, filt.l_max - 1)
+    for l in narrow.levels:
+        assert np.array_equal(narrow.weight(l), oracle[l]), l
+
+
+def test_band_ranges(grid2d, filt2d):
+    lo, hi = filt2d.l_min, filt2d.l_max
+    zero = np.zeros(grid2d.shape)
+    assert np.array_equal(filt2d.band(lo - 5, lo - 1), zero)  # wholly below
+    assert np.array_equal(filt2d.band(lo - 5, lo - 2), zero)  # no wrap-around of a negative index
+    assert np.array_equal(filt2d.band(hi + 1, hi + 4), zero)  # wholly above
+    assert np.array_equal(filt2d.band(lo + 3, lo + 1), zero)  # lo > hi
+    # straddling an end keeps only the levels inside the filter
+    assert np.array_equal(filt2d.band(lo - 3, lo + 1), filt2d.weight(lo) + filt2d.weight(lo + 1))
+    assert np.array_equal(filt2d.band(hi - 1, hi + 3), filt2d.weight(hi - 1) + filt2d.weight(hi))
+    assert np.array_equal(filt2d.band(lo - 1, hi + 1), sum(filt2d.weight(l) for l in filt2d.levels))
+    assert np.array_equal(filt2d.band(lo, hi), filt2d.cumulative_below(hi + 1))
+
+
+def test_random_band_field_rejects_empty_band(grid2d, filt2d, rng):
+    for l_lo, l_hi in ((filt2d.l_max + 1, filt2d.l_max + 2), (filt2d.l_min - 3, filt2d.l_min - 1), (2, 1)):
+        with pytest.raises(ValueError, match="holds none of the filter levels"):
+            random_band_field(grid2d, rng, l_lo, l_hi, 1, filt2d)
 
 
 def test_partition_of_unity(grid2d, filt2d):

@@ -171,6 +171,12 @@ def test_cached_operators_are_shared_and_read_only():
     mag2 = xi_mag2(g)
     assert xi_mag2(make_grid(2, 32, (2 * math.pi, 4 * math.pi))) is mag2
     assert np.allclose(mag2, g.xi_mag() ** 2, rtol=1e-14, atol=0.0)
-    for arr in (mag2, dealias_mask(g), filt.cumulative_below(filt.l_max + 1)):
+    for arr in (mag2, dealias_mask(g), filt.shell, filt.table):
         with pytest.raises(ValueError):
-            arr[(0,) * g.dim] = 1
+            arr[(0,) * arr.ndim] = 1
+    # one shell per distinct |xi|^2, so anisotropic periods stay exact
+    assert np.array_equal(np.unique(mag2)[filt.shell], mag2)
+    # the filter's multipliers are gathered per call and belong to the caller
+    low = filt.cumulative_below(filt.l_max + 1)
+    low[...] = 0.0
+    assert filt.cumulative_below(filt.l_max + 1).max() > 0.5

@@ -131,6 +131,16 @@ def test_load_config_applies_overrides(tmp_path):
     assert cfg.seed == RunConfig().seed
 
 
+def test_run_config_rejects_a_band_outside_the_levels():
+    # FAST's 64^2 grid over period 64 resolves the levels [-4, 2]
+    for band in ({"pert_l_lo": 9, "pert_l_hi": 10}, {"pert_h2_l_lo": -12, "pert_h2_l_hi": -10}):
+        with pytest.raises(ValueError, match="holds none of the filter levels"):
+            RunConfig(**FAST, **band)
+    # a band the run does not draw from is not checked
+    RunConfig(**FAST, eps=0.0, pert_l_lo=9, pert_l_hi=10)
+    RunConfig(**FAST, pert_h2=0.0, pert_h2_l_lo=-12, pert_h2_l_hi=-10)
+
+
 def test_fit_decay_recovers_synthetic_power_law():
     t = np.linspace(0.5, 25, 120)
     v = 3.0 * (1 + t) ** -1.5 + 0.02
@@ -204,6 +214,8 @@ def test_cli_bad_config_exit_2(tmp_path):
         ("dim", 4),
         ("period", -1.0),
         ("amplitude", -1.0),
+        ("pert_l_lo", 9),
+        ("pert_h2_l_hi", -9),
     ],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, key, value):
