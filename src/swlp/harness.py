@@ -108,9 +108,16 @@ class RunConfig:
         _ = (self.n_steps, self.snap_stride)
         if self.amplitude <= -1.0:
             raise ValueError(f"amplitude = {self.amplitude:g} leaves no positive density; need > -1")
+        if self.width <= 0:
+            raise ValueError(f"width = {self.width:g} must be positive")
+        if self.eps < 0:
+            raise ValueError(f"eps = {self.eps:g} must be nonnegative")
+        levels = default_levels(grid)
+        # the crossover block of the hybrid norms must be one hybrid_besov_norm accepts
+        if not levels[0] - 1 <= self.l0 <= levels[1]:
+            raise ValueError(f"l0 = {self.l0} outside [{levels[0] - 1}, {levels[1]}] for this grid")
         # the perturbation bands _initial_state draws from must hold a level of the run's filter
         if self.eps > 0:
-            levels = default_levels(grid)
             _check_band("[pert_l_lo, pert_l_hi]", self.pert_l_lo, self.pert_l_hi, *levels)
             if self.eps * self.pert_h2 > 0:
                 _check_band("[pert_h2_l_lo, pert_h2_l_hi]", self.pert_h2_l_lo, self.pert_h2_l_hi, *levels)

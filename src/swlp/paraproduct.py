@@ -19,7 +19,7 @@ import numpy as np
 
 from .besov import BesovSpec, HybridBesovSpec, besov_norm, block_norms, hybrid_besov_norm, lp_norm
 from .dyadic import DyadicFilter, dyadic_block
-from .grid import SpectralField, mult
+from .grid import SpectralField, dealias, mult
 
 __all__ = [
     "para",
@@ -164,9 +164,7 @@ def composition_ratio(
     linf = lp_norm(field, math.inf)
     if linf > 2.0:
         raise ValueError(f"||u||_inf = {linf:.3g} exceeds the composition bound 2")
-    from .grid import SpectralField as SF, dealias
-
-    expm1 = dealias(SF.from_values(field.grid, np.expm1(field.values)))
+    expm1 = dealias(SpectralField.from_values(field.grid, np.expm1(field.values)))
     spec = BesovSpec(s, p, 1.0)
     den = besov_norm(field, spec, filt)
     if den == 0.0:

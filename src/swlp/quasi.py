@@ -7,6 +7,11 @@ system (mass + viscous momentum, no pressure) identically, and the
 friction system with drag r and Froude number Fr whenever r*mu*Fr^2 = 1.
 Time derivatives in all residuals are substituted analytically from the
 heat equation, never finite-differenced.
+
+The viscous shallow-water system (mass and momentum, with a pressure and a
+drag coefficient) is written once, in ``_system_residual``: the
+quasi-solution and friction residuals here, and ``solver.full_residual``
+and ``solver.scaling_check``, all evaluate it.
 """
 
 from __future__ import annotations
@@ -196,52 +201,22 @@ def _heat_rates(state: HeatState):
     return rho, drho_dt, du1_dt
 
 
-def _pressureless_momentum_parts(state: HeatState):
-    """Terms of d_t(rho1 u1) + div(rho1 u1 x u1) - div(mu rho1 D(u1))."""
-    mu = state.mu
-    u1 = velocity_from_density(state)
-    rho, drho_dt, du1_dt = _heat_rates(state)
-
-    rho_u = mult(rho, u1)
-    dt_rho_u = mult(drho_dt, u1) + mult(rho, du1_dt)
-
-    conv = _div_outer(rho_u, u1)
-    visc = _div_scaled_symgrad(rho, u1, mu)
-    return dt_rho_u, conv, visc, rho, rho_u, drho_dt
-
-
 def _reciprocal(rho: SpectralField) -> SpectralField:
     vals = rho.values
     _check_floor(vals[0])
     return dealias(SpectralField.from_values(rho.grid, 1.0 / vals))
 
 
-def _div_outer(a: SpectralField, b: SpectralField) -> SpectralField:
-    """div(a x b) for vector fields a, b: component i is sum_j d_j (a_j b_i)."""
-    g = a.grid
-    dim = g.dim
-    # all products a_j b_i in one forward transform and one dealias (it is linear)
-    prods = (b.values[:, None] * a.values[None, :]).reshape(dim * dim, *g.shape)
-    prod = dealias(SpectralField.from_values(g, prods)).coeffs.reshape(dim, dim, *g.shape)
-    out = np.zeros((dim, *g.shape), dtype=np.complex128)
+def _row_div(tensor: SpectralField, scale: float) -> SpectralField:
+    """Row divergence of a tensor stacked row-major as dim*dim components:
+    component i is sum_j d_j (scale T_ij)."""
+    g = tensor.grid
+    t = tensor.coeffs.reshape(g.dim, g.dim, *g.shape)
     xi = g.xi_grids()
-    for i in range(dim):
-        for j in range(dim):
-            out[i] += 1j * xi[j] * prod[i, j]
-    return SpectralField(g, out)
-
-
-def _div_scaled_symgrad(rho: SpectralField, u: SpectralField, mu: float) -> SpectralField:
-    """div(mu rho D(u)): component i is sum_j d_j (mu rho (Du)_{ij})."""
-    g = u.grid
-    dim = g.dim
-    D = SpectralField(g, sym_grad(u).reshape(dim * dim, *g.shape))
-    prod = mult(rho, D).coeffs.reshape(dim, dim, *g.shape)
-    xi = g.xi_grids()
-    out = np.zeros((dim, *g.shape), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(dim):
-            out[i] += 1j * xi[j] * mu * prod[i, j]
+    out = np.zeros((g.dim, *g.shape), dtype=np.complex128)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            out[i] += 1j * xi[j] * scale * t[i, j]
     return SpectralField(g, out)
 
 
@@ -253,6 +228,35 @@ def _rel_l2(residual: SpectralField, scales: list[SpectralField]) -> float:
     return num / den
 
 
+def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: float):
+    """The viscous shallow-water system at (rho, u): ``(mass, momentum, mass_rel, momentum_rel)``.
+
+    mass:     d_t rho + div(rho u)
+    momentum: d_t(rho u) + div(rho u x u) - div(mu rho D(u)) + pressure grad(rho) + drag rho u
+
+    The rates ``drho_dt`` and ``du_dt`` are given fields, or both None to drop
+    the time terms.  The relative residuals divide each L2 norm by the
+    largest L2 norm of its terms.  A zero ``pressure`` or ``drag`` adds exact
+    zeros: the sum is bit-for-bit the sum without that term.
+    """
+    g = u.grid
+    flat = (g.dim * g.dim, *g.shape)
+    rho_u = mult(rho, u)
+    # all products u_i (rho u)_j in one forward transform and one dealias (it is linear)
+    outer = (u.values[:, None] * rho_u.values[None, :]).reshape(flat)
+    conv = _row_div(dealias(SpectralField.from_values(g, outer)), 1.0)
+    visc = _row_div(mult(rho, SpectralField(g, sym_grad(u).reshape(flat))), mu)
+    mass_terms = [div(rho_u)]
+    mom_terms = [conv, -visc, grad(rho) * pressure, rho_u * drag]
+    if drho_dt is not None:
+        mass_terms.insert(0, drho_dt)
+        mom_terms.insert(0, mult(drho_dt, u) + mult(rho, du_dt))
+    # added left to right, time term first
+    mass = sum(mass_terms[1:], mass_terms[0])
+    mom = sum(mom_terms[1:], mom_terms[0])
+    return mass, mom, _rel_l2(mass, mass_terms), _rel_l2(mom, mom_terms)
+
+
 def quasi_residual(state: HeatState) -> tuple[float, float]:
     """Relative L2 residuals of the pressureless system at the state.
 
@@ -260,12 +264,9 @@ def quasi_residual(state: HeatState) -> tuple[float, float]:
     momentum: d_t(rho1 u1) + div(rho1 u1 x u1) - div(mu rho1 D(u1))
     with d_t terms substituted analytically via the heat equation.
     """
-    dt_rho_u, conv, visc, _, rho_u, drho_dt = _pressureless_momentum_parts(state)
-    div_rho_u = div(rho_u)
-    mass_res = drho_dt + div_rho_u
-    mass_rel = _rel_l2(mass_res, [drho_dt, div_rho_u])
-    mom_res = dt_rho_u + conv - visc
-    mom_rel = _rel_l2(mom_res, [dt_rho_u, conv, visc])
+    rho, drho_dt, du1_dt = _heat_rates(state)
+    u1 = velocity_from_density(state)
+    _, _, mass_rel, mom_rel = _system_residual(rho, u1, drho_dt, du1_dt, state.mu, 0.0, 0.0)
     return mass_rel, mom_rel
 
 
@@ -287,12 +288,9 @@ def friction_exact_residual(state: HeatState, Fr: float, r: float) -> FrictionRe
     """
     if Fr <= 0 or r < 0:
         raise ValueError("need Fr > 0 and r >= 0")
-    dt_rho_u, conv, visc, rho, rho_u, _ = _pressureless_momentum_parts(state)
-    grad_rho = grad(rho)
-    pressure = grad_rho * (1.0 / Fr**2)
-    drag = rho_u * r
-    mom_res = dt_rho_u + conv - visc + pressure + drag
-    rel = _rel_l2(mom_res, [dt_rho_u, conv, visc, pressure, drag])
+    rho, drho_dt, du1_dt = _heat_rates(state)
+    u1 = velocity_from_density(state)
+    _, mom_res, _, rel = _system_residual(rho, u1, drho_dt, du1_dt, state.mu, 1.0 / Fr**2, r)
     relation_error = abs(r * state.mu * Fr**2 - 1.0)
     certified = relation_error <= 1e-12 and rel <= 1e-8
     return FrictionReport(
@@ -300,7 +298,7 @@ def friction_exact_residual(state: HeatState, Fr: float, r: float) -> FrictionRe
         certified=certified,
         relation_error=relation_error,
         absolute_residual=lp_norm(mom_res, 2.0),
-        grad_rho_norm=lp_norm(grad_rho, 2.0),
+        grad_rho_norm=lp_norm(grad(rho), 2.0),
     )
 
 

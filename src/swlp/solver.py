@@ -24,6 +24,11 @@ Stepping is first-order IMEX: explicit transport/couplings, exact implicit
 multipliers for diffusion (and drag), applied per Helmholtz component --
 irrotational modes decay by 1/(1 + (mu |xi|^2 + r) dt), solenoidal modes by
 1/(1 + (mu |xi|^2 / 2 + r) dt).
+
+``full_residual`` and ``scaling_check`` evaluate the full system through the
+one residual of the package, ``quasi._system_residual``, with the
+configuration's ``pressure_coeff``; ``full_residual`` adds its ``drag``,
+``scaling_check`` drops the time terms and the drag.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .grid import (
     grad,
     helmholtz_split,
     inverse_transform,
+    laplacian,
     mult,
     transform,
     xi_mag2,
@@ -53,10 +59,8 @@ from .grid import (
 from .quasi import (
     HeatState,
     _check_floor,
-    _div_outer,
-    _div_scaled_symgrad,
     _heat_rates,
-    _rel_l2,
+    _system_residual,
     heat_evolve,
     velocity_from_density,
 )
@@ -110,6 +114,12 @@ class SolverConfig:
             raise ValueError("mu must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.Fr <= 0:
+            raise ValueError("Fr must be positive")
+        if self.r_fric < 0:
+            raise ValueError("r_fric must be nonnegative")
+        if self.cfl_max <= 0:
+            raise ValueError("cfl_max must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode == "shallow_water" and self.a <= 0:
@@ -286,20 +296,6 @@ def recompose(state: SimState) -> tuple[SpectralField, SpectralField]:
     return state._recomposed
 
 
-def _visc_sym_op(w: SpectralField, mu: float) -> SpectralField:
-    """mu * div D(w) = mu/2 (Lap w + grad div w)."""
-    g = w.grid
-    xi = g.xi_grids()
-    mag2 = xi_mag2(g)
-    divw = np.zeros(g.shape, dtype=np.complex128)
-    for j in range(g.dim):
-        divw += 1j * xi[j] * w.coeffs[j]
-    out = np.empty_like(w.coeffs)
-    for i in range(g.dim):
-        out[i] = 0.5 * mu * (-mag2 * w.coeffs[i] + 1j * xi[i] * divw)
-    return SpectralField(g, out)
-
-
 def full_residual(
     state: SimState,
     config: SolverConfig,
@@ -327,29 +323,14 @@ def full_residual(
     du_dt = du1_dt
     if include_perturbation_rate:
         h2_rhs, u2_rhs = assemble_rhs(state, config)
-        du2_dt = u2_rhs + _visc_sym_op(state.u2, mu) + state.u2 * (-config.drag)
+        # the implicit part of the step: mu div D(u2) - drag u2
+        u2 = state.u2
+        du2_dt = u2_rhs + (laplacian(u2) + grad(div(u2))) * (0.5 * mu) + u2 * (-config.drag)
         drho_dt = drho_dt + mult(rho, h2_rhs)
         du_dt = du_dt + du2_dt
-
-    rho_u = mult(rho, u)
-    mass_res = drho_dt + div(rho_u)
-    mass_rel = _rel_l2(mass_res, [drho_dt, div(rho_u)])
-
-    dt_rho_u = mult(drho_dt, u) + mult(rho, du_dt)
-    conv = _div_outer(rho_u, u)
-    visc = _div_scaled_symgrad(rho, u, mu)
-    terms = [dt_rho_u, conv, visc]
-    mom_res = dt_rho_u + conv - visc
-    if config.mode == "friction":
-        pressure = grad(rho) * (1.0 / config.Fr**2)
-        drag = rho_u * config.r_fric
-        mom_res = mom_res + pressure + drag
-        terms += [pressure, drag]
-    else:
-        pressure = grad(rho) * config.a
-        mom_res = mom_res + pressure
-        terms += [pressure]
-    mom_rel = _rel_l2(mom_res, terms)
+    _, _, mass_rel, mom_rel = _system_residual(
+        rho, u, drho_dt, du_dt, mu, config.pressure_coeff, config.drag
+    )
     return mass_rel, mom_rel
 
 
@@ -483,23 +464,16 @@ def scaling_check(
     band = 1.0 / (5.0 * l_factor)
     rho = dealias(rho, band)
     u = dealias(u, band)
-    mu = config.mu
-
-    def mom_op(rho_f, u_f, a_coeff):
-        rho_u = mult(rho_f, u_f)
-        return _div_outer(rho_u, u_f) - _div_scaled_symgrad(rho_f, u_f, mu) + grad(rho_f) * a_coeff
-
-    def mass_op(rho_f, u_f):
-        return div(mult(rho_f, u_f))
-
     rho_d = dilate(rho, l_factor)
     u_d = dilate(u, l_factor) * float(l_factor)
-    a_resc = config.a * l_factor**2 if adjust_pressure else config.a
+    a = config.pressure_coeff
+    a_resc = a * l_factor**2 if adjust_pressure else a
 
-    mom_lhs = mom_op(rho_d, u_d, a_resc)
-    mom_rhs = dilate(mom_op(rho, u, config.a), l_factor) * float(l_factor**3)
-    mass_lhs = mass_op(rho_d, u_d)
-    mass_rhs = dilate(mass_op(rho, u), l_factor) * float(l_factor**2)
+    # drag is left out: r rho u scales with l, not l^3
+    mass_lhs, mom_lhs, _, _ = _system_residual(rho_d, u_d, None, None, config.mu, a_resc, 0.0)
+    mass, mom, _, _ = _system_residual(rho, u, None, None, config.mu, a, 0.0)
+    mom_rhs = dilate(mom, l_factor) * float(l_factor**3)
+    mass_rhs = dilate(mass, l_factor) * float(l_factor**2)
 
     def rel(a_f, b_f):
         den = max(lp_norm(a_f, 2.0), lp_norm(b_f, 2.0))

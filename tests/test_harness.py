@@ -216,6 +216,15 @@ def test_cli_bad_config_exit_2(tmp_path):
         ("amplitude", -1.0),
         ("pert_l_lo", 9),
         ("pert_h2_l_hi", -9),
+        ("Fr", 0.0),
+        ("Fr", -1.0),
+        ("r_fric", -1.0),
+        ("cfl_max", 0.0),
+        ("width", -1.0),
+        ("width", 0.0),
+        ("eps", -1.0),
+        ("l0", 50),
+        ("l0", -50),
     ],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, key, value):

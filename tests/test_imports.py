@@ -1,4 +1,5 @@
-"""Every module of the package, its tests and its scripts uses each name it imports."""
+"""Every module of the package, its tests and its scripts uses each name it imports,
+and the package imports only at module level."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     p for d in ("src/swlp", "tests", "scripts") for p in (ROOT / d).glob("*.py") if p.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src/swlp").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -28,3 +30,19 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def local_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: in {fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_local_imports(path):
+    assert local_imports(path) == []

@@ -131,6 +131,24 @@ def test_friction_exact_mode_keeps_perturbation_tiny():
     assert lp_norm(st.h2, math.inf) < 1e-10
 
 
+def test_friction_mode_full_residual():
+    # r mu Fr^2 = 1 (r = 2): the unperturbed state solves the friction system,
+    # so its frozen residual vanishes; r = 1 leaves the pressure defect.
+    g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
+    q1 = gaussian_bump(g, 0.3, 1.0, 0.5)
+    frozen = {}
+    for r in (2.0, 1.0):
+        cfg = SolverConfig(mu=0.5, a=0.0, Fr=1.0, r_fric=r, dt=0.01, mode="friction")
+        st = initial_state(q1, SpectralField.zeros(g, 1), SpectralField.zeros(g, 2), cfg)
+        frozen[r] = full_residual(st, cfg)[1]
+        # the friction reformulation is exact for any perturbed state
+        pert = perturbed_state(128, 10, cfg, 1e-3, width=0.5)
+        mass_rel, mom_rel = full_residual(pert, cfg, include_perturbation_rate=True)
+        assert mass_rel <= 1e-8 and mom_rel <= 1e-8, r
+    assert frozen[2.0] <= 1e-10
+    assert frozen[1.0] > 0.1
+
+
 def test_reformulation_residual_certifies_exactness():
     st, cfg, _ = _small_state(n=128)
     mass_rel, mom_rel = full_residual(st, cfg, include_perturbation_rate=True)
@@ -216,6 +234,11 @@ def test_scaling_equivariance_and_negative_control():
     # without rescaling the pressure coefficient the symmetry is broken
     bad = scaling_check(st, cfg, 2, adjust_pressure=False)
     assert bad > 1e-6
+    # friction mode: the pressure coefficient is 1/Fr^2, whatever a is
+    cfg = SolverConfig(mu=0.5, a=0.0, Fr=0.5, r_fric=8.0, dt=0.01, mode="friction")
+    st = perturbed_state(256, 11, cfg, 1e-2)
+    assert scaling_check(st, cfg, 2) < 1e-10
+    assert scaling_check(st, cfg, 2, adjust_pressure=False) > 1e-6
 
 
 def test_recompose_positive_density():
@@ -260,10 +283,16 @@ def test_initial_state_validates_shapes():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(mu=-1.0, a=0.01, dt=0.01)
-    with pytest.raises(ValueError):
-        SolverConfig(mu=0.5, a=0.01, dt=0.01, mode="bogus")
+    for bad in (
+        {"mu": -1.0},
+        {"mode": "bogus"},
+        {"Fr": 0.0, "mode": "friction"},
+        {"Fr": -1.0},
+        {"r_fric": -1.0, "mode": "friction"},
+        {"cfl_max": 0.0},
+    ):
+        with pytest.raises(ValueError):
+            SolverConfig(**{"mu": 0.5, "a": 0.01, "dt": 0.01, **bad})
 
 
 def test_ft_norm_matches_time_hybrid_norms():
