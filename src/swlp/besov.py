@@ -83,14 +83,6 @@ class HybridBesovSpec:
         for name in ("p_low", "p_high", "r_low", "r_high"):
             _check_index(getattr(self, name), name)
 
-    @property
-    def low(self) -> BesovSpec:
-        return BesovSpec(self.s_low, self.p_low, self.r_low)
-
-    @property
-    def high(self) -> BesovSpec:
-        return BesovSpec(self.s_high, self.p_high, self.r_high)
-
 
 def _check_grid(field: SpectralField, filt: DyadicFilter) -> None:
     if field.grid != filt.grid:

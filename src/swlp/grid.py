@@ -9,7 +9,17 @@ Conventions used throughout the package:
 * the physical frequency along axis ``i`` is ``xi_i = 2 pi k_i / period_i``;
 * pointwise products are dealiased with the 2/3 rule (top third of the
   wavenumbers zeroed per axis) so quadratic aliases never pollute retained
-  modes.
+  modes;
+* every spatial derivative is one multiplication by ``i xi_j``: the
+  multipliers are built once per grid (``_i_xi``), and ``_jacobian`` and
+  ``_divergence`` are the only two operations that apply them.  ``grad``,
+  ``div``, ``sym_grad``, ``curl_norm``, ``helmholtz_split`` and the solver's
+  derivatives are written with these two;
+* Nyquist rule: the values of a first derivative along axis ``j`` carry
+  nothing of the Nyquist plane ``k_j = -n/2``, as if that plane were zeroed.
+  For a real field the plane's ``i xi_j`` terms are purely imaginary and
+  ``inverse_transform`` keeps the real part; a half-spectrum layout must
+  zero the plane in the multiplier to keep the rule.
 """
 
 from __future__ import annotations
@@ -77,13 +87,13 @@ class Grid:
     def spacing(self) -> tuple[float, ...]:
         return tuple(a / self.n for a in self.period)
 
-    def wavenumbers(self, axis: int) -> np.ndarray:
-        """Integer wavevector indices along one axis, fft layout."""
+    def wavenumbers(self) -> np.ndarray:
+        """Integer wavevector indices along an axis (the same on every axis), fft layout."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n)
 
     def xi(self, axis: int) -> np.ndarray:
         """Physical frequencies 2*pi*k/a along one axis, fft layout."""
-        return 2.0 * np.pi * self.wavenumbers(axis) / self.period[axis]
+        return 2.0 * np.pi * self.wavenumbers() / self.period[axis]
 
     def xi_grids(self) -> list[np.ndarray]:
         """Broadcastable physical-frequency arrays, one per axis."""
@@ -133,6 +143,25 @@ def xi_mag2(grid: Grid) -> np.ndarray:
     for g in grid.xi_grids():
         mag2 = mag2 + g**2
     return _read_only(mag2)
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE)
+def _i_xi(grid: Grid) -> tuple[np.ndarray, ...]:
+    """The multipliers i*xi_j of d_j, one broadcastable array per axis; built once per grid, read-only."""
+    return tuple(_read_only(1j * x) for x in grid.xi_grids())
+
+
+def _jacobian(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Add an axis of first derivatives before the grid axes: entry ``[..., j]`` is d_j f[...]."""
+    jac = np.empty((*coeffs.shape[: -grid.dim], grid.dim, *grid.shape), dtype=np.complex128)
+    for m, d_j in zip(_i_xi(grid), np.moveaxis(jac, -grid.dim - 1, 0)):
+        np.multiply(m, coeffs, out=d_j)
+    return jac
+
+
+def _divergence(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Contract the axis just before the grid axes: sum_j d_j f[..., j]."""
+    return sum(m * f_j for m, f_j in zip(_i_xi(grid), np.moveaxis(coeffs, -grid.dim - 1, 0)))
 
 
 @lru_cache(maxsize=_OPERATOR_CACHE)
@@ -246,7 +275,7 @@ def dealias_mask(grid: Grid, fraction: float = 2.0 / 3.0) -> np.ndarray:
     for ax in range(grid.dim):
         shape = [1] * grid.dim
         shape[ax] = grid.n
-        k = grid.wavenumbers(ax).reshape(shape)
+        k = grid.wavenumbers().reshape(shape)
         mask &= np.abs(k) < cut
     return _read_only(mask)
 
@@ -278,12 +307,7 @@ def grad(field: SpectralField) -> SpectralField:
     """Spectral gradient of a scalar field; returns a dim-component field."""
     if field.ncomp != 1:
         raise ValueError("grad expects a scalar field")
-    g = field.grid
-    xi = g.xi_grids()
-    out = np.empty((g.dim, *g.shape), dtype=np.complex128)
-    for ax in range(g.dim):
-        out[ax] = 1j * xi[ax] * field.coeffs[0]
-    return SpectralField(g, out)
+    return SpectralField(field.grid, _jacobian(field.coeffs[0], field.grid))
 
 
 def div(field: SpectralField) -> SpectralField:
@@ -291,11 +315,7 @@ def div(field: SpectralField) -> SpectralField:
     g = field.grid
     if field.ncomp != g.dim:
         raise ValueError("div expects a dim-component field")
-    xi = g.xi_grids()
-    out = np.zeros((1, *g.shape), dtype=np.complex128)
-    for ax in range(g.dim):
-        out[0] += 1j * xi[ax] * field.coeffs[ax]
-    return SpectralField(g, out)
+    return SpectralField(g, _divergence(field.coeffs, g)[None])
 
 
 def laplacian(field: SpectralField) -> SpectralField:
@@ -312,12 +332,8 @@ def sym_grad(field: SpectralField) -> np.ndarray:
     g = field.grid
     if field.ncomp != g.dim:
         raise ValueError("sym_grad expects a dim-component field")
-    xi = g.xi_grids()
-    out = np.empty((g.dim, g.dim, *g.shape), dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            out[i, j] = 0.5j * (xi[j] * field.coeffs[i] + xi[i] * field.coeffs[j])
-    return out
+    jac = _jacobian(field.coeffs, g)
+    return 0.5 * (jac + np.swapaxes(jac, 0, 1))
 
 
 def curl_norm(field: SpectralField) -> float:
@@ -325,36 +341,24 @@ def curl_norm(field: SpectralField) -> float:
     g = field.grid
     if field.ncomp != g.dim:
         raise ValueError("curl expects a dim-component field")
-    if g.dim == 1:
-        return 0.0
-    xi = g.xi_grids()
-    total = 0.0
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            w = 1j * (xi[i] * field.coeffs[j] - xi[j] * field.coeffs[i])
-            total += float(np.sum(np.abs(w) ** 2))
-    return float(np.sqrt(total * g.volume))
+    jac = _jacobian(field.coeffs, g)
+    i, j = np.triu_indices(g.dim, 1)
+    w = jac[j, i] - jac[i, j]
+    return float(np.sqrt(np.sum(np.abs(w) ** 2) * g.volume))
 
 
 def helmholtz_split(field: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Split a vector field into irrotational and solenoidal parts.
 
-    The mean (k = 0) component is assigned to the irrotational part.
+    The irrotational part is -grad(div u)/|xi|^2; the mean (k = 0)
+    component is assigned to it as well.
     """
     g = field.grid
     if field.ncomp != g.dim:
         raise ValueError("helmholtz_split expects a dim-component field")
-    xi = g.xi_grids()
-    inv = _inverse_xi_mag2(g)
-    dot = np.zeros(g.shape, dtype=np.complex128)
-    for ax in range(g.dim):
-        dot += xi[ax] * field.coeffs[ax]
-    par = np.empty_like(field.coeffs)
-    for ax in range(g.dim):
-        par[ax] = xi[ax] * dot * inv
+    par = _jacobian(_divergence(field.coeffs, g), g) * -_inverse_xi_mag2(g)
     zero = (0,) * g.dim
-    for ax in range(g.dim):
-        par[(ax, *zero)] = field.coeffs[(ax, *zero)]
+    par[(slice(None), *zero)] = field.coeffs[(slice(None), *zero)]
     sol = field.coeffs - par
     return SpectralField(g, par), SpectralField(g, sol)
 
@@ -371,7 +375,7 @@ def dilate(field: SpectralField, l_factor: int) -> SpectralField:
     if l_factor == 1:
         return field.copy()
     out = np.zeros_like(field.coeffs)
-    k = np.rint(g.wavenumbers(0)).astype(int)
+    k = np.rint(g.wavenumbers()).astype(int)
     keep = np.abs(k) < g.n // (2 * l_factor)
     idx_src = np.ix_(*([np.where(keep)[0]] * g.dim))
     dropped = field.coeffs.copy()

@@ -27,6 +27,7 @@ from .dyadic import DyadicFilter
 from .grid import (
     Grid,
     SpectralField,
+    _divergence,
     dealias,
     div,
     grad,
@@ -207,17 +208,11 @@ def _reciprocal(rho: SpectralField) -> SpectralField:
     return dealias(SpectralField.from_values(rho.grid, 1.0 / vals))
 
 
-def _row_div(tensor: SpectralField, scale: float) -> SpectralField:
+def _row_div(tensor: SpectralField) -> SpectralField:
     """Row divergence of a tensor stacked row-major as dim*dim components:
-    component i is sum_j d_j (scale T_ij)."""
+    component i is sum_j d_j T_ij."""
     g = tensor.grid
-    t = tensor.coeffs.reshape(g.dim, g.dim, *g.shape)
-    xi = g.xi_grids()
-    out = np.zeros((g.dim, *g.shape), dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            out[i] += 1j * xi[j] * scale * t[i, j]
-    return SpectralField(g, out)
+    return SpectralField(g, _divergence(tensor.coeffs.reshape(g.dim, g.dim, *g.shape), g))
 
 
 def _rel_l2(residual: SpectralField, scales: list[SpectralField]) -> float:
@@ -244,8 +239,8 @@ def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: f
     rho_u = mult(rho, u)
     # all products u_i (rho u)_j in one forward transform and one dealias (it is linear)
     outer = (u.values[:, None] * rho_u.values[None, :]).reshape(flat)
-    conv = _row_div(dealias(SpectralField.from_values(g, outer)), 1.0)
-    visc = _row_div(mult(rho, SpectralField(g, sym_grad(u).reshape(flat))), mu)
+    conv = _row_div(dealias(SpectralField.from_values(g, outer)))
+    visc = _row_div(mult(rho, SpectralField(g, sym_grad(u).reshape(flat)))) * mu
     mass_terms = [div(rho_u)]
     mom_terms = [conv, -visc, grad(rho) * pressure, rho_u * drag]
     if drho_dt is not None:

@@ -44,6 +44,7 @@ from .dyadic import DyadicFilter, default_filter
 from .grid import (
     Grid,
     SpectralField,
+    _jacobian,
     dealias,
     dealias_mask,
     dilate,
@@ -60,6 +61,7 @@ from .quasi import (
     HeatState,
     _check_floor,
     _heat_rates,
+    _rel_l2,
     _system_residual,
     heat_evolve,
     velocity_from_density,
@@ -162,11 +164,16 @@ class SimState:
         return HeatState(t=self.t, q1=self.q1, mu=mu)
 
     @cached_property
-    def _recomposed(self) -> tuple[SpectralField, SpectralField]:
-        """(rho, u) = (rho1 e^{h2}, u1 + u2), re-band-limited; built once per state."""
+    def _rho_values(self) -> np.ndarray:
+        """rho1 e^{h2} at the grid points, checked against the density floor; built once per state."""
         rho_vals = (1.0 + self.q1.values[0]) * np.exp(self.h2.values[0])
         _check_floor(rho_vals)
-        rho = dealias(SpectralField.from_values(self.grid, rho_vals))
+        return rho_vals
+
+    @cached_property
+    def _recomposed(self) -> tuple[SpectralField, SpectralField]:
+        """(rho, u) = (rho1 e^{h2}, u1 + u2), re-band-limited; built once per state."""
+        rho = dealias(SpectralField.from_values(self.grid, self._rho_values))
         return rho, self.u1_cache + self.u2
 
 
@@ -182,9 +189,10 @@ def initial_state(
     q1 = dealias(q1)
     h2 = dealias(h2)
     u2 = dealias(u2)
-    _check_floor((1.0 + q1.values[0]) * np.exp(h2.values[0]))
     u1 = velocity_from_density(HeatState(t=0.0, q1=q1, mu=config.mu))
-    return SimState(t=0.0, q1=q1, h2=h2, u2=u2, u1_cache=u1)
+    state = SimState(t=0.0, q1=q1, h2=h2, u2=u2, u1_cache=u1)
+    state._rho_values  # the density floor fails here, before any step
+    return state
 
 
 def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, SpectralField]:
@@ -197,30 +205,20 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
     g = state.grid
     dim = g.dim
     mu = config.mu
-    _check_floor((1.0 + state.q1.values[0]) * np.exp(state.h2.values[0]))
+    state._rho_values  # checks the density floor, once per state
 
-    xi = g.xi_grids()
-    u1c = state.u1_cache.coeffs
     u1v = state.u1_cache.values
     u2v = state.u2.values
     # grad ln rho1 = -u1/mu, so its derivatives come from u1's coefficients
     glr = -u1v / mu
-    gh2 = inverse_transform(
-        np.stack([1j * xi[j] * state.h2.coeffs[0] for j in range(dim)]), g
-    )
-    du2 = inverse_transform(
-        np.stack([1j * xi[j] * state.u2.coeffs[i] for i in range(dim) for j in range(dim)]),
-        g,
-    ).reshape(dim, dim, *g.shape)
-    # (Du1)_{ij} = -mu d_i d_j ln rho1, already symmetric
-    iu = [(i, j) for i in range(dim) for j in range(i, dim)]
-    du1_flat = inverse_transform(
-        np.stack([1j * xi[j] * u1c[i] for i, j in iu]), g
-    )
+    gh2 = inverse_transform(_jacobian(state.h2.coeffs[0], g), g)
+    du2 = inverse_transform(_jacobian(state.u2.coeffs, g), g)
+    # (Du1)_{ij} = -mu d_i d_j ln rho1, already symmetric: transform the upper triangle only
+    upper = np.triu_indices(dim)
+    du1_upper = inverse_transform(_jacobian(state.u1_cache.coeffs, g)[upper], g)
     du1 = np.empty((dim, dim, *g.shape))
-    for k, (i, j) in enumerate(iu):
-        du1[i, j] = du1_flat[k]
-        du1[j, i] = du1_flat[k]
+    du1[upper] = du1_upper
+    du1[upper[::-1]] = du1_upper
     Du2 = 0.5 * (du2 + np.swapaxes(du2, 0, 1))
     utot = u1v + u2v
 
@@ -241,10 +239,10 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
     return h2_rhs, u2_rhs
 
 
-def _implicit_multipliers(grid: Grid, config: SolverConfig, dt: float):
+def _implicit_multipliers(grid: Grid, config: SolverConfig):
     mag2 = xi_mag2(grid)
-    m_par = 1.0 / (1.0 + dt * (config.mu * mag2 + config.drag))
-    m_sol = 1.0 / (1.0 + dt * (0.5 * config.mu * mag2 + config.drag))
+    m_par = 1.0 / (1.0 + config.dt * (config.mu * mag2 + config.drag))
+    m_sol = 1.0 / (1.0 + config.dt * (0.5 * config.mu * mag2 + config.drag))
     return m_par, m_sol
 
 
@@ -275,7 +273,7 @@ def step(state: SimState, config: SolverConfig) -> SimState:
     if cfl > config.cfl_max:
         raise CflError(f"advective CFL {cfl:.3g} exceeds cap {config.cfl_max:.3g}")
 
-    m_par, m_sol = _implicit_multipliers(g, config, dt)
+    m_par, m_sol = _implicit_multipliers(g, config)
     h2_rhs, u2_rhs = assemble_rhs(state, config)
     h2_new = state.h2.coeffs + dt * h2_rhs.coeffs
     u2_new = _implicit_solve(state.u2.coeffs + dt * u2_rhs.coeffs, g, m_par, m_sol)
@@ -372,16 +370,9 @@ class GronwallTracker:
 
 
 def grad_norm_field(u: SpectralField) -> SpectralField:
-    """All first derivatives of a vector field, stacked as components."""
+    """All first derivatives of a vector field, stacked as components: d_j u_i is component i*dim + j."""
     g = u.grid
-    xi = g.xi_grids()
-    out = np.empty((g.dim * u.ncomp, *g.shape), dtype=np.complex128)
-    idx = 0
-    for i in range(u.ncomp):
-        for j in range(g.dim):
-            out[idx] = 1j * xi[j] * u.coeffs[i]
-            idx += 1
-    return SpectralField(g, out)
+    return SpectralField(g, _jacobian(u.coeffs, g).reshape(-1, *g.shape))
 
 
 def ft_specs(dim: int, l0: int = 0):
@@ -474,14 +465,10 @@ def scaling_check(
     mass, mom, _, _ = _system_residual(rho, u, None, None, config.mu, a, 0.0)
     mom_rhs = dilate(mom, l_factor) * float(l_factor**3)
     mass_rhs = dilate(mass, l_factor) * float(l_factor**2)
-
-    def rel(a_f, b_f):
-        den = max(lp_norm(a_f, 2.0), lp_norm(b_f, 2.0))
-        if den == 0.0:
-            return 0.0
-        return lp_norm(a_f - b_f, 2.0) / den
-
-    return max(rel(mom_lhs, mom_rhs), rel(mass_lhs, mass_rhs))
+    return max(
+        _rel_l2(mom_lhs - mom_rhs, [mom_lhs, mom_rhs]),
+        _rel_l2(mass_lhs - mass_rhs, [mass_lhs, mass_rhs]),
+    )
 
 
 def _check_band(name: str, l_lo: int, l_hi: int, l_min: int, l_max: int) -> None:

@@ -26,6 +26,21 @@ from swlp import (
 )
 from swlp.dyadic import default_filter
 
+GRIDS = {
+    "1d": make_grid(1, 64, (4 * math.pi,)),
+    "2d": make_grid(2, 64, (2 * math.pi, 2 * math.pi)),
+    "3d": make_grid(3, 16, (2 * math.pi, 4 * math.pi, 2 * math.pi)),
+}
+on_grids = pytest.mark.parametrize("g", GRIDS.values(), ids=GRIDS.keys())
+
+
+def plane_wave(g):
+    """f = prod_a cos(kappa_a x_a + phi_a): the wavenumbers kappa_a, the phases and f."""
+    kappa = [2 * math.pi * m / a for m, a in zip((3, 2, 1), g.period)]
+    phase = [k * g.coords(a) + phi for a, (k, phi) in enumerate(zip(kappa, (0.3, 1.1, -0.7)))]
+    f = SpectralField.from_values(g, np.broadcast_to(math.prod(np.cos(x) for x in phase), g.shape)[None])
+    return kappa, phase, f
+
 
 def test_make_grid_validation():
     with pytest.raises(ValueError):
@@ -50,17 +65,38 @@ def test_transform_roundtrip_and_mean():
     assert const.mean()[0] == pytest.approx(2.5)
 
 
-def test_derivatives_match_analytic():
-    # f = sin(3x) cos(2y) on the 2 pi box
-    g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
-    x, y = g.coords(0), g.coords(1)  # broadcastable (64,1) and (1,64)
-    f = SpectralField.from_values(g, (np.sin(3 * x) * np.cos(2 * y))[None])
+@on_grids
+def test_derivatives_match_analytic(g):
+    kappa, phase, f = plane_wave(g)
     gf = grad(f)
-    assert np.abs(gf.values[0] - 3 * np.cos(3 * x) * np.cos(2 * y)).max() < 1e-12
-    assert np.abs(gf.values[1] + 2 * np.sin(3 * x) * np.sin(2 * y)).max() < 1e-12
+    for j in range(g.dim):
+        exact = -kappa[j] * math.prod(np.sin(x) if a == j else np.cos(x) for a, x in enumerate(phase))
+        assert np.abs(gf.values[j] - exact).max() < 1e-12
     lf = laplacian(f)
-    assert np.abs(lf.values[0] + 13 * f.values[0]).max() < 1e-10
+    assert np.abs(lf.values[0] + sum(k**2 for k in kappa) * f.values[0]).max() < 1e-10
     assert np.abs(div(gf).coeffs - lf.coeffs).max() < 1e-12
+
+
+@on_grids
+def test_odd_derivatives_drop_the_nyquist_plane(g):
+    """The values of d_j f are those of i xi_j c(f) with the plane k_j = -n/2 zeroed."""
+    rng = np.random.default_rng(4)
+    f = SpectralField.from_values(g, rng.standard_normal((1, *g.shape)))
+    u = SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape)))
+
+    def d(c, j):
+        c = c.copy()
+        c[(slice(None),) * j + (g.n // 2,)] = 0.0
+        shape = [1] * g.dim
+        shape[j] = g.n
+        return 1j * g.xi(j).reshape(shape) * c
+
+    assert g.wavenumbers()[g.n // 2] == -g.n // 2
+    for j in range(g.dim):
+        ref = inverse_transform(d(f.coeffs[0], j)[None], g)[0]
+        assert np.abs(grad(f).values[j] - ref).max() <= 1e-14 * np.abs(ref).max()
+    ref = inverse_transform(sum(d(u.coeffs[j], j) for j in range(g.dim))[None], g)[0]
+    assert np.abs(div(u).values[0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_xi_uses_physical_frequencies():
@@ -91,29 +127,35 @@ def test_mult_broadcasts_scalar_vector():
     assert np.abs(w.coeffs - w2.coeffs).max() < 1e-14
 
 
-def test_sym_grad_and_curl():
-    g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
-    x, y = g.coords(0), g.coords(1)
-    u = SpectralField.from_values(
-        g, np.stack([np.sin(y) * np.ones_like(x + y), np.zeros((64, 64))])
-    )
+@on_grids
+def test_sym_grad_and_curl(g):
+    # a shear u_0 = sin(kappa x_m) along the last axis m
+    m = g.dim - 1
+    kappa = 2 * math.pi / g.period[m]
+    vals = np.zeros((g.dim, *g.shape))
+    vals[0] = np.sin(kappa * g.coords(m))
+    u = SpectralField.from_values(g, vals)
     D = sym_grad(u)
-    d01 = inverse_transform(D[0, 1][None], g)[0]
-    assert np.abs(d01 - 0.5 * np.cos(y) * np.ones_like(x + y)).max() < 1e-12
-    assert curl_norm(u) > 0.1
-    pot = grad(SpectralField.from_values(g, (np.sin(x) * np.cos(y))[None]))
-    assert curl_norm(pot) < 1e-12
+    d0m = inverse_transform(D[0, m][None], g)[0]
+    assert np.abs(d0m - (1.0 if m == 0 else 0.5) * kappa * np.cos(kappa * g.coords(m))).max() < 1e-12
+    assert np.abs(D - np.swapaxes(D, 0, 1)).max() == 0.0
+    # the one curl component d_m u_0 has L2 norm kappa sqrt(volume / 2)
+    assert curl_norm(u) == pytest.approx(0.0 if m == 0 else kappa * math.sqrt(g.volume / 2), rel=1e-12)
+    assert curl_norm(grad(plane_wave(g)[2])) < 1e-12
 
 
-def test_helmholtz_split():
-    g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
+@on_grids
+def test_helmholtz_split(g):
     rng = np.random.default_rng(2)
-    u = dealias(SpectralField.from_values(g, rng.standard_normal((2, *g.shape))))
+    u = dealias(SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape))))
     par, sol = helmholtz_split(u)
     assert np.abs((par + sol).coeffs - u.coeffs).max() < 1e-13
     assert curl_norm(par) < 1e-12
     div_sol = div(sol)
     assert np.abs(div_sol.coeffs).max() < 1e-12
+    # the mean belongs to the irrotational part
+    assert np.array_equal(par.mean(), u.mean())
+    assert not sol.mean().any()
 
 
 def test_dilate_indices():
