@@ -169,7 +169,9 @@ def _checked_tables(field: SpectralField, filt: DyadicFilter, ps) -> dict[float,
     return {p: _block_norms(field, p, filt, shell_power) for p in set(ps)}
 
 
-def _accumulate(weighted: list[float], r: float) -> float:
+def _weighted(table, levels, s: float, r: float) -> float:
+    """One side of a Besov sum: the l^r norm of 2^{ls} table[l] over ``levels`` (0.0 for none)."""
+    weighted = [2.0 ** (l * s) * table[l] for l in levels]
     if not weighted:
         return 0.0
     if math.isinf(r):
@@ -177,19 +179,29 @@ def _accumulate(weighted: list[float], r: float) -> float:
     return float(np.sum(np.asarray(weighted) ** r) ** (1.0 / r))
 
 
+def _weighted_sum(tables, hspec: HybridBesovSpec, levels) -> float:
+    """Both sides of a hybrid sum, split at l0; ``tables[p]`` maps each level to its block norm."""
+    low = [l for l in levels if l <= hspec.l0]
+    high = [l for l in levels if l > hspec.l0]
+    return _weighted(tables[hspec.p_low], low, hspec.s_low, hspec.r_low) + _weighted(
+        tables[hspec.p_high], high, hspec.s_high, hspec.r_high
+    )
+
+
+def _as_hybrid(spec: BesovSpec, filt: DyadicFilter) -> HybridBesovSpec:
+    """A plain norm is the hybrid one split at the top block: its high side is empty."""
+    return HybridBesovSpec(spec.s, spec.s, spec.p, spec.p, spec.r, spec.r, filt.l_max)
+
+
 def besov_norm(field: SpectralField, spec: BesovSpec, filt: DyadicFilter) -> float:
-    norms = _checked_tables(field, filt, [spec.p])[spec.p]
-    weighted = [2.0 ** (l * spec.s) * norms[l] for l in filt.levels]
-    return _accumulate(weighted, spec.r)
+    return hybrid_besov_norm(field, _as_hybrid(spec, filt), filt)
 
 
 def hybrid_besov_norm(field: SpectralField, hspec: HybridBesovSpec, filt: DyadicFilter) -> float:
     if hspec.l0 < filt.l_min - 1 or hspec.l0 > filt.l_max:
         raise ValueError(f"l0 = {hspec.l0} outside the filter range")
     tables = _checked_tables(field, filt, [hspec.p_low, hspec.p_high])
-    low = [2.0 ** (l * hspec.s_low) * tables[hspec.p_low][l] for l in filt.levels if l <= hspec.l0]
-    high = [2.0 ** (l * hspec.s_high) * tables[hspec.p_high][l] for l in filt.levels if l > hspec.l0]
-    return _accumulate(low, hspec.r_low) + _accumulate(high, hspec.r_high)
+    return _weighted_sum(tables, hspec, filt.levels)
 
 
 def _check_times(times: np.ndarray) -> np.ndarray:
@@ -202,47 +214,31 @@ def _check_times(times: np.ndarray) -> np.ndarray:
 
 
 def _time_lr(series: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
-    """Time L^rho norm (trapezoid; sup for rho = inf) along axis 0."""
+    """Time L^rho norm (trapezoid; sup for rho = inf) along axis 0; one snapshot integrates to 0."""
     if math.isinf(rho):
         return series.max(axis=0)
-    if len(times) < 2:
-        raise ValueError("finite-rho time norms need >= 2 snapshots")
     return np.trapezoid(series**rho, times, axis=0) ** (1.0 / rho)
+
+
+def _time_hybrid(times: np.ndarray, series, rho: float, hspec: HybridBesovSpec, levels) -> float:
+    """Chemin-Lerner hybrid norm of block-norm histories: ``series[p]`` is (snapshots, levels)."""
+    tables = {p: dict(zip(levels, _time_lr(np.asarray(rows), times, rho))) for p, rows in series.items()}
+    return _weighted_sum(tables, hspec, levels)
 
 
 def time_besov_norm(snapshots, rho: float, spec: BesovSpec, filt: DyadicFilter) -> float:
     """Chemin-Lerner norm: time L^rho per block, then the weighted block sum."""
-    rho = _check_index(rho, "rho")
-    times = _check_times([t for t, _ in snapshots])
-    levels = list(filt.levels)
-    series = np.empty((len(times), len(levels)))
-    for i, (_, f) in enumerate(snapshots):
-        bn = block_norms(f, spec.p, filt)
-        series[i] = [bn[l] for l in levels]
-    per_block = _time_lr(series, times, rho)
-    weighted = [2.0 ** (l * spec.s) * per_block[i] for i, l in enumerate(levels)]
-    return _accumulate(weighted, spec.r)
+    return time_hybrid_besov_norm(snapshots, rho, _as_hybrid(spec, filt), filt)
 
 
 def time_hybrid_besov_norm(snapshots, rho: float, hspec: HybridBesovSpec, filt: DyadicFilter) -> float:
     rho = _check_index(rho, "rho")
     times = _check_times([t for t, _ in snapshots])
-    levels = list(filt.levels)
-    low_series, high_series = [], []
-    for _, f in snapshots:
-        tables = {p: block_norms(f, p, filt) for p in {hspec.p_low, hspec.p_high}}
-        low_series.append([tables[hspec.p_low][l] for l in levels if l <= hspec.l0])
-        high_series.append([tables[hspec.p_high][l] for l in levels if l > hspec.l0])
-    out = 0.0
-    for series, sub, s_exp, r in (
-        (np.asarray(low_series), [l for l in levels if l <= hspec.l0], hspec.s_low, hspec.r_low),
-        (np.asarray(high_series), [l for l in levels if l > hspec.l0], hspec.s_high, hspec.r_high),
-    ):
-        if series.size == 0:
-            continue
-        per_block = _time_lr(series, times, rho)
-        out += _accumulate([2.0 ** (l * s_exp) * per_block[i] for i, l in enumerate(sub)], r)
-    return out
+    if not math.isinf(rho) and len(times) < 2:
+        raise ValueError("finite-rho time norms need >= 2 snapshots")
+    ps = {hspec.p_low, hspec.p_high}
+    series = {p: [list(block_norms(f, p, filt).values()) for _, f in snapshots] for p in ps}
+    return _time_hybrid(times, series, rho, hspec, filt.levels)
 
 
 def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | None = None) -> float:

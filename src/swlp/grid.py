@@ -76,10 +76,6 @@ class Grid:
         return (self.n,) * self.dim
 
     @property
-    def npoints(self) -> int:
-        return self.n**self.dim
-
-    @property
     def volume(self) -> float:
         return float(np.prod(self.period))
 
@@ -174,12 +170,12 @@ def _inverse_xi_mag2(grid: Grid) -> np.ndarray:
 def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward DFT per component, normalized so coeff[0] is the mean."""
     axes = tuple(range(-grid.dim, 0))
-    return sfft.fftn(values, axes=axes, workers=_FFT_WORKERS) / grid.npoints
+    return sfft.fftn(values, axes=axes, norm="forward", workers=_FFT_WORKERS)
 
 
 def inverse_transform(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     axes = tuple(range(-grid.dim, 0))
-    return np.real(sfft.ifftn(coeffs * grid.npoints, axes=axes, workers=_FFT_WORKERS))
+    return sfft.ifftn(coeffs, axes=axes, norm="forward", workers=_FFT_WORKERS).real
 
 
 class SpectralField:

@@ -32,6 +32,7 @@ from .solver import (
     SimState,
     SolverConfig,
     _check_band,
+    _check_finite,
     cfl_number,
     full_residual,
     initial_state,
@@ -103,6 +104,7 @@ class RunConfig:
 
     def __post_init__(self):
         # a bad grid, physics, amplitude, dt or run length fails here, before any work
+        _check_finite(self)
         grid = make_grid(self.dim, self.n, self.period)
         self.solver_config()
         _ = (self.n_steps, self.snap_stride)

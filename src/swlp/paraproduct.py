@@ -17,7 +17,15 @@ import math
 
 import numpy as np
 
-from .besov import BesovSpec, HybridBesovSpec, besov_norm, block_norms, hybrid_besov_norm, lp_norm
+from .besov import (
+    BesovSpec,
+    HybridBesovSpec,
+    _weighted,
+    besov_norm,
+    block_norms,
+    hybrid_besov_norm,
+    lp_norm,
+)
 from .dyadic import DyadicFilter, dyadic_block
 from .grid import SpectralField, dealias, mult
 
@@ -142,7 +150,7 @@ def hybrid_para_ratio(
         high = op == "remainder_high"
         s, p = (hspec_out.s_high, hspec_out.p_high) if high else (hspec_out.s_low, hspec_out.p_low)
         norms = block_norms(remainder(filt, u, v), p, filt)
-        num = sum(2.0 ** (l * s) * norms[l] for l in filt.levels if (l > hspec_out.l0) == high)
+        num = _weighted(norms, [l for l in filt.levels if (l > hspec_out.l0) == high], s, 1.0)
     else:
         raise ValueError(f"unknown operator {op!r}")
     return num / den

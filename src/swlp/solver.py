@@ -35,16 +35,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .besov import HybridBesovSpec, block_norms, hybrid_besov_norm, lp_norm
+from .besov import HybridBesovSpec, _time_hybrid, block_norms, hybrid_besov_norm, lp_norm
 from .dyadic import DyadicFilter, default_filter
 from .grid import (
+    _OPERATOR_CACHE,
     Grid,
     SpectralField,
     _jacobian,
+    _read_only,
     dealias,
     dealias_mask,
     dilate,
@@ -100,6 +102,13 @@ class BlowupError(RuntimeError):
         self.last_state = last_state
 
 
+def _check_finite(config) -> None:
+    """Reject a NaN or infinite float in any field of a config dataclass, naming the field."""
+    for name, value in vars(config).items():
+        if any(isinstance(v, float) and not math.isfinite(v) for v in np.ravel(value)):
+            raise ValueError(f"{name} = {value} must be finite")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     mu: float = 0.1
@@ -112,6 +121,7 @@ class SolverConfig:
     forcing: bool = True
 
     def __post_init__(self):
+        _check_finite(self)
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if self.dt <= 0:
@@ -164,9 +174,14 @@ class SimState:
         return HeatState(t=self.t, q1=self.q1, mu=mu)
 
     @cached_property
+    def _exp_h2(self) -> np.ndarray:
+        """e^{h2} at the grid points; built once per state."""
+        return np.exp(self.h2.values[0])
+
+    @cached_property
     def _rho_values(self) -> np.ndarray:
         """rho1 e^{h2} at the grid points, checked against the density floor; built once per state."""
-        rho_vals = (1.0 + self.q1.values[0]) * np.exp(self.h2.values[0])
+        rho_vals = (1.0 + self.q1.values[0]) * self._exp_h2
         _check_floor(rho_vals)
         return rho_vals
 
@@ -239,11 +254,13 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
     return h2_rhs, u2_rhs
 
 
-def _implicit_multipliers(grid: Grid, config: SolverConfig):
+@lru_cache(maxsize=_OPERATOR_CACHE)
+def _implicit_multipliers(grid: Grid, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit decay of the irrotational and solenoidal parts; built once per (grid, config), read-only."""
     mag2 = xi_mag2(grid)
     m_par = 1.0 / (1.0 + config.dt * (config.mu * mag2 + config.drag))
     m_sol = 1.0 / (1.0 + config.dt * (0.5 * config.mu * mag2 + config.drag))
-    return m_par, m_sol
+    return _read_only(m_par), _read_only(m_sol)
 
 
 def _implicit_solve(u2_coeffs: np.ndarray, grid: Grid, m_par, m_sol) -> np.ndarray:
@@ -316,7 +333,7 @@ def full_residual(
     rho, u = recompose(state)
     _, drho1_dt, du1_dt = _heat_rates(state.heat_state(mu))
 
-    exp_h2 = dealias(SpectralField.from_values(g, np.exp(state.h2.values[0])))
+    exp_h2 = dealias(SpectralField.from_values(g, state._exp_h2))
     drho_dt = mult(drho1_dt, exp_h2)
     du_dt = du1_dt
     if include_perturbation_rate:
@@ -352,21 +369,17 @@ def gronwall_integrand(state: SimState, filt: DyadicFilter, l0: int = 0) -> floa
 
 
 class GronwallTracker:
-    """V(T): running trapezoidal integral of ``gronwall_integrand`` over snapshots."""
+    """V(T): trapezoidal integral of ``gronwall_integrand`` over the snapshots so far."""
 
     def __init__(self, filt: DyadicFilter, l0: int = 0):
         self.filt = filt
         self.l0 = l0
-        self.total = 0.0
-        self.prev: tuple[float, float] | None = None
+        self.history: list[tuple[float, float]] = []
 
     def update(self, state: SimState) -> float:
-        val = gronwall_integrand(state, self.filt, self.l0)
-        if self.prev is not None:
-            t0, v0 = self.prev
-            self.total += 0.5 * (state.t - t0) * (v0 + val)
-        self.prev = (state.t, val)
-        return self.total
+        self.history.append((state.t, gronwall_integrand(state, self.filt, self.l0)))
+        times, values = zip(*self.history)
+        return float(np.trapezoid(values, times))
 
 
 def grad_norm_field(u: SpectralField) -> SpectralField:
@@ -376,11 +389,11 @@ def grad_norm_field(u: SpectralField) -> SpectralField:
 
 
 def ft_specs(dim: int, l0: int = 0):
-    """The four hybrid specs of the working norm (h2 pair, u2 pair)."""
+    """The four hybrid specs of the working norm: the sup-in-time pair, then the time-integrated pair."""
     return {
         "h2_inf": HybridBesovSpec(dim / 2 - 1, dim / 2, 2, 2, 1, 1, l0),
-        "h2_l1": HybridBesovSpec(dim / 2 + 1, dim / 2, 2, 2, 1, 1, l0),
         "u2_inf": HybridBesovSpec(dim / 2 - 1, dim / 2 - 1, 2, 2, 1, 1, l0),
+        "h2_l1": HybridBesovSpec(dim / 2 + 1, dim / 2, 2, 2, 1, 1, l0),
         "u2_l1": HybridBesovSpec(dim / 2 + 1, dim / 2 + 1, 2, 2, 1, 1, l0),
     }
 
@@ -389,48 +402,31 @@ class FtTracker:
     """Working-space norm of a growing (h2, u2) history.
 
     The norm is the sum of four Chemin-Lerner hybrid norms: a sup-in-time
-    pair and a time-integrated pair.  The tracker keeps per-block running
-    maxima and running trapezoidal integrals, so each snapshot costs one
-    block decomposition per field.
+    pair and a time-integrated pair.  The tracker keeps the snapshot times
+    and a row of p = 2 block norms per field and snapshot, so a snapshot
+    costs one block decomposition per field; the value is the time norm of
+    those rows.
     """
 
     def __init__(self, filt: DyadicFilter, l0: int = 0):
         self.filt = filt
         self.specs = ft_specs(filt.grid.dim, l0)
-        self.sup: dict[str, dict[int, float]] = {"h2": {}, "u2": {}}
-        self.integral: dict[str, dict[int, float]] = {"h2": {}, "u2": {}}
-        self.prev: tuple[float, dict[str, dict[int, float]]] | None = None
+        self.times: list[float] = []
+        self.rows: dict[str, list[list[float]]] = {"h2": [], "u2": []}
 
     def update(self, state: SimState) -> float:
-        cur = {
-            "h2": block_norms(state.h2, 2.0, self.filt),
-            "u2": block_norms(state.u2, 2.0, self.filt),
-        }
-        for key in ("h2", "u2"):
-            for l, v in cur[key].items():
-                self.sup[key][l] = max(self.sup[key].get(l, 0.0), v)
-            if self.prev is not None:
-                t0, prev = self.prev
-                dt = state.t - t0
-                for l in cur[key]:
-                    self.integral[key][l] = self.integral[key].get(l, 0.0) + 0.5 * dt * (
-                        prev[key][l] + cur[key][l]
-                    )
-        self.prev = (state.t, cur)
+        self.times.append(state.t)
+        for key, rows in self.rows.items():
+            rows.append(list(block_norms(getattr(state, key), 2.0, self.filt).values()))
         return self.value()
 
-    def _weighted(self, per_block: dict[int, float], spec: HybridBesovSpec) -> float:
-        out = 0.0
-        for l, v in per_block.items():
-            s = spec.s_low if l <= spec.l0 else spec.s_high
-            out += (2.0**l) ** s * v
-        return out
-
     def value(self) -> float:
-        out = self._weighted(self.sup["h2"], self.specs["h2_inf"])
-        out += self._weighted(self.sup["u2"], self.specs["u2_inf"])
-        out += self._weighted(self.integral["h2"], self.specs["h2_l1"])
-        out += self._weighted(self.integral["u2"], self.specs["u2_l1"])
+        times = np.asarray(self.times)
+        out = 0.0
+        for name, hspec in self.specs.items():
+            key, time_norm = name.split("_")
+            rho = math.inf if time_norm == "inf" else 1.0
+            out += _time_hybrid(times, {2.0: self.rows[key]}, rho, hspec, self.filt.levels)
         return out
 
 

@@ -25,6 +25,7 @@ from swlp import (
     xi_mag2,
 )
 from swlp.dyadic import default_filter
+from swlp.solver import SolverConfig, _implicit_multipliers
 
 GRIDS = {
     "1d": make_grid(1, 64, (4 * math.pi,)),
@@ -213,7 +214,13 @@ def test_cached_operators_are_shared_and_read_only():
     mag2 = xi_mag2(g)
     assert xi_mag2(make_grid(2, 32, (2 * math.pi, 4 * math.pi))) is mag2
     assert np.allclose(mag2, g.xi_mag() ** 2, rtol=1e-14, atol=0.0)
-    for arr in (mag2, dealias_mask(g), filt.shell, filt.table):
+    # the implicit multipliers: built once per (grid, config)
+    multipliers = _implicit_multipliers(g, SolverConfig(mu=0.5, a=0.01, dt=0.01))
+    equal_key = make_grid(2, 32, (2 * math.pi, 4 * math.pi)), SolverConfig(mu=0.5, a=0.01, dt=0.01)
+    assert _implicit_multipliers(*equal_key) is multipliers
+    assert _implicit_multipliers(g, SolverConfig(mu=0.5, a=0.01, dt=0.02)) is not multipliers
+    assert np.array_equal(multipliers[0], 1.0 / (1.0 + 0.01 * (0.5 * mag2)))
+    for arr in (mag2, dealias_mask(g), filt.shell, filt.table, *multipliers):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
     # one shell per distinct |xi|^2, so anisotropic periods stay exact

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -198,6 +199,14 @@ def test_cli_run_and_fit_exit_codes(tmp_path):
     assert cli_main(["fit", "--out", str(out), "--t-min", "0.2", "--t-max", "1.0"]) == 2
 
 
+def test_cli_heat_only_run_exit_0(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FAST))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--mode", "heat_only", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["status"] == "ok"
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"definitely_not_a_key": True}))
@@ -225,6 +234,18 @@ def test_cli_bad_config_exit_2(tmp_path):
         ("eps", -1.0),
         ("l0", 50),
         ("l0", -50),
+        ("mu", math.nan),
+        ("mu", math.inf),
+        ("a", math.nan),
+        ("Fr", math.inf),
+        ("r_fric", math.nan),
+        ("t_end", math.inf),
+        ("eps", math.nan),
+        ("eps", math.inf),
+        ("amplitude", math.nan),
+        ("width", math.inf),
+        ("pert_h2", math.nan),
+        ("cfl_max", math.inf),
     ],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, key, value):

@@ -25,7 +25,7 @@ from swlp.besov import hybrid_besov_norm, time_hybrid_besov_norm
 from swlp.checks import perturbed_state
 from swlp.dyadic import default_filter
 from swlp.grid import div, grad, sym_grad
-from swlp.quasi import _check_floor
+from swlp.quasi import _check_floor, heat_evolve
 from swlp.solver import FtTracker, ft_specs, gronwall_integrand, random_band_field
 
 
@@ -293,6 +293,28 @@ def test_solver_config_validation():
     ):
         with pytest.raises(ValueError):
             SolverConfig(**{"mu": 0.5, "a": 0.01, "dt": 0.01, **bad})
+    # a NaN or infinite float is rejected by name, whatever the other checks would say
+    for name, value, mode in (
+        ("mu", math.nan, "shallow_water"),
+        ("mu", math.inf, "shallow_water"),
+        ("a", math.nan, "shallow_water"),
+        ("Fr", math.inf, "friction"),
+        ("r_fric", math.nan, "friction"),
+        ("dt", math.nan, "shallow_water"),
+        ("dt", math.inf, "shallow_water"),
+        ("cfl_max", math.inf, "shallow_water"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            SolverConfig(**{"mu": 0.5, "a": 0.01, "dt": 0.01, "mode": mode, name: value})
+
+
+def test_heat_only_step_moves_only_q1():
+    st, _, _ = _small_state()
+    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, mode="heat_only")
+    nxt = step(st, cfg)
+    assert nxt.h2 is st.h2 and nxt.u2 is st.u2
+    assert np.array_equal(nxt.q1.coeffs, heat_evolve(st.q1, cfg.mu, cfg.dt).q1.coeffs)
+    assert nxt.t == st.t + cfg.dt
 
 
 def test_ft_norm_matches_time_hybrid_norms():
