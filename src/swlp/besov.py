@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicFilter
-from .grid import SpectralField, inverse_transform, xi_mag2
+from .grid import SpectralField, multiplied_values, xi_mag2
 
 __all__ = [
     "BesovSpec",
@@ -110,8 +110,7 @@ def _lp(values: np.ndarray, p: float, volume: float) -> list[float]:
 def _stacked_lp(field: SpectralField, multipliers: list[np.ndarray], p: float) -> list[float]:
     """L^p norms of the fields m * u for every multiplier m, in one inverse transform."""
     g = field.grid
-    values = inverse_transform(np.stack([field.coeffs * m for m in multipliers]), g)
-    return _lp(values, p, g.volume)
+    return _lp(multiplied_values(field.coeffs, multipliers, g), p, g.volume)
 
 
 def lp_norm(field: SpectralField, p: float) -> float:

@@ -39,6 +39,7 @@ __all__ = [
     "xi_mag2",
     "transform",
     "inverse_transform",
+    "multiplied_values",
     "dealias_mask",
     "dealias",
     "mult",
@@ -174,8 +175,28 @@ def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def inverse_transform(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real part of the inverse DFT per component, as an owned real array.
+
+    The copy keeps a cached ``values`` from pinning the complex result, twice
+    its size, behind a ``.real`` view.
+    """
     axes = tuple(range(-grid.dim, 0))
-    return sfft.ifftn(coeffs, axes=axes, norm="forward", workers=_FFT_WORKERS).real
+    return sfft.ifftn(coeffs, axes=axes, norm="forward", workers=_FFT_WORKERS).real.copy()
+
+
+def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: Grid) -> np.ndarray:
+    """Values of ``m * coeffs`` for every multiplier m, shape ``(len(multipliers), *coeffs.shape)``.
+
+    The products fill one preallocated stack, and one inverse transform
+    makes all of their values.
+    """
+    stack = np.empty((len(multipliers), *coeffs.shape), dtype=np.complex128)
+    for i, out in enumerate(stack):
+        np.multiply(coeffs, multipliers[i], out=out)
+    # the multipliers are no longer needed: unless the caller holds them too,
+    # this frees them before the transform allocates its output
+    del multipliers
+    return inverse_transform(stack, grid)
 
 
 class SpectralField:

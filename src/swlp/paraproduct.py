@@ -5,10 +5,15 @@ remainder carries the mean*mean term, so that
 
     para(u, v) + para(v, u) + remainder(u, v) == dealiased(u * v)
 
-holds exactly (to round-off) for band-limited inputs.  All pointwise
-products inside the operators use the 2/3-dealiased multiply; the
-recomposition identity is therefore stated against the dealiased product,
-which is the reference product throughout the package.
+holds exactly (to round-off) for band-limited inputs.  The recomposition
+identity is stated against the dealiased product, which is the reference
+product throughout the package.
+
+Each operator is a sum over levels q of blockwise products a_q b_q.  The
+values of every a_q come from one stacked inverse transform, and so do those
+of every b_q; the products are summed in value space and dealiased once.
+The dealias is linear, so this equals the sum of the dealiased blockwise
+products, with one forward transform in place of one per level.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from .besov import (
     hybrid_besov_norm,
     lp_norm,
 )
-from .dyadic import DyadicFilter, dyadic_block
-from .grid import SpectralField, dealias, mult
+from .dyadic import DyadicFilter
+from .grid import Grid, SpectralField, dealias, mult, multiplied_values
 
 __all__ = [
     "para",
@@ -39,32 +44,39 @@ __all__ = [
 ]
 
 
-def _mean_field(u: SpectralField) -> SpectralField:
-    g = u.grid
-    coeffs = np.zeros_like(u.coeffs)
-    zero = (0,) * g.dim
-    for c in range(u.ncomp):
-        coeffs[(c, *zero)] = u.coeffs[(c, *zero)]
-    return SpectralField(g, coeffs)
+def _check_pair(u: SpectralField, v: SpectralField) -> None:
+    """Same grid, and equal component counts unless one side is a scalar."""
+    if u.grid != v.grid:
+        raise ValueError("grid mismatch")
+    if u.ncomp != v.ncomp and 1 not in (u.ncomp, v.ncomp):
+        raise ValueError("component-count mismatch")
 
 
-def _low_with_mean(filt: DyadicFilter, u: SpectralField, l: int) -> SpectralField:
-    """S_{l} including the k = 0 mode, so S of a constant is the constant."""
-    return SpectralField(u.grid, u.coeffs * filt.band(filt.l_min, l - 1) + _mean_field(u).coeffs)
+def _nonzero_levels(filt: DyadicFilter, f: SpectralField) -> list[int]:
+    """The levels q whose block Delta_q f is nonzero."""
+    return [q for q in filt.levels if np.any(f.coeffs * filt.weight(q))]
+
+
+def _constant(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """Per-component constants shaped to broadcast over a field's values."""
+    return c.reshape(-1, *(1,) * grid.dim)
+
+
+def _dealiased_sum(grid: Grid, a: np.ndarray, b: np.ndarray, constant) -> SpectralField:
+    """dealias(constant + sum_q a_q b_q) for value stacks of shape (levels, ncomp, *grid)."""
+    total = np.einsum("q...,q...->...", a, b) + constant
+    return dealias(SpectralField.from_values(grid, total))
 
 
 def para(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> SpectralField:
-    """T_u v = sum_q S_{q-1} u  Delta_q v (dealiased blockwise products)."""
-    if u.grid != v.grid:
-        raise ValueError("grid mismatch")
-    out = SpectralField.zeros(u.grid, max(u.ncomp, v.ncomp))
-    for q in filt.levels:
-        dv = dyadic_block(filt, v, q)
-        if np.abs(dv.coeffs).max() == 0.0:
-            continue
-        su = _low_with_mean(filt, u, q - 1)
-        out = out + mult(su, dv)
-    return out
+    """T_u v = sum_q S_{q-1} u  Delta_q v, the mean of u included in S_{q-1} u."""
+    _check_pair(u, v)
+    g = u.grid
+    levels = _nonzero_levels(filt, v)
+    low = multiplied_values(u.coeffs, [filt.band(filt.l_min, q - 2) for q in levels], g)
+    low += _constant(u.mean(), g)
+    high = multiplied_values(v.coeffs, [filt.weight(q) for q in levels], g)
+    return _dealiased_sum(g, low, high, 0.0)
 
 
 def remainder(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> SpectralField:
@@ -73,16 +85,12 @@ def remainder(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> Spectra
     Blocks outside the filter range are treated as zero; the mean*mean
     product is carried here (the k = 0 mode acts as the bottom diagonal).
     """
-    if u.grid != v.grid:
-        raise ValueError("grid mismatch")
-    out = mult(_mean_field(u), _mean_field(v))
-    for q in filt.levels:
-        du = dyadic_block(filt, u, q)
-        if np.abs(du.coeffs).max() == 0.0:
-            continue
-        dv = SpectralField(v.grid, v.coeffs * filt.band(q - 1, q + 1))
-        out = out + mult(du, dv)
-    return out
+    _check_pair(u, v)
+    g = u.grid
+    levels = _nonzero_levels(filt, u)
+    du = multiplied_values(u.coeffs, [filt.weight(q) for q in levels], g)
+    near = multiplied_values(v.coeffs, [filt.band(q - 1, q + 1) for q in levels], g)
+    return _dealiased_sum(g, du, near, _constant(u.mean() * v.mean(), g))
 
 
 def bony_parts(filt: DyadicFilter, u: SpectralField, v: SpectralField):

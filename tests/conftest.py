@@ -35,17 +35,28 @@ def acceptance_run(tmp_path_factory):
     return run(config, out_dir=out)
 
 
-@pytest.fixture
-def inverse_transforms(monkeypatch):
-    """Counts calls of ``grid.inverse_transform`` made from any swlp module."""
-    original = swlp.grid.inverse_transform
+def _counted(monkeypatch, name: str) -> list:
+    """Counts calls of ``grid.<name>`` made from any swlp module."""
+    original = getattr(swlp.grid, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("swlp") and getattr(module, "inverse_transform", None) is original:
-            monkeypatch.setattr(module, "inverse_transform", counted)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("swlp") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def inverse_transforms(monkeypatch):
+    """Counts calls of ``grid.inverse_transform`` made from any swlp module."""
+    return _counted(monkeypatch, "inverse_transform")
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Counts calls of ``grid.transform`` made from any swlp module."""
+    return _counted(monkeypatch, "transform")

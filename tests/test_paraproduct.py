@@ -13,6 +13,7 @@ from swlp import (
     composition_ratio,
     dealias,
     default_filter,
+    dyadic_block,
     hybrid_para_ratio,
     lp_norm,
     make_grid,
@@ -24,6 +25,14 @@ from swlp import (
 from swlp.besov import active_levels
 from swlp.solver import random_band_field
 
+# points per axis of the period-2pi grid in each dimension
+SIZES = {1: 256, 2: 64, 3: 32}
+
+
+@pytest.fixture(params=sorted(SIZES), ids=lambda d: f"{d}d")
+def filt_nd(request):
+    return default_filter(make_grid(request.param, SIZES[request.param], (2 * math.pi,) * request.param))
+
 
 def _random_pair(grid, rng):
     u = dealias(SpectralField.from_values(grid, rng.standard_normal((1, *grid.shape))))
@@ -31,22 +40,118 @@ def _random_pair(grid, rng):
     return u, v
 
 
-def test_bony_identity_exact(grid2d, filt2d, rng):
+# -- oracle: one dealiased multiply per level ---------------------------------
+
+
+def _mean_field(u):
+    coeffs = np.zeros_like(u.coeffs)
+    zero = (slice(None),) + (0,) * u.grid.dim
+    coeffs[zero] = u.coeffs[zero]
+    return SpectralField(u.grid, coeffs)
+
+
+def _oracle_para(filt, u, v):
+    out = SpectralField.zeros(u.grid, max(u.ncomp, v.ncomp))
+    for q in filt.levels:
+        dv = dyadic_block(filt, v, q)
+        if np.abs(dv.coeffs).max() == 0.0:
+            continue
+        su = SpectralField(u.grid, u.coeffs * filt.band(filt.l_min, q - 2) + _mean_field(u).coeffs)
+        out = out + mult(su, dv)
+    return out
+
+
+def _oracle_remainder(filt, u, v):
+    out = mult(_mean_field(u), _mean_field(v))
+    for q in filt.levels:
+        du = dyadic_block(filt, u, q)
+        if np.abs(du.coeffs).max() == 0.0:
+            continue
+        out = out + mult(du, SpectralField(v.grid, v.coeffs * filt.band(q - 1, q + 1)))
+    return out
+
+
+def _single_block(grid):
+    """cos(11x) + sin(8x + 8y): |xi| = 11 and 11.3 lie where phi_3 alone is nonzero."""
+    c = np.zeros((1, *grid.shape), dtype=complex)
+    c[0, 11, 0] = c[0, -11, 0] = 0.5
+    c[0, 8, 8], c[0, -8, -8] = -0.5j, 0.5j
+    return SpectralField(grid, c)
+
+
+def _oracle_cases(grid, filt, rng):
+    def field(ncomp, mean=0.0):
+        return random_band_field(grid, rng, 0, 3, ncomp, filt) + SpectralField.from_values(
+            grid, np.full((ncomp, *grid.shape), mean)
+        )
+
+    return {
+        "means": (field(1, 2.0), field(1, -1.5)),
+        "scalar_vector": (field(1, 0.5), field(grid.dim, -0.25)),
+        "vector_scalar": (field(grid.dim, 0.75), field(1, 1.0)),
+        "single_block_v": (field(1, 0.5), _single_block(grid)),
+        "zero": (SpectralField.zeros(grid), SpectralField.zeros(grid)),
+        "zero_v": (field(1, 1.0), SpectralField.zeros(grid)),
+    }
+
+
+def _close(a, b):
+    return np.linalg.norm(a.coeffs - b.coeffs) <= 1e-13 * np.linalg.norm(b.coeffs)
+
+
+@pytest.mark.parametrize("case", ["means", "scalar_vector", "vector_scalar", "single_block_v", "zero", "zero_v"])
+def test_operators_match_the_per_level_oracle(grid2d, filt2d, rng, case):
+    u, v = _oracle_cases(grid2d, filt2d, rng)[case]
+    oracle = (_oracle_para(filt2d, u, v), _oracle_para(filt2d, v, u), _oracle_remainder(filt2d, u, v))
+    direct = (para(filt2d, u, v), para(filt2d, v, u), remainder(filt2d, u, v))
+    for parts in (direct, bony_parts(filt2d, u, v)):
+        assert all(_close(a, b) for a, b in zip(parts, oracle))
+
+
+def test_component_mismatch_raises(grid2d, filt2d, rng):
+    u = random_band_field(grid2d, rng, 0, 3, 2, filt2d)
+    v = SpectralField.from_values(grid2d, rng.standard_normal((3, *grid2d.shape)))
+    for op in (para, remainder, bony_parts):
+        with pytest.raises(ValueError):
+            op(filt2d, u, v)
+        with pytest.raises(ValueError):
+            op(filt2d, v, u)
+
+
+@pytest.mark.parametrize("v_case", ["single_block", "broadband"])
+def test_operators_make_one_forward_transform(grid2d, filt2d, rng, inverse_transforms, transforms, v_case):
+    # para and remainder each make two stacked inverse transforms and one
+    # forward transform, whatever the number of active levels
+    u, v = _random_pair(grid2d, rng)
+    if v_case == "single_block":
+        v = _single_block(grid2d)
+        assert [q for q in filt2d.levels if np.any(dyadic_block(filt2d, v, q).coeffs)] == [3]
+    for op in (para, remainder):
+        for a, b in ((u, v), (v, u)):
+            inv, fwd = len(inverse_transforms), len(transforms)
+            op(filt2d, a, b)
+            assert len(inverse_transforms) - inv <= 2
+            assert len(transforms) - fwd == 1
+
+
+def test_bony_identity_exact(filt_nd, rng):
+    g = filt_nd.grid
     for _ in range(10):
-        u, v = _random_pair(grid2d, rng)
-        tuv, tvu, r = bony_parts(filt2d, u, v)
+        u, v = _random_pair(g, rng)
+        tuv, tvu, r = bony_parts(filt_nd, u, v)
         prod = mult(u, v)
         err = lp_norm(tuv + tvu + r - prod, 2.0) / lp_norm(prod, 2.0)
         assert err < 1e-12
 
 
-def test_bony_identity_with_means(grid2d, filt2d, rng):
+def test_bony_identity_with_means(filt_nd, rng):
     # nonzero means are carried exactly (constants flow through S, and the
     # mean-mean interaction sits in the remainder)
-    u, v = _random_pair(grid2d, rng)
-    u = u + SpectralField.from_values(grid2d, np.full((1, *grid2d.shape), 2.0))
-    v = v + SpectralField.from_values(grid2d, np.full((1, *grid2d.shape), -1.5))
-    tuv, tvu, r = bony_parts(filt2d, u, v)
+    g = filt_nd.grid
+    u, v = _random_pair(g, rng)
+    u = u + SpectralField.from_values(g, np.full((1, *g.shape), 2.0))
+    v = v + SpectralField.from_values(g, np.full((1, *g.shape), -1.5))
+    tuv, tvu, r = bony_parts(filt_nd, u, v)
     prod = mult(u, v)
     err = lp_norm(tuv + tvu + r - prod, 2.0) / lp_norm(prod, 2.0)
     assert err < 1e-12
