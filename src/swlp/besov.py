@@ -7,17 +7,14 @@ refinement (decay fits compare across resolutions).  ``p = inf`` is the max
 of the pointwise magnitude.  Vector fields use the pointwise Euclidean
 magnitude.  All dyadic sums exclude the mean mode (homogeneous convention).
 
-p = 2 norms never leave coefficient space.  ``values`` is the real part of
-the inverse DFT, and the real part of a field is the field with the
-Hermitian part of its coefficients, c_h(k) = (c(k) + conj(c(-k)))/2, so
-Parseval gives ``lp_norm(u, 2)**2 = vol * sum |c_h|^2`` exactly -- the
-collocation definition above, also for coefficients that are not Hermitian
-(an undealiased gradient's Nyquist modes).  Plain sum |c|^2 is not exact
-there.  Every block weight is real and radial in xi, so the Hermitian part
-of Delta_l u is phi_l c_h, and one power array |c_h|^2 per field, summed
-over each |xi| shell of the filter, gives the L2 norm of every block.  The
-L^inf blocks of ``besov_minus1_infty`` go through one stacked inverse
-transform per field.
+p = 2 norms never leave coefficient space: ``grid.parseval_power`` gives
+|c_h|^2, c_h the Hermitian part of the coefficients, and
+``lp_norm(u, 2)**2 = vol * sum |c_h|^2`` is the collocation definition above
+exactly.  Every block weight is real and radial in xi, so the Hermitian part
+of Delta_l u is phi_l c_h, and one power array per field, summed over each
+|xi| shell of the filter, gives the L2 norm of every block.  The L^inf
+blocks of ``besov_minus1_infty`` go through one stacked inverse transform
+per field.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicFilter
-from .grid import SpectralField, multiplied_values, xi_mag2
+from .grid import SpectralField, multiplied_values, parseval_power, xi_mag2
 
 __all__ = [
     "BesovSpec",
@@ -89,15 +86,6 @@ def _check_grid(field: SpectralField, filt: DyadicFilter) -> None:
         raise ValueError("grid mismatch")
 
 
-def _power(field: SpectralField) -> np.ndarray:
-    """|c_h|^2 summed over components, c_h the Hermitian part of the coefficients."""
-    c = field.coeffs
-    axes = tuple(range(1, c.ndim))
-    # c(-k) in fft layout: reverse every axis, then move index 0 back to the front
-    h = 0.5 * (c + np.conj(np.roll(np.flip(c, axes), 1, axes)))
-    return np.einsum("c...,c...->...", h.real, h.real) + np.einsum("c...,c...->...", h.imag, h.imag)
-
-
 def _lp(values: np.ndarray, p: float, volume: float) -> list[float]:
     """L^p norms of a stack of fields given as values (fields, ncomp, *grid)."""
     mag = np.abs(values[:, 0]) if values.shape[1] == 1 else np.sqrt(np.sum(values**2, axis=1))
@@ -116,13 +104,15 @@ def _stacked_lp(field: SpectralField, multipliers: list[np.ndarray], p: float) -
 def lp_norm(field: SpectralField, p: float) -> float:
     p = _check_index(p, "p")
     if p == 2.0:
-        return math.sqrt(field.grid.volume * float(np.sum(_power(field))))
+        g = field.grid
+        return math.sqrt(g.volume * float(np.sum(parseval_power(field.coeffs, g))))
     return _lp(field.values[None], p, field.grid.volume)[0]
 
 
 def _shell_power(field: SpectralField, filt: DyadicFilter) -> np.ndarray:
     """|c_h|^2 summed over each |xi| shell of the filter."""
-    return np.bincount(filt.shell.ravel(), _power(field).ravel(), minlength=filt.table.shape[1])
+    power = parseval_power(field.coeffs, field.grid)
+    return np.bincount(filt.shell.ravel(), power.ravel(), minlength=filt.table.shape[1])
 
 
 def _staleness_check(shell_power: np.ndarray, filt: DyadicFilter) -> None:

@@ -86,7 +86,7 @@ class DyadicFilter:
         """Multiplier sum_{l=lo}^{hi} phi_l on the lattice; levels outside the filter are zero."""
         lo, hi = max(lo, self.l_min), min(hi, self.l_max)
         if lo > hi:
-            return np.zeros(self.grid.shape)
+            return np.zeros(self.shell.shape)
         return self.table[lo - self.l_min : hi - self.l_min + 1].sum(axis=0)[self.shell]
 
     def weight(self, l: int) -> np.ndarray:
@@ -113,7 +113,8 @@ def build_dyadic_filter(grid: Grid, l_min: int, l_max: int) -> DyadicFilter:
     if l_min >= l_max:
         raise ValueError("l_min must be < l_max")
     # the profile depends on |xi| alone: evaluate it once per distinct |xi|^2
-    mag2, shell = np.unique(xi_mag2(grid), return_inverse=True)
+    lattice = xi_mag2(grid)
+    mag2, shell = np.unique(lattice, return_inverse=True)
     mag = np.sqrt(mag2)
     xi_top = float(mag[-1])
     if ANNULUS_LO * 2.0**l_max > xi_top:
@@ -138,7 +139,7 @@ def build_dyadic_filter(grid: Grid, l_min: int, l_max: int) -> DyadicFilter:
     for i, l in enumerate(range(l_min, l_max + 1)):
         if l in raw:
             table[i, pos] = raw[l][pos] / total[pos]
-    return DyadicFilter(grid, l_min, l_max, _read_only(shell.reshape(grid.shape)), _read_only(table))
+    return DyadicFilter(grid, l_min, l_max, _read_only(shell.reshape(lattice.shape)), _read_only(table))
 
 
 def default_filter(grid: Grid) -> DyadicFilter:

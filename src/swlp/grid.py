@@ -20,11 +20,36 @@ Conventions used throughout the package:
   For a real field the plane's ``i xi_j`` terms are purely imaginary and
   ``inverse_transform`` keeps the real part; a half-spectrum layout must
   zero the plane in the multiplier to keep the rule.
+
+Layout: the coefficients of a field fill the full fft lattice, one
+``(n, ..., n)`` array per component with ``k = 0`` first on every axis, and
+only this module knows it.  The other modules reach the storage through a
+few operations:
+
+* the per-grid multipliers (``xi_mag2``, ``dealias_mask``, ``_i_xi``), which
+  have the lattice's shape, so code that needs that shape reads it from a
+  multiplier or from the coefficients, never from ``Grid.shape`` (the shape
+  of the values);
+* ``parseval_power``, the L2 power of a coefficient stack;
+* ``SpectralField.mean`` and ``SpectralField.with_mean``, which read and set
+  the ``k = 0`` coefficients;
+* ``shift_phase``, the exponent of a translation.
+
+``tests/test_one_layout.py`` fails on a lattice index, a roll, a flip or a
+``Grid.xi_grids()`` call anywhere else in the package.
+
+Parseval: ``values`` is the real part of the inverse DFT, and the real part
+of a field is the field with the Hermitian part of its coefficients,
+c_h(k) = (c(k) + conj(c(-k)))/2.  So ``volume * sum |c_h|^2`` is the
+collocation L2 norm squared exactly, also for coefficients that are not
+Hermitian (an undealiased gradient's Nyquist modes), where plain
+``sum |c|^2`` is not.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -40,6 +65,8 @@ __all__ = [
     "transform",
     "inverse_transform",
     "multiplied_values",
+    "parseval_power",
+    "shift_phase",
     "dealias_mask",
     "dealias",
     "mult",
@@ -199,6 +226,33 @@ def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: G
     return inverse_transform(stack, grid)
 
 
+def parseval_power(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """|c_h|^2 summed over the components of a coefficient stack, c_h the Hermitian part.
+
+    ``volume * sum`` of it is the collocation L2 norm squared of the values.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    # c(-k) in fft layout: reverse every axis, then move index 0 back to the front
+    h = np.roll(np.flip(coeffs, axes), 1, axes)
+    np.conjugate(h, out=h)
+    h += coeffs
+    h *= 0.5
+    return np.einsum("c...,c...->...", h.real, h.real) + np.einsum("c...,c...->...", h.imag, h.imag)
+
+
+def shift_phase(grid: Grid, x0) -> np.ndarray:
+    """The exponent -i xi . x0 on the lattice: ``exp`` of it moves a field by ``x0``."""
+    phase = np.zeros(grid.shape, dtype=np.complex128)
+    for xi_j, x_j in zip(grid.xi_grids(), x0, strict=True):
+        phase = phase - 1j * xi_j * x_j
+    return phase
+
+
+def _mean_mode(grid: Grid) -> tuple:
+    """Index of the k = 0 coefficient of every component."""
+    return (slice(None), *(0,) * grid.dim)
+
+
 class SpectralField:
     """Scalar or vector field carrying collocation values and coefficients.
 
@@ -252,8 +306,17 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs[i : i + 1])
 
     def mean(self) -> np.ndarray:
-        zero = (0,) * self.grid.dim
-        return np.real(self.coeffs[(slice(None), *zero)])
+        return np.real(self.coeffs[_mean_mode(self.grid)])
+
+    def with_mean(self, m) -> "SpectralField":
+        """A copy whose mean is ``m`` (a scalar or one value per component).
+
+        The real parts of the k = 0 coefficients, which ``mean`` reads,
+        become ``m``; nothing else changes.
+        """
+        coeffs = self.coeffs.copy()
+        coeffs[_mean_mode(self.grid)].real = m
+        return SpectralField(self.grid, coeffs)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
@@ -354,14 +417,14 @@ def sym_grad(field: SpectralField) -> np.ndarray:
 
 
 def curl_norm(field: SpectralField) -> float:
-    """L2 norm of the curl (all antisymmetric gradient components)."""
+    """L2 norm of the curl (all antisymmetric gradient components), by Parseval."""
     g = field.grid
     if field.ncomp != g.dim:
         raise ValueError("curl expects a dim-component field")
     jac = _jacobian(field.coeffs, g)
     i, j = np.triu_indices(g.dim, 1)
     w = jac[j, i] - jac[i, j]
-    return float(np.sqrt(np.sum(np.abs(w) ** 2) * g.volume))
+    return math.sqrt(g.volume * float(np.sum(parseval_power(w, g))))
 
 
 def helmholtz_split(field: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -374,8 +437,8 @@ def helmholtz_split(field: SpectralField) -> tuple[SpectralField, SpectralField]
     if field.ncomp != g.dim:
         raise ValueError("helmholtz_split expects a dim-component field")
     par = _jacobian(_divergence(field.coeffs, g), g) * -_inverse_xi_mag2(g)
-    zero = (0,) * g.dim
-    par[(slice(None), *zero)] = field.coeffs[(slice(None), *zero)]
+    k0 = _mean_mode(g)
+    par[k0] = field.coeffs[k0]
     sol = field.coeffs - par
     return SpectralField(g, par), SpectralField(g, sol)
 

@@ -29,10 +29,13 @@ from .grid import (
     SpectralField,
     _divergence,
     dealias,
+    dealias_mask,
     div,
     grad,
     laplacian,
     mult,
+    parseval_power,
+    shift_phase,
     sym_grad,
     xi_mag2,
 )
@@ -102,12 +105,15 @@ def log_density(q1: SpectralField) -> SpectralField:
     The log is not band-limited; a warning fires when the discarded tail
     carries more than 1e-10 of the L2 mass.
     """
+    g = q1.grid
     rho = 1.0 + q1.values[0]
     _check_floor(rho)
-    full = SpectralField.from_values(q1.grid, np.log(rho))
+    full = SpectralField.from_values(g, np.log(rho))
     trimmed = dealias(full)
-    total = float(np.sum(np.abs(full.coeffs) ** 2))
-    kept = float(np.sum(np.abs(trimmed.coeffs) ** 2))
+    # the mask is even in k, so the power of the trimmed field is the masked power
+    power = parseval_power(full.coeffs, g)
+    total = float(np.sum(power))
+    kept = float(np.sum(power * dealias_mask(g)))
     if total > 0 and (total - kept) / total > LOG_TAIL_TOL:
         warnings.warn(
             "log-density truncation tail exceeds 1e-10 of the L2 mass; "
@@ -141,10 +147,7 @@ def gaussian_bump(grid: Grid, amplitude: float, width: float, mu: float) -> Spec
     space, hence exactly periodic.  A negative ``amplitude`` gives a dip.
     """
     var = 2.0 * mu * width
-    xi = grid.xi_grids()
-    phase = np.zeros(grid.shape, dtype=np.complex128)
-    for ax in range(grid.dim):
-        phase = phase - 1j * xi[ax] * (grid.period[ax] / 2)
+    phase = shift_phase(grid, [a / 2 for a in grid.period])
     coeffs = abs(amplitude) * np.exp(-var * xi_mag2(grid) / 2.0 + phase)
     # scale the unsigned profile so its peak is |amplitude|, with amplitude's sign
     f = SpectralField(grid, coeffs[None])
@@ -194,9 +197,8 @@ def kernel_decay_fit(
 def _heat_rates(state: HeatState):
     """(rho1, d_t rho1, d_t u1) with the rates substituted from the heat equation:
     d_t rho1 = mu Lap rho1 and d_t u1 = -mu grad(d_t rho1 / rho1)."""
-    g = state.grid
-    rho = SpectralField(g, state.q1.coeffs.copy())
-    rho.coeffs[(0,) * (g.dim + 1)] += 1.0
+    q1 = state.q1
+    rho = q1.with_mean(q1.mean() + 1.0)
     drho_dt = laplacian(rho) * state.mu
     du1_dt = grad(mult(drho_dt, _reciprocal(rho))) * (-state.mu)
     return rho, drho_dt, du1_dt
@@ -212,7 +214,13 @@ def _row_div(tensor: SpectralField) -> SpectralField:
     """Row divergence of a tensor stacked row-major as dim*dim components:
     component i is sum_j d_j T_ij."""
     g = tensor.grid
-    return SpectralField(g, _divergence(tensor.coeffs.reshape(g.dim, g.dim, *g.shape), g))
+    c = tensor.coeffs
+    return SpectralField(g, _divergence(c.reshape(g.dim, g.dim, *c.shape[1:]), g))
+
+
+def _rows(tensor: np.ndarray) -> np.ndarray:
+    """A (dim, dim, ...) tensor stacked row-major as dim*dim components."""
+    return tensor.reshape(-1, *tensor.shape[2:])
 
 
 def _rel_l2(residual: SpectralField, scales: list[SpectralField]) -> float:
@@ -235,12 +243,11 @@ def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: f
     zeros: the sum is bit-for-bit the sum without that term.
     """
     g = u.grid
-    flat = (g.dim * g.dim, *g.shape)
     rho_u = mult(rho, u)
     # all products u_i (rho u)_j in one forward transform and one dealias (it is linear)
-    outer = (u.values[:, None] * rho_u.values[None, :]).reshape(flat)
-    conv = _row_div(dealias(SpectralField.from_values(g, outer)))
-    visc = _row_div(mult(rho, SpectralField(g, sym_grad(u).reshape(flat)))) * mu
+    outer = u.values[:, None] * rho_u.values[None, :]
+    conv = _row_div(dealias(SpectralField.from_values(g, _rows(outer))))
+    visc = _row_div(mult(rho, SpectralField(g, _rows(sym_grad(u))))) * mu
     mass_terms = [div(rho_u)]
     mom_terms = [conv, -visc, grad(rho) * pressure, rho_u * drag]
     if drho_dt is not None:

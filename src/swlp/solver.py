@@ -64,6 +64,7 @@ from .quasi import (
     _check_floor,
     _heat_rates,
     _rel_l2,
+    _rows,
     _system_residual,
     heat_evolve,
     velocity_from_density,
@@ -385,7 +386,7 @@ class GronwallTracker:
 def grad_norm_field(u: SpectralField) -> SpectralField:
     """All first derivatives of a vector field, stacked as components: d_j u_i is component i*dim + j."""
     g = u.grid
-    return SpectralField(g, _jacobian(u.coeffs, g).reshape(-1, *g.shape))
+    return SpectralField(g, _rows(_jacobian(u.coeffs, g)))
 
 
 def ft_specs(dim: int, l0: int = 0):

@@ -25,6 +25,7 @@ from swlp import (
     time_hybrid_besov_norm,
 )
 from swlp.solver import random_band_field
+from test_grid import GRIDS
 
 
 def test_spec_validation():
@@ -144,24 +145,28 @@ def _white_noise(grid, ncomp):
 
 
 @pytest.mark.parametrize("kind", ["scalar", "two_component", "undealiased_grad"])
-def test_l2_norms_by_parseval_match_collocation(grid2d, filt2d, kind):
-    f = {
-        "scalar": lambda: _white_noise(grid2d, 1),
-        "two_component": lambda: _white_noise(grid2d, 2),
-        # Nyquist modes of a gradient are not Hermitian: sum |c|^2 is off there
-        "undealiased_grad": lambda: grad(_white_noise(grid2d, 1)),
-    }[kind]()
+def test_l2_norms_by_parseval_match_collocation(kind):
+    for name, g in GRIDS.items():
+        filt = default_filter(g)
+        f = {
+            "scalar": lambda: _white_noise(g, 1),
+            "two_component": lambda: _white_noise(g, 2),
+            # Nyquist modes of a gradient are not Hermitian: sum |c|^2 is off there
+            "undealiased_grad": lambda: grad(_white_noise(g, 1)),
+        }[kind]()
 
-    def collocation(field):
-        return math.sqrt(grid2d.volume * float(np.mean(np.sum(field.values**2, axis=0))))
+        def collocation(field):
+            return math.sqrt(g.volume * float(np.mean(np.sum(field.values**2, axis=0))))
 
-    assert lp_norm(f, 2.0) == pytest.approx(collocation(f), rel=1e-13)
-    norms = block_norms(f, 2.0, filt2d)
-    for l in filt2d.levels:
-        assert norms[l] == pytest.approx(collocation(dyadic_block(filt2d, f, l)), rel=1e-13)
-    if kind == "undealiased_grad":
-        plain = math.sqrt(grid2d.volume * float(np.sum(np.abs(f.coeffs) ** 2)))
-        assert abs(plain / collocation(f) - 1.0) > 1e-2
+        assert lp_norm(f, 2.0) == pytest.approx(collocation(f), rel=1e-13), name
+        norms = block_norms(f, 2.0, filt)
+        for l in filt.levels:
+            assert norms[l] == pytest.approx(collocation(dyadic_block(filt, f, l)), rel=1e-13), (name, l)
+        if kind == "undealiased_grad":
+            # plain sum |c|^2 counts the Nyquist planes: off by 1.8 % in 2-D and 11 % in 3-D;
+            # the 1-D plane is one mode of 64, which holds 0.8 % of this field's plain power
+            plain = math.sqrt(g.volume * float(np.sum(np.abs(f.coeffs) ** 2)))
+            assert abs(plain / collocation(f) - 1.0) > (5e-3 if g.dim == 1 else 1e-2), name
 
 
 def test_active_levels(grid2d, filt2d, rng):

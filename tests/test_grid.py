@@ -146,6 +146,27 @@ def test_sym_grad_and_curl(g):
 
 
 @on_grids
+def test_curl_norm_is_the_collocation_norm(g):
+    """Undealiased noise: the curl's values carry no Nyquist-plane terms, and neither does its norm."""
+    u = SpectralField.from_values(g, np.random.default_rng(6).standard_normal((g.dim, *g.shape)))
+    d = [grad(u.component(i)).values for i in range(g.dim)]  # d[i][j] = d_j u_i
+    w2 = sum((d[j][i] - d[i][j]) ** 2 for i in range(g.dim) for j in range(i + 1, g.dim))
+    assert curl_norm(u) == pytest.approx(math.sqrt(g.volume * float(np.mean(w2))), rel=1e-13)
+
+
+@on_grids
+def test_with_mean_sets_only_the_mean_mode(g):
+    f = SpectralField.from_values(g, np.random.default_rng(7).standard_normal((2, *g.shape)))
+    before = f.coeffs.copy()
+    assert f.with_mean(f.mean()).coeffs.tobytes() == before.tobytes()
+    zero = f.with_mean(0.0)
+    assert not zero.mean().any()
+    assert np.array_equal(f.coeffs - zero.coeffs, f.coeffs.real * (xi_mag2(g) == 0))
+    assert np.array_equal(f.with_mean([1.5, -2.0]).mean(), [1.5, -2.0])
+    assert np.array_equal(f.coeffs, before)
+
+
+@on_grids
 def test_helmholtz_split(g):
     rng = np.random.default_rng(2)
     u = dealias(SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape))))

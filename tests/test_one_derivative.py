@@ -9,8 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src/swlp").glob("*.py"))
-# |xi|^2, the derivative's multipliers i xi_j, and the bump's phase e^{-i xi . x0}
-ALLOWED = {("grid.py", "xi_mag2"), ("grid.py", "_i_xi"), ("quasi.py", "gaussian_bump")}
+# |xi|^2, the derivative's multipliers i xi_j, and the shift's phase -i xi . x0
+ALLOWED = {("grid.py", "xi_mag2"), ("grid.py", "_i_xi"), ("grid.py", "shift_phase")}
 
 
 def _imaginary(node: ast.AST) -> bool:

@@ -126,6 +126,16 @@ def test_gaussian_bump_negative_amplitude_is_a_dip():
     assert np.abs(gaussian_bump(g, 0.0, 1.0, 0.1).coeffs).max() == 0.0
 
 
+@pytest.mark.parametrize("dim, n", [(1, 256), (3, 32)], ids=["1d", "3d"])
+def test_gaussian_bump_in_1d_and_3d(dim, n):
+    g = make_grid(dim, n, 16.0)
+    bump = gaussian_bump(g, 0.5, 1.0, 0.5)
+    centre = (n // 2,) * dim  # x = period/2 on every axis
+    assert np.unravel_index(np.argmax(bump.values[0]), g.shape) == centre
+    assert bump.values[0][centre] == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(gaussian_bump(g, -0.5, 1.0, 0.5).coeffs, -bump.coeffs)
+
+
 def test_velocity_is_gradient():
     from swlp import curl_norm
 
