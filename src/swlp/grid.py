@@ -105,7 +105,7 @@ class Grid:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.period))
+        return float(math.prod(self.period))
 
     @property
     def spacing(self) -> tuple[float, ...]:

@@ -114,18 +114,17 @@ def product_law_ratio(
 
     Diagnostics only; nan when the denominator degenerates.
     """
-    uv = mult(u, v)
-    num = besov_norm(uv, spec_out, filt)
+    if law not in ("linf_symmetric", "linf_factor"):
+        raise ValueError(f"unknown product law {law!r}")
+    num = besov_norm(mult(u, v), spec_out, filt)
     if law == "linf_symmetric":
         den = lp_norm(u, math.inf) * besov_norm(v, spec_v, filt) + lp_norm(
             v, math.inf
         ) * besov_norm(u, spec_u, filt)
-    elif law == "linf_factor":
+    else:
         den = besov_norm(u, spec_u, filt) * max(
             besov_norm(v, spec_v, filt), lp_norm(v, math.inf)
         )
-    else:
-        raise ValueError(f"unknown product law {law!r}")
     if den == 0.0:
         return math.nan
     return num / den
@@ -138,30 +137,26 @@ def hybrid_para_ratio(
     hspec_out: HybridBesovSpec,
     hspec_u: HybridBesovSpec,
     hspec_v: HybridBesovSpec,
-    op: str = "para",
-) -> float:
-    """Ratio of a paraproduct/remainder hybrid norm to the input-norm product.
+) -> tuple[float, float, float]:
+    """(para, remainder_high, remainder_low), each over ||u||_{hspec_u} ||v||_{hspec_v}.
 
-    op = "para":           ||T_u v||_{hspec_out}
-    op = "remainder_high": high-block weighted sum of ||Delta_l R(u,v)||
-    op = "remainder_low":  low-block weighted sum (split at hspec_out.l0)
+    para:           ||T_u v||_{hspec_out}
+    remainder_high: high-block weighted sum of ||Delta_l R(u,v)||
+    remainder_low:  low-block weighted sum (split at hspec_out.l0)
+
+    All 0.0 when an input is zero, nan when the denominator otherwise vanishes.
     """
     den = hybrid_besov_norm(u, hspec_u, filt) * hybrid_besov_norm(v, hspec_v, filt)
     if den == 0.0:
-        zero_in = (
-            np.abs(u.coeffs).max() == 0.0 or np.abs(v.coeffs).max() == 0.0
-        )
-        return 0.0 if zero_in else math.nan
-    if op == "para":
-        num = hybrid_besov_norm(para(filt, u, v), hspec_out, filt)
-    elif op in ("remainder_high", "remainder_low"):
-        high = op == "remainder_high"
-        s, p = (hspec_out.s_high, hspec_out.p_high) if high else (hspec_out.s_low, hspec_out.p_low)
-        norms = block_norms(remainder(filt, u, v), p, filt)
-        num = _weighted(norms, [l for l in filt.levels if (l > hspec_out.l0) == high], s, 1.0)
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    return num / den
+        return (math.nan if np.any(u.coeffs) and np.any(v.coeffs) else 0.0,) * 3
+    num_para = hybrid_besov_norm(para(filt, u, v), hspec_out, filt)
+    r = remainder(filt, u, v)
+    tables = {p: block_norms(r, p, filt) for p in {hspec_out.p_high, hspec_out.p_low}}
+    high = [l for l in filt.levels if l > hspec_out.l0]
+    low = [l for l in filt.levels if l <= hspec_out.l0]
+    num_high = _weighted(tables[hspec_out.p_high], high, hspec_out.s_high, 1.0)
+    num_low = _weighted(tables[hspec_out.p_low], low, hspec_out.s_low, 1.0)
+    return num_para / den, num_high / den, num_low / den
 
 
 def composition_ratio(
@@ -169,13 +164,12 @@ def composition_ratio(
     field: SpectralField,
     s: float,
     p: float = 2.0,
-    quadratic: bool = False,
-) -> float:
+) -> tuple[float, float]:
     """Diagnostic for the exponential composition bound with F(x) = e^x - 1.
 
-    Returns ||e^u - 1||_{B^s_{p,1}} / ||u||  (or the quadratic-part variant
-    ||e^u - 1 - u|| / ||u||^2 with ``quadratic=True``).  Requires
-    ||u||_inf <= 2 to stay in a fixed composition regime.
+    Returns ||e^u - 1||_{B^s_{p,1}} / ||u|| and the quadratic-part variant
+    ||e^u - 1 - u|| / ||u||^2.  Requires ||u||_inf <= 2 to stay in a fixed
+    composition regime.
     """
     linf = lp_norm(field, math.inf)
     if linf > 2.0:
@@ -184,8 +178,5 @@ def composition_ratio(
     spec = BesovSpec(s, p, 1.0)
     den = besov_norm(field, spec, filt)
     if den == 0.0:
-        return math.nan
-    if quadratic:
-        num = besov_norm(expm1 - field, spec, filt)
-        return num / den**2
-    return besov_norm(expm1, spec, filt) / den
+        return math.nan, math.nan
+    return besov_norm(expm1, spec, filt) / den, besov_norm(expm1 - field, spec, filt) / den**2

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovSpec, besov_norm, lp_norm, time_besov_norm
+from .besov import (
+    BesovSpec,
+    _as_hybrid,
+    _check_times,
+    _time_hybrid,
+    besov_norm,
+    block_norms,
+    lp_norm,
+    time_besov_norm,
+)
 from .dyadic import DyadicFilter
 from .grid import (
     Grid,
@@ -308,11 +317,10 @@ def heat_estimate_ratio(
     u0: SpectralField,
     f_snapshots,
     spec: BesovSpec,
-    rho1: float,
     rho2: float,
     mu: float,
     filt: DyadicFilter,
-) -> float:
+) -> tuple[float, float]:
     """Diagnostic ratio for the smoothing estimate of the forced heat flow.
 
     Solves d_t u - mu Lap u = f by exact multiplier plus trapezoidal
@@ -321,32 +329,33 @@ def heat_estimate_ratio(
         ||u||_{Ltilde^rho1(B^{s + 2/rho1})} /
         ( ||u0||_{B^s} + mu^{1/rho2 - 1} ||f||_{Ltilde^rho2(B^{s - 2 + 2/rho2})} )
 
-    nan when both data are zero (degenerate).
+    for rho1 = inf and rho1 = rho2, the ends of the range that bound every
+    rho1 between them (Hoelder in time).  nan when both data are zero.
     """
-    if not f_snapshots:
-        raise ValueError("empty forcing snapshot list")
-    times = [t for t, _ in f_snapshots]
+    times = _check_times([t for t, _ in f_snapshots])
     if times[0] != 0.0:
         raise ValueError("forcing snapshots must start at t = 0")
+    inv_r2 = 0.0 if math.isinf(rho2) else 1.0 / rho2
+    f_spec = BesovSpec(spec.s - 2.0 + 2.0 * inv_r2, spec.p, spec.r)
+    rhs = besov_norm(u0, spec, filt) + mu ** (inv_r2 - 1.0) * time_besov_norm(
+        f_snapshots, rho2, f_spec, filt
+    )
+    if rhs == 0.0:
+        return math.nan, math.nan
     g = u0.grid
     mag2 = xi_mag2(g)
-    u_snaps = [(0.0, u0)]
+    u_fields = [u0]
     u_prev = u0.coeffs
     for (t_prev, f_prev), (t_next, f_next) in zip(f_snapshots[:-1], f_snapshots[1:]):
         dt = t_next - t_prev
         decay = np.exp(-mu * mag2 * dt)
         u_next = decay * u_prev + 0.5 * dt * (decay * f_prev.coeffs + f_next.coeffs)
-        u_snaps.append((t_next, SpectralField(g, u_next)))
+        u_fields.append(SpectralField(g, u_next))
         u_prev = u_next
 
-    inv_r1 = 0.0 if math.isinf(rho1) else 1.0 / rho1
-    inv_r2 = 0.0 if math.isinf(rho2) else 1.0 / rho2
-    lhs_spec = BesovSpec(spec.s + 2.0 * inv_r1, spec.p, spec.r)
-    f_spec = BesovSpec(spec.s - 2.0 + 2.0 * inv_r2, spec.p, spec.r)
-    lhs = time_besov_norm(u_snaps, rho1, lhs_spec, filt)
-    rhs = besov_norm(u0, spec, filt) + mu ** (inv_r2 - 1.0) * time_besov_norm(
-        f_snapshots, rho2, f_spec, filt
-    )
-    if rhs == 0.0:
-        return math.nan
-    return lhs / rhs
+    rows = {spec.p: [list(block_norms(f, spec.p, filt).values()) for f in u_fields]}
+    ends = []
+    for rho1, inv_r1 in ((math.inf, 0.0), (rho2, inv_r2)):
+        lhs_spec = _as_hybrid(BesovSpec(spec.s + 2.0 * inv_r1, spec.p, spec.r), filt)
+        ends.append(_time_hybrid(times, rows, rho1, lhs_spec, filt.levels) / rhs)
+    return ends[0], ends[1]

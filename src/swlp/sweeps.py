@@ -68,16 +68,12 @@ def sweep_ratios(seed: int) -> dict[str, float]:
 
     h_out = HybridBesovSpec(0.5, 1.0, 2, 2, 1, 1, 1)
     h_in = HybridBesovSpec(0.5, 1.0, 2, 2, 1, 1, 1)
-    for op, name in (
-        ("para", "para_hybrid"),
-        ("remainder_high", "remainder_high"),
-        ("remainder_low", "remainder_low"),
-    ):
-        out[name] = hybrid_para_ratio(filt, u, v, h_out, h_in, h_in, op=op)
+    out["para_hybrid"], out["remainder_high"], out["remainder_low"] = hybrid_para_ratio(
+        filt, u, v, h_out, h_in, h_in
+    )
 
     w = u * (0.5 / lp_norm(u, math.inf))
-    out["composition_linear"] = composition_ratio(filt, w, 1.0)
-    out["composition_quadratic"] = composition_ratio(filt, w, 1.0, quadratic=True)
+    out["composition_linear"], out["composition_quadratic"] = composition_ratio(filt, w, 1.0)
 
     mu = 0.5
     f_times = np.linspace(0.0, 2.0, 33)
@@ -85,11 +81,8 @@ def sweep_ratios(seed: int) -> dict[str, float]:
         (float(t), random_band_field(g, rng, 0, 3, 1, filt, amplitude=1.0, norm="l2"))
         for t in f_times
     ]
-    out["heat_estimate_inf_1"] = heat_estimate_ratio(
-        u, f_snaps, BesovSpec(1.0, 2, 1), math.inf, 1.0, mu, filt
-    )
-    out["heat_estimate_1_1"] = heat_estimate_ratio(
-        u, f_snaps, BesovSpec(1.0, 2, 1), 1.0, 1.0, mu, filt
+    out["heat_estimate_inf_1"], out["heat_estimate_1_1"] = heat_estimate_ratio(
+        u, f_snaps, BesovSpec(1.0, 2, 1), 1.0, mu, filt
     )
 
     out["heat_characterization"] = heat_characterization_ratio(u, 0.5, 2, 1, filt)

@@ -1,10 +1,10 @@
+import importlib
 import math
 import sys
 
 import numpy as np
 import pytest
 
-import swlp
 from swlp import default_filter, make_grid
 
 
@@ -35,28 +35,34 @@ def acceptance_run(tmp_path_factory):
     return run(config, out_dir=out)
 
 
-def _counted(monkeypatch, name: str) -> list:
-    """Counts calls of ``grid.<name>`` made from any swlp module."""
-    original = getattr(swlp.grid, name)
+def _counted(monkeypatch, module: str, name: str) -> list:
+    """Counts calls of ``swlp.<module>.<name>`` made from any swlp module."""
+    original = getattr(importlib.import_module(f"swlp.{module}"), name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name.startswith("swlp") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
+    for mod_name, module_obj in list(sys.modules.items()):
+        if mod_name.startswith("swlp") and getattr(module_obj, name, None) is original:
+            monkeypatch.setattr(module_obj, name, counted)
     return calls
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``counted(module, name)`` starts counting calls of ``swlp.<module>.<name>``."""
+    return lambda module, name: _counted(monkeypatch, module, name)
 
 
 @pytest.fixture
 def inverse_transforms(monkeypatch):
     """Counts calls of ``grid.inverse_transform`` made from any swlp module."""
-    return _counted(monkeypatch, "inverse_transform")
+    return _counted(monkeypatch, "grid", "inverse_transform")
 
 
 @pytest.fixture
 def transforms(monkeypatch):
     """Counts calls of ``grid.transform`` made from any swlp module."""
-    return _counted(monkeypatch, "transform")
+    return _counted(monkeypatch, "grid", "transform")

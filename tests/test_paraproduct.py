@@ -211,20 +211,29 @@ def test_product_law_degenerate_nan(grid2d, filt2d):
     assert math.isnan(product_law_ratio(filt2d, z, z, spec, spec, spec))
 
 
+def test_product_law_rejects_unknown_law_before_any_transform(grid2d, filt2d, rng, transforms):
+    u, v = _random_pair(grid2d, rng)
+    spec = BesovSpec(1.0, 2, 1)
+    del transforms[:]
+    with pytest.raises(ValueError, match="unknown product law"):
+        product_law_ratio(filt2d, u, v, spec, spec, spec, law="linf_both")
+    assert transforms == []
+
+
 def test_hybrid_para_ratio_zero_input(grid2d, filt2d, rng):
     z = SpectralField.zeros(grid2d, 1)
     h = HybridBesovSpec(0.5, 1.0, 2, 2, 1, 1, 1)
-    assert hybrid_para_ratio(filt2d, z, z, h, h, h, op="para") == 0.0
+    assert hybrid_para_ratio(filt2d, z, z, h, h, h) == (0.0, 0.0, 0.0)
     u, v = _random_pair(grid2d, rng)
-    for op in ("para", "remainder_high", "remainder_low"):
-        r = hybrid_para_ratio(filt2d, u, v, h, h, h, op=op)
+    ratios = hybrid_para_ratio(filt2d, u, v, h, h, h)
+    assert len(ratios) == 3
+    for r in ratios:
         assert np.isfinite(r) and r >= 0.0
 
 
 def test_composition_ratio(grid2d, filt2d, rng):
     u = random_band_field(grid2d, rng, 0, 3, 1, filt2d, amplitude=0.5)
-    lin = composition_ratio(filt2d, u, 1.0)
-    quad = composition_ratio(filt2d, u, 1.0, quadratic=True)
+    lin, quad = composition_ratio(filt2d, u, 1.0)
     assert 0.5 < lin < 3.0
     assert 0.0 < quad < 3.0
     big = random_band_field(grid2d, rng, 0, 2, 1, filt2d, amplitude=5.0)

@@ -210,5 +210,22 @@ def test_heat_estimate_ratio_finite():
     u0 = random_band_field(g, rng, 0, 3, 1, filt, norm="l2")
     snaps = [(float(t), random_band_field(g, rng, 0, 3, 1, filt, norm="l2"))
              for t in np.linspace(0, 1, 17)]
-    r = heat_estimate_ratio(u0, snaps, BesovSpec(1.0, 2, 1), math.inf, 1.0, 0.5, filt)
-    assert 0.0 < r < 10.0
+    ends = heat_estimate_ratio(u0, snaps, BesovSpec(1.0, 2, 1), 1.0, 0.5, filt)
+    assert len(ends) == 2
+    for r in ends:
+        assert 0.0 < r < 10.0
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.5, 1.5]], ids=["repeated", "decreasing"])
+def test_heat_estimate_rejects_bad_times_before_the_solve(counted, times):
+    g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
+    filt = default_filter(g)
+    rng = np.random.default_rng(5)
+    u0 = random_band_field(g, rng, 0, 3, 1, filt, norm="l2")
+    snaps = [(t, random_band_field(g, rng, 0, 3, 1, filt, norm="l2")) for t in times]
+    transforms = counted("grid", "transform")
+    # the Duhamel solve starts by fetching |xi|^2
+    multipliers = counted("grid", "xi_mag2")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        heat_estimate_ratio(u0, snaps, BesovSpec(1.0, 2, 1), 1.0, 0.5, filt)
+    assert transforms == [] and multipliers == []
