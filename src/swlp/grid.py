@@ -17,9 +17,9 @@ Conventions used throughout the package:
   derivatives are written with these two;
 * Nyquist rule: the values of a first derivative along axis ``j`` carry
   nothing of the Nyquist plane ``k_j = -n/2``, as if that plane were zeroed.
-  For a real field the plane's ``i xi_j`` terms are purely imaginary and
-  ``inverse_transform`` keeps the real part; a half-spectrum layout must
-  zero the plane in the multiplier to keep the rule.
+  ``k -> -k`` maps that plane to itself, and ``i xi_j`` has the same
+  imaginary value at ``k`` and ``-k`` there, so the plane's terms of a real
+  field's derivative are anti-Hermitian and their real part is zero.
 
 Layout: the coefficients of a field fill the full fft lattice, one
 ``(n, ..., n)`` array per component with ``k = 0`` first on every axis, and
@@ -38,12 +38,29 @@ few operations:
 ``tests/test_one_layout.py`` fails on a lattice index, a roll, a flip or a
 ``Grid.xi_grids()`` call anywhere else in the package.
 
-Parseval: ``values`` is the real part of the inverse DFT, and the real part
-of a field is the field with the Hermitian part of its coefficients,
-c_h(k) = (c(k) + conj(c(-k)))/2.  So ``volume * sum |c_h|^2`` is the
-collocation L2 norm squared exactly, also for coefficients that are not
-Hermitian (an undealiased gradient's Nyquist modes), where plain
-``sum |c|^2`` is not.
+Inverse transform: ``values`` is the real part of the inverse DFT, which is
+the inverse DFT of the Hermitian part of the coefficients,
+c_h(k) = (c(k) + conj(c(-k)))/2.  ``inverse_transform`` computes it with the
+real-to-complex kernel ``irfftn`` (Frigo & Johnson, Proc. IEEE 93, 2005),
+which reads only the half ``k_last >= 0`` of the lattice and takes c = c_h
+elsewhere; on the planes ``k_last = 0`` and ``n/2`` it keeps the Hermitian
+part itself.  Its contract: the coefficients are Hermitian off the Nyquist
+planes ``k_j = -n/2``.  Every array the package makes meets it.  The
+forward transform of real values is exactly Hermitian, and every multiplier
+m has m(-k) = conj(m(k)) off those planes, so it keeps the property: |xi|^2,
+the dealias mask and the filter weights are even and real, ``i xi_j`` is
+odd and imaginary, and so is the exponent of the translation phase.  Sums
+and real scalings keep it too.  On a Nyquist plane an odd derivative is not
+Hermitian (the Nyquist rule), nor is a translation phase.  The last axis's
+plane is the kernel's own.  On the slab ``k_j = -n/2`` of each axis before
+the last (dim - 1 slabs, O(n^(dim-1)) coefficients) ``inverse_transform``
+adds the Hermitian part that ``irfftn`` misses, so the values equal the
+real part of the full inverse DFT to round-off.
+
+Parseval: the real part of a field is the field with the Hermitian part of
+its coefficients, so ``volume * sum |c_h|^2`` is the collocation L2 norm
+squared exactly, also for coefficients that are not Hermitian (an
+undealiased gradient's Nyquist modes), where plain ``sum |c|^2`` is not.
 """
 
 from __future__ import annotations
@@ -195,20 +212,48 @@ def _inverse_xi_mag2(grid: Grid) -> np.ndarray:
     return _read_only(np.where(mag2 > 0, 1.0 / np.where(mag2 > 0, mag2, 1.0), 0.0))
 
 
+def _workers(grid: Grid) -> int:
+    """FFT threads for one transform: a second thread pays only on large lattices."""
+    return 1 if grid.n**grid.dim < 2**16 else _FFT_WORKERS
+
+
 def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward DFT per component, normalized so coeff[0] is the mean."""
     axes = tuple(range(-grid.dim, 0))
-    return sfft.fftn(values, axes=axes, norm="forward", workers=_FFT_WORKERS)
+    return sfft.fftn(values, axes=axes, norm="forward", workers=_workers(grid))
 
 
 def inverse_transform(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real part of the inverse DFT per component, as an owned real array.
+    """Real part of the inverse DFT per component, for coefficients that are
+    Hermitian off the Nyquist planes (see the module docstring).
 
-    The copy keeps a cached ``values`` from pinning the complex result, twice
-    its size, behind a ``.real`` view.
+    ``irfftn`` reads the half ``k_last >= 0`` of the lattice.  On the
+    Nyquist slab ``k_j = -n/2`` of each axis before the last, the part of the
+    Hermitian part that ``irfftn`` misses is added in value space: the
+    slab's inverse transform over the other axes, times ``(-1)**x_j``.
     """
-    axes = tuple(range(-grid.dim, 0))
-    return sfft.ifftn(coeffs, axes=axes, norm="forward", workers=_FFT_WORKERS).real.copy()
+    n, dim = grid.n, grid.dim
+    axes = tuple(range(-dim, 0))
+    half = n // 2 + 1
+    values = sfft.irfftn(coeffs[..., :half], s=grid.shape, axes=axes, norm="forward", workers=_workers(grid))
+    rest = axes[1:]
+    for j in range(dim - 1):
+        # the slab maps to itself under k -> -k; delta = c_h - c on its half
+        slab = np.moveaxis(coeffs, j - dim, 0)[n // 2]
+        delta = np.roll(np.flip(slab, rest), 1, rest)[..., :half]
+        np.conjugate(delta, out=delta)
+        delta -= slab[..., :half]
+        delta *= 0.5
+        for i in range(j):
+            # the line where slab i crosses this one was corrected with slab i
+            np.moveaxis(delta, i - dim + 1, 0)[n // 2] = 0.0
+        if not delta.any():
+            continue
+        corr = sfft.irfftn(delta, s=grid.shape[1:], axes=rest, norm="forward")
+        alternating = np.moveaxis(values, j - dim, 0)
+        alternating[0::2] += corr
+        alternating[1::2] -= corr
+    return values
 
 
 def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: Grid) -> np.ndarray:

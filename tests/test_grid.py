@@ -25,6 +25,8 @@ from swlp import (
     xi_mag2,
 )
 from swlp.dyadic import default_filter
+from swlp.grid import _jacobian, multiplied_values
+from swlp.quasi import gaussian_bump
 from swlp.solver import SolverConfig, _implicit_multipliers
 
 GRIDS = {
@@ -33,6 +35,11 @@ GRIDS = {
     "3d": make_grid(3, 16, (2 * math.pi, 4 * math.pi, 2 * math.pi)),
 }
 on_grids = pytest.mark.parametrize("g", GRIDS.values(), ids=GRIDS.keys())
+
+
+def numpy_values(coeffs, g):
+    """numpy's real part of the full-lattice inverse DFT: the reference for ``inverse_transform``."""
+    return np.real(np.fft.ifftn(coeffs, axes=tuple(range(-g.dim, 0)), norm="forward"))
 
 
 def plane_wave(g):
@@ -64,6 +71,33 @@ def test_transform_roundtrip_and_mean():
     const = SpectralField.from_values(g, np.full((1, *g.shape), 2.5))
     assert const.coeffs[0][0, 0] == pytest.approx(2.5)
     assert const.mean()[0] == pytest.approx(2.5)
+    # the inverse kernel is numpy's real part on every kind of array the package makes,
+    # Nyquist slabs included (n = 8 has the largest share of them)
+    small = [make_grid(dim, 8, (2 * math.pi, 3.0, 5.0)[:dim]) for dim in (1, 2, 3)]
+    for g in (*GRIDS.values(), *small):
+        u = SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape)))
+        par, sol = helmholtz_split(u)
+        filt = default_filter(g)
+        multipliers = [xi_mag2(g), dealias_mask(g), *(filt.weight(l) for l in range(filt.l_min, filt.l_max + 1))]
+        cases = {
+            "noise": u.coeffs,
+            "jacobian": _jacobian(u.coeffs, g),
+            "irrotational": par.coeffs,
+            "solenoidal": sol.coeffs,
+            "sym_grad": sym_grad(u),
+            "bump": gaussian_bump(g, 0.5, 1.0, 0.1).coeffs,
+        }
+        for name, coeffs in cases.items():
+            ref = numpy_values(coeffs, g)
+            assert np.abs(inverse_transform(coeffs, g) - ref).max() <= 1e-14 * np.abs(ref).max(), (g, name)
+        ref = numpy_values(np.stack([m * u.coeffs for m in multipliers]), g)
+        stack = multiplied_values(u.coeffs, multipliers, g)
+        assert np.abs(stack - ref).max() <= 1e-14 * np.abs(ref).max(), (g, "stack")
+        # one NaN value makes its whole component NaN, and only that component
+        nan = u.values.copy()
+        nan[(0,) * (g.dim + 1)] = np.nan
+        back = inverse_transform(transform(nan, g), g)
+        assert np.isnan(back[0]).all() and np.isfinite(back[1:]).all()
 
 
 @on_grids
@@ -94,9 +128,9 @@ def test_odd_derivatives_drop_the_nyquist_plane(g):
 
     assert g.wavenumbers()[g.n // 2] == -g.n // 2
     for j in range(g.dim):
-        ref = inverse_transform(d(f.coeffs[0], j)[None], g)[0]
+        ref = numpy_values(d(f.coeffs[0], j), g)
         assert np.abs(grad(f).values[j] - ref).max() <= 1e-14 * np.abs(ref).max()
-    ref = inverse_transform(sum(d(u.coeffs[j], j) for j in range(g.dim))[None], g)[0]
+    ref = numpy_values(sum(d(u.coeffs[j], j) for j in range(g.dim)), g)
     assert np.abs(div(u).values[0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 

@@ -2,6 +2,10 @@
 with ``ast``, and no other module may
 
 * reverse, roll or shift an array axis (``np.flip``, ``np.roll``, ``fftshift``);
+* call an FFT (``fftn``, ``irfftn``, ``fft2``, ...): the inverse kernel reads
+  half of the lattice and relies on the coefficients being Hermitian off the
+  Nyquist planes, a decision ``grid.transform`` and
+  ``grid.inverse_transform`` make together;
 * ask for frequencies in fft order (``Grid.xi_grids()``, ``Grid.xi``,
   ``Grid.wavenumbers``);
 * index a lattice axis of a coefficient array: a multi-axis index such as
@@ -20,7 +24,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(p for p in (ROOT / "src/swlp").glob("*.py") if p.name != "grid.py")
-LAYOUT_CALLS = {"roll", "flip", "fftshift", "ifftshift", "xi_grids", "xi", "wavenumbers"}
+FFT_CALLS = {"fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft", "fft2", "ifft2"}
+LAYOUT_CALLS = {"roll", "flip", "fftshift", "ifftshift", "xi_grids", "xi", "wavenumbers", *FFT_CALLS}
 COEFFICIENT_CALLS = {"transform", "_jacobian", "sym_grad"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -116,8 +121,11 @@ def test_the_guard_sees_every_form():
         "    w[(slice(None), *zero)] = u.coeffs[:, 1:][zero]\n"
         "    # component indices and value arrays are allowed\n"
         "    a = u.coeffs[0] + u.coeffs[i : i + 1] + u.values[:, 0] + _jacobian(u.coeffs, g)[upper]\n"
+        "    v = np.fft.ifftn(u.coeffs[0]).real + sfft.rfftn(u.values, axes=(1, 2))\n"
     )
     assert layout_sites(ast.parse(source), "m.py") == [
+        "m.py:12: ifftn() in f",
+        "m.py:12: rfftn() in f",
         "m.py:2: flip() in f",
         "m.py:2: roll() in f",
         "m.py:3: xi_grids() in f",
