@@ -9,12 +9,17 @@ Conventions used throughout the package:
 * the physical frequency along axis ``i`` is ``xi_i = 2 pi k_i / period_i``;
 * pointwise products are dealiased with the 2/3 rule (top third of the
   wavenumbers zeroed per axis) so quadratic aliases never pollute retained
-  modes;
+  modes.  The dropped modes are the slabs |k_j| >= n/3, one contiguous run
+  of indices per axis, so a dealias zeroes those slabs; it never multiplies
+  the lattice by ``dealias_mask``.  ``dealiased_from_values`` is the
+  dealiased forward transform of values: it zeroes the slabs of the fresh
+  transform output in place;
 * every spatial derivative is one multiplication by ``i xi_j``: the
-  multipliers are built once per grid (``_i_xi``), and ``_jacobian`` and
-  ``_divergence`` are the only two operations that apply them.  ``grad``,
-  ``div``, ``sym_grad``, ``curl_norm``, ``helmholtz_split`` and the solver's
-  derivatives are written with these two;
+  multipliers are built once per grid (``_i_xi``), and ``_jacobian`` (with
+  its upper triangle ``_jacobian_upper``) and ``_divergence`` are the only
+  operations that apply them.  ``grad``, ``div``, ``sym_grad``,
+  ``curl_norm``, ``helmholtz_split`` and the solver's derivatives are
+  written with these;
 * Nyquist rule: the values of a first derivative along axis ``j`` carry
   nothing of the Nyquist plane ``k_j = -n/2``, as if that plane were zeroed.
   ``k -> -k`` maps that plane to itself, and ``i xi_j`` has the same
@@ -31,6 +36,7 @@ few operations:
   multiplier or from the coefficients, never from ``Grid.shape`` (the shape
   of the values);
 * ``parseval_power``, the L2 power of a coefficient stack;
+* ``dealias`` and ``dealiased_from_values``, which zero the dropped slabs;
 * ``SpectralField.mean`` and ``SpectralField.with_mean``, which read and set
   the ``k = 0`` coefficients;
 * ``shift_phase``, the exponent of a translation.
@@ -61,6 +67,11 @@ Parseval: the real part of a field is the field with the Hermitian part of
 its coefficients, so ``volume * sum |c_h|^2`` is the collocation L2 norm
 squared exactly, also for coefficients that are not Hermitian (an
 undealiased gradient's Nyquist modes), where plain ``sum |c|^2`` is not.
+``parseval_power`` relies on the contract of ``inverse_transform``: off the
+Nyquist planes c_h = c, so the power there is |c|^2 with no reflected copy
+of the lattice.  Each Nyquist plane maps to itself under k -> -k, so the
+Hermitian part on it comes from the plane alone, and a plane that is all
+zero (every dealiased field) is skipped.
 """
 
 from __future__ import annotations
@@ -86,6 +97,7 @@ __all__ = [
     "shift_phase",
     "dealias_mask",
     "dealias",
+    "dealiased_from_values",
     "mult",
     "grad",
     "div",
@@ -200,6 +212,19 @@ def _jacobian(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return jac
 
 
+def _jacobian_upper(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """The entries d_j f_i with i <= j of a vector field's Jacobian, stacked in ``np.triu_indices`` order.
+
+    They are the whole Jacobian when it is symmetric, as for a gradient field.
+    """
+    i_xi = _i_xi(grid)
+    rows, cols = np.triu_indices(grid.dim)
+    upper = np.empty((rows.size, *grid.shape), dtype=np.complex128)
+    for out, i, j in zip(upper, rows, cols):
+        np.multiply(i_xi[j], coeffs[i], out=out)
+    return upper
+
+
 def _divergence(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Contract the axis just before the grid axes: sum_j d_j f[..., j]."""
     return sum(m * f_j for m, f_j in zip(_i_xi(grid), np.moveaxis(coeffs, -grid.dim - 1, 0)))
@@ -271,18 +296,48 @@ def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: G
     return inverse_transform(stack, grid)
 
 
+def _slab(grid: Grid, axis: int, index) -> tuple:
+    """The index of the slab ``index`` (an int or a slice) of one lattice axis, for any leading axes."""
+    return (Ellipsis, index, *(slice(None),) * (grid.dim - 1 - axis))
+
+
+def _power(coeffs: np.ndarray) -> np.ndarray:
+    """|c|^2 summed over the leading (component) axis."""
+    power = np.square(coeffs.real).sum(0)
+    power += np.square(coeffs.imag).sum(0)
+    return power
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE)
+def _nyquist_modes(grid: Grid) -> tuple[tuple, tuple]:
+    """The lattice indices of the modes on the Nyquist planes k_j = -n/2, and of their
+    mirrors -k, which lie on the same planes; built once per grid."""
+    on_plane = np.zeros(grid.shape, dtype=bool)
+    for j in range(grid.dim):
+        on_plane[_slab(grid, j, grid.n // 2)] = True
+    modes = np.nonzero(on_plane)
+    mirrors = tuple(-k % grid.n for k in modes)
+    return (Ellipsis, *map(_read_only, modes)), (Ellipsis, *map(_read_only, mirrors))
+
+
 def parseval_power(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """|c_h|^2 summed over the components of a coefficient stack, c_h the Hermitian part.
 
     ``volume * sum`` of it is the collocation L2 norm squared of the values.
+    Under the contract of ``inverse_transform`` c_h = c off the Nyquist planes,
+    so the power there is |c|^2.  The Nyquist planes map to themselves under
+    k -> -k, so their Hermitian part comes from their own modes; when those are
+    all zero, as in every dealiased field, it is not formed.
     """
-    axes = tuple(range(-grid.dim, 0))
-    # c(-k) in fft layout: reverse every axis, then move index 0 back to the front
-    h = np.roll(np.flip(coeffs, axes), 1, axes)
-    np.conjugate(h, out=h)
-    h += coeffs
-    h *= 0.5
-    return np.einsum("c...,c...->...", h.real, h.real) + np.einsum("c...,c...->...", h.imag, h.imag)
+    power = _power(coeffs)
+    modes, mirrors = _nyquist_modes(grid)
+    c = coeffs[modes]
+    if c.any():
+        h = np.conjugate(coeffs[mirrors])
+        h += c
+        h *= 0.5
+        power[modes] = _power(h)
+    return power
 
 
 def shift_phase(grid: Grid, x0) -> np.ndarray:
@@ -296,6 +351,16 @@ def shift_phase(grid: Grid, x0) -> np.ndarray:
 def _mean_mode(grid: Grid) -> tuple:
     """Index of the k = 0 coefficient of every component."""
     return (slice(None), *(0,) * grid.dim)
+
+
+def _value_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Collocation values as a float64 component stack ``(ncomp, *grid.shape)``, checked against the grid."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == grid.dim:
+        values = values[None]
+    if values.shape[1:] != grid.shape:
+        raise ValueError(f"value shape {values.shape} incompatible with grid {grid.shape}")
+    return values
 
 
 class SpectralField:
@@ -322,13 +387,7 @@ class SpectralField:
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == grid.dim:
-            values = values[None]
-        if values.shape[1:] != grid.shape:
-            raise ValueError(
-                f"value shape {values.shape} incompatible with grid {grid.shape}"
-            )
+        values = _value_stack(grid, values)
         f = cls(grid, transform(values, grid))
         f._values = values
         return f
@@ -405,9 +464,34 @@ def dealias_mask(grid: Grid, fraction: float = 2.0 / 3.0) -> np.ndarray:
     return _read_only(mask)
 
 
+@lru_cache(maxsize=_OPERATOR_CACHE)
+def _dropped_slabs(grid: Grid, fraction: float) -> tuple[tuple, ...]:
+    """Per axis j, the index of the slab |k_j| >= fraction * n/2: in fft layout its indices are one run."""
+    drop = np.flatnonzero(np.abs(grid.wavenumbers()) >= fraction * grid.n / 2.0)
+    if not drop.size:
+        return ()
+    run = slice(int(drop[0]), int(drop[-1]) + 1)
+    return tuple(_slab(grid, j, run) for j in range(grid.dim))
+
+
+def _dealias_in_place(coeffs: np.ndarray, grid: Grid, fraction: float = 2.0 / 3.0) -> np.ndarray:
+    """Zero the modes the dealias drops, in place: the slab |k_j| >= fraction * n/2 of every axis j.
+
+    A mode is kept iff it lies in no slab, which is the ``dealias_mask``.
+    """
+    for slab in _dropped_slabs(grid, fraction):
+        coeffs[slab] = 0.0
+    return coeffs
+
+
 def dealias(field: SpectralField, fraction: float = 2.0 / 3.0) -> SpectralField:
-    mask = dealias_mask(field.grid, fraction)
-    return SpectralField(field.grid, field.coeffs * mask)
+    """The field with the modes outside ``dealias_mask(grid, fraction)`` zeroed."""
+    return SpectralField(field.grid, _dealias_in_place(field.coeffs.copy(), field.grid, fraction))
+
+
+def dealiased_from_values(grid: Grid, values: np.ndarray) -> SpectralField:
+    """``dealias(SpectralField.from_values(grid, values))``, zeroing the fresh coefficients in place."""
+    return SpectralField(grid, _dealias_in_place(transform(_value_stack(grid, values), grid), grid))
 
 
 def mult(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -424,8 +508,7 @@ def mult(u: SpectralField, v: SpectralField) -> SpectralField:
         b = np.broadcast_to(b, a.shape)
     elif u.ncomp != v.ncomp:
         raise ValueError("component-count mismatch")
-    prod = SpectralField.from_values(u.grid, a * b)
-    return dealias(prod)
+    return dealiased_from_values(u.grid, a * b)
 
 
 def grad(field: SpectralField) -> SpectralField:

@@ -32,7 +32,7 @@ from .besov import (
     lp_norm,
 )
 from .dyadic import DyadicFilter
-from .grid import Grid, SpectralField, dealias, mult, multiplied_values
+from .grid import Grid, SpectralField, dealiased_from_values, mult, multiplied_values
 
 __all__ = [
     "para",
@@ -65,7 +65,7 @@ def _constant(c: np.ndarray, grid: Grid) -> np.ndarray:
 def _dealiased_sum(grid: Grid, a: np.ndarray, b: np.ndarray, constant) -> SpectralField:
     """dealias(constant + sum_q a_q b_q) for value stacks of shape (levels, ncomp, *grid)."""
     total = np.einsum("q...,q...->...", a, b) + constant
-    return dealias(SpectralField.from_values(grid, total))
+    return dealiased_from_values(grid, total)
 
 
 def para(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> SpectralField:
@@ -174,7 +174,7 @@ def composition_ratio(
     linf = lp_norm(field, math.inf)
     if linf > 2.0:
         raise ValueError(f"||u||_inf = {linf:.3g} exceeds the composition bound 2")
-    expm1 = dealias(SpectralField.from_values(field.grid, np.expm1(field.values)))
+    expm1 = dealiased_from_values(field.grid, np.expm1(field.values))
     spec = BesovSpec(s, p, 1.0)
     den = besov_norm(field, spec, filt)
     if den == 0.0:

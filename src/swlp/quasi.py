@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +37,11 @@ from .dyadic import DyadicFilter
 from .grid import (
     Grid,
     SpectralField,
+    _dealias_in_place,
     _divergence,
-    dealias,
+    _read_only,
     dealias_mask,
+    dealiased_from_values,
     div,
     grad,
     laplacian,
@@ -46,6 +49,7 @@ from .grid import (
     parseval_power,
     shift_phase,
     sym_grad,
+    transform,
     xi_mag2,
 )
 
@@ -95,6 +99,13 @@ def _check_floor(rho_values: np.ndarray) -> None:
         raise ValueError(f"density floor violated: min(rho) = {low:.3g} < {DENSITY_FLOOR:.3g}")
 
 
+# a stepper asks for one (grid, mu, dt); a few entries also cover a sweep over times
+@lru_cache(maxsize=4)
+def _heat_multiplier(grid: Grid, mu: float, t: float) -> np.ndarray:
+    """The heat semigroup e^{-mu |xi|^2 t} on the lattice; built once per (grid, mu, t), read-only."""
+    return _read_only(np.exp(-mu * xi_mag2(grid) * t))
+
+
 def heat_evolve(q1_initial: SpectralField, mu: float, t: float) -> HeatState:
     """Exact semigroup solution of d_t rho1 = mu Lap rho1 at time t >= 0."""
     if mu <= 0:
@@ -104,7 +115,7 @@ def heat_evolve(q1_initial: SpectralField, mu: float, t: float) -> HeatState:
     if q1_initial.ncomp != 1:
         raise ValueError("q1 must be a scalar field")
     _check_floor(1.0 + q1_initial.values[0])
-    coeffs = q1_initial.coeffs * np.exp(-mu * xi_mag2(q1_initial.grid) * t)
+    coeffs = q1_initial.coeffs * _heat_multiplier(q1_initial.grid, mu, t)
     return HeatState(t=t, q1=SpectralField(q1_initial.grid, coeffs), mu=mu)
 
 
@@ -117,10 +128,9 @@ def log_density(q1: SpectralField) -> SpectralField:
     g = q1.grid
     rho = 1.0 + q1.values[0]
     _check_floor(rho)
-    full = SpectralField.from_values(g, np.log(rho))
-    trimmed = dealias(full)
+    coeffs = transform(np.log(rho)[None], g)
     # the mask is even in k, so the power of the trimmed field is the masked power
-    power = parseval_power(full.coeffs, g)
+    power = parseval_power(coeffs, g)
     total = float(np.sum(power))
     kept = float(np.sum(power * dealias_mask(g)))
     if total > 0 and (total - kept) / total > LOG_TAIL_TOL:
@@ -129,7 +139,7 @@ def log_density(q1: SpectralField) -> SpectralField:
             "increase resolution",
             stacklevel=3,
         )
-    return trimmed
+    return SpectralField(g, _dealias_in_place(coeffs, g))
 
 
 def velocity_from_density(state: HeatState) -> SpectralField:
@@ -216,7 +226,7 @@ def _heat_rates(state: HeatState):
 def _reciprocal(rho: SpectralField) -> SpectralField:
     vals = rho.values
     _check_floor(vals[0])
-    return dealias(SpectralField.from_values(rho.grid, 1.0 / vals))
+    return dealiased_from_values(rho.grid, 1.0 / vals)
 
 
 def _row_div(tensor: SpectralField) -> SpectralField:
@@ -255,7 +265,7 @@ def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: f
     rho_u = mult(rho, u)
     # all products u_i (rho u)_j in one forward transform and one dealias (it is linear)
     outer = u.values[:, None] * rho_u.values[None, :]
-    conv = _row_div(dealias(SpectralField.from_values(g, _rows(outer))))
+    conv = _row_div(dealiased_from_values(g, _rows(outer)))
     visc = _row_div(mult(rho, SpectralField(g, _rows(sym_grad(u))))) * mu
     mass_terms = [div(rho_u)]
     mom_terms = [conv, -visc, grad(rho) * pressure, rho_u * drag]

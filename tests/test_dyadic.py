@@ -80,6 +80,13 @@ def test_random_band_field_rejects_empty_band(grid2d, filt2d, rng):
             random_band_field(grid2d, rng, l_lo, l_hi, 1, filt2d)
 
 
+def test_random_band_field_rejects_unknown_norm_before_drawing(grid2d, filt2d, rng):
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown normalization 'l1'"):
+        random_band_field(grid2d, rng, 0, 2, 1, filt2d, norm="l1")
+    assert rng.bit_generator.state == before
+
+
 def test_partition_of_unity(grid2d, filt2d):
     total = np.zeros(grid2d.shape)
     for l in filt2d.levels:

@@ -25,7 +25,7 @@ from swlp import (
     xi_mag2,
 )
 from swlp.dyadic import default_filter
-from swlp.grid import _jacobian, multiplied_values
+from swlp.grid import _jacobian, multiplied_values, parseval_power
 from swlp.quasi import gaussian_bump
 from swlp.solver import SolverConfig, _implicit_multipliers
 
@@ -239,6 +239,38 @@ def test_dump_load_roundtrip(tmp_path):
         assert key in header
 
 
+def roll_flip_power(coeffs, g):
+    """|c_h|^2 with c_h = (c(k) + conj(c(-k)))/2 formed on the whole lattice by a roll and a flip."""
+    axes = tuple(range(-g.dim, 0))
+    h = np.roll(np.flip(coeffs, axes), 1, axes)
+    np.conjugate(h, out=h)
+    h += coeffs
+    h *= 0.5
+    return np.einsum("c...,c...->...", h.real, h.real) + np.einsum("c...,c...->...", h.imag, h.imag)
+
+
+@on_grids
+def test_parseval_power_matches_the_whole_lattice_hermitian_part(g):
+    """Off the Nyquist planes the power is |c|^2, and on them the planes' own Hermitian part:
+    the same numbers as the reflected copy of the whole lattice, bit for bit."""
+    rng = np.random.default_rng(8)
+    white = SpectralField.from_values(g, rng.standard_normal((1, *g.shape)))
+    vector = SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape)))
+    cases = {
+        "white": white.coeffs,
+        "white_vector": vector.coeffs,
+        "dealiased": dealias(vector).coeffs,
+        # an odd derivative is not Hermitian on the Nyquist planes
+        "undealiased_grad": grad(white).coeffs,
+        "undealiased_jacobian": _jacobian(vector.coeffs, g)[0],
+    }
+    for name, coeffs in cases.items():
+        assert np.array_equal(parseval_power(coeffs, g), roll_flip_power(coeffs, g)), name
+    # on those planes plain |c|^2 is not the power
+    grad_coeffs = cases["undealiased_grad"]
+    assert not np.allclose(np.sum(np.abs(grad_coeffs) ** 2, 0), roll_flip_power(grad_coeffs, g), rtol=1e-3)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_parseval(seed):
@@ -269,12 +301,19 @@ def test_cached_operators_are_shared_and_read_only():
     mag2 = xi_mag2(g)
     assert xi_mag2(make_grid(2, 32, (2 * math.pi, 4 * math.pi))) is mag2
     assert np.allclose(mag2, g.xi_mag() ** 2, rtol=1e-14, atol=0.0)
-    # the implicit multipliers: built once per (grid, config)
+    # the implicit multipliers (m_sol, w): built once per (grid, config)
     multipliers = _implicit_multipliers(g, SolverConfig(mu=0.5, a=0.01, dt=0.01))
     equal_key = make_grid(2, 32, (2 * math.pi, 4 * math.pi)), SolverConfig(mu=0.5, a=0.01, dt=0.01)
     assert _implicit_multipliers(*equal_key) is multipliers
     assert _implicit_multipliers(g, SolverConfig(mu=0.5, a=0.01, dt=0.02)) is not multipliers
-    assert np.array_equal(multipliers[0], 1.0 / (1.0 + 0.01 * (0.5 * mag2)))
+    m_sol, w = multipliers
+    m_par = 1.0 / (1.0 + 0.01 * (0.5 * mag2))
+    assert np.array_equal(m_sol, 1.0 / (1.0 + 0.01 * (0.25 * mag2)))
+    # w = (m_par - m_sol)/|xi|^2, written without the cancellation: -(dt mu / 2) m_par m_sol
+    assert np.array_equal(w, np.where(mag2 > 0, -0.0025 * m_par * m_sol, 0.0))
+    assert w[mag2 == 0].tolist() == [0.0]
+    off = mag2 > 0
+    assert np.allclose(w[off], (m_par - m_sol)[off] / mag2[off], rtol=1e-12, atol=0.0)
     for arr in (mag2, dealias_mask(g), filt.shell, filt.table, *multipliers):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1

@@ -86,18 +86,21 @@ def test_v_t_is_trapezoid_of_gronwall_integrand():
     assert res.rows[-1]["V_T"] == pytest.approx(np.trapezoid(values, times), rel=1e-12)
 
 
-def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms):
+def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms, transforms):
     config = RunConfig(**FAST)
     grid = make_grid(2, config.n, config.period)
     filt = default_filter(grid)
     scfg = config.solver_config()
     stepped = step(_initial_state(config, grid, filt), scfg)
     del inverse_transforms[:]
+    del transforms[:]
     state = step(stepped, scfg)
     # a step needs 7; cfl_number reads the u1 and u2 values that
     # assemble_rhs reads as well, so calling it again needs none
     cfl_number(stepped, scfg)
     assert len(inverse_transforms) <= 7
+    # one per right-hand side and one for ln rho1
+    assert len(transforms) <= 3
     del inverse_transforms[:]
     # 14 are needed; one transform per dyadic block or per product would
     # make about 70
