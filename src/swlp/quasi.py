@@ -99,8 +99,9 @@ def _check_floor(rho_values: np.ndarray) -> None:
         raise ValueError(f"density floor violated: min(rho) = {low:.3g} < {DENSITY_FLOOR:.3g}")
 
 
-# a stepper asks for one (grid, mu, dt); a few entries also cover a sweep over times
-@lru_cache(maxsize=4)
+# the one key that repeats is the step's (grid, mu, dt): a run calls heat_evolve
+# with nothing else between its steps, so one entry serves every hit
+@lru_cache(maxsize=1)
 def _heat_multiplier(grid: Grid, mu: float, t: float) -> np.ndarray:
     """The heat semigroup e^{-mu |xi|^2 t} on the lattice; built once per (grid, mu, t), read-only."""
     return _read_only(np.exp(-mu * xi_mag2(grid) * t))
