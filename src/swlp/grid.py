@@ -44,34 +44,34 @@ few operations:
 ``tests/test_one_layout.py`` fails on a lattice index, a roll, a flip or a
 ``Grid.xi_grids()`` call anywhere else in the package.
 
-Inverse transform: ``values`` is the real part of the inverse DFT, which is
+Hermitian part: ``values`` is the real part of the inverse DFT, which is
 the inverse DFT of the Hermitian part of the coefficients,
-c_h(k) = (c(k) + conj(c(-k)))/2.  ``inverse_transform`` computes it with the
-real-to-complex kernel ``irfftn`` (Frigo & Johnson, Proc. IEEE 93, 2005),
-which reads only the half ``k_last >= 0`` of the lattice and takes c = c_h
-elsewhere; on the planes ``k_last = 0`` and ``n/2`` it keeps the Hermitian
-part itself.  Its contract: the coefficients are Hermitian off the Nyquist
-planes ``k_j = -n/2``.  Every array the package makes meets it.  The
-forward transform of real values is exactly Hermitian, and every multiplier
-m has m(-k) = conj(m(k)) off those planes, so it keeps the property: |xi|^2,
-the dealias mask and the filter weights are even and real, ``i xi_j`` is
-odd and imaginary, and so is the exponent of the translation phase.  Sums
-and real scalings keep it too.  On a Nyquist plane an odd derivative is not
-Hermitian (the Nyquist rule), nor is a translation phase.  The last axis's
-plane is the kernel's own.  On the slab ``k_j = -n/2`` of each axis before
-the last (dim - 1 slabs, O(n^(dim-1)) coefficients) ``inverse_transform``
-adds the Hermitian part that ``irfftn`` misses, so the values equal the
-real part of the full inverse DFT to round-off.
+c_h(k) = (c(k) + conj(c(-k)))/2.  The contract of every coefficient array:
+it is Hermitian off the Nyquist planes ``k_j = -n/2``, so c_h = c there.
+Every array the package makes meets it.  The forward transform of real
+values is exactly Hermitian, and every multiplier m has m(-k) = conj(m(k))
+off those planes, so it keeps the property: |xi|^2, the dealias mask and
+the filter weights are even and real, ``i xi_j`` is odd and imaginary, and
+so is the exponent of the translation phase.  Sums and real scalings keep
+it too.  On a Nyquist plane an odd derivative is not Hermitian (the Nyquist
+rule), nor is a translation phase.  Each Nyquist plane maps to itself under
+k -> -k, so its Hermitian part comes from its own modes, and
+``_nyquist_hermitian`` is the one place that forms it.  It forms nothing
+when the planes already hold their Hermitian part: when they are all zero
+(every dealiased field) or exactly Hermitian (the transform of real values).
+Its two readers:
 
-Parseval: the real part of a field is the field with the Hermitian part of
-its coefficients, so ``volume * sum |c_h|^2`` is the collocation L2 norm
-squared exactly, also for coefficients that are not Hermitian (an
-undealiased gradient's Nyquist modes), where plain ``sum |c|^2`` is not.
-``parseval_power`` relies on the contract of ``inverse_transform``: off the
-Nyquist planes c_h = c, so the power there is |c|^2 with no reflected copy
-of the lattice.  Each Nyquist plane maps to itself under k -> -k, so the
-Hermitian part on it comes from the plane alone, and a plane that is all
-zero (every dealiased field) is skipped.
+* ``inverse_transform`` is one call of the real-to-complex kernel
+  ``irfftn`` (Frigo & Johnson, Proc. IEEE 93, 2005), which reads only the
+  half ``k_last >= 0`` of the lattice and takes the coefficients to be
+  Hermitian.  When the planes' Hermitian part differs from their modes, it
+  goes into a copy of the coefficients first, so the values equal the real
+  part of the full inverse DFT to round-off;
+* ``parseval_power``: ``volume * sum |c_h|^2`` is the collocation L2 norm
+  squared exactly, also for coefficients that are not Hermitian (an
+  undealiased gradient's Nyquist modes), where plain ``sum |c|^2`` is not.
+  It is |c|^2 off the Nyquist planes, with no reflected copy of the
+  lattice, and |c_h|^2 on them.
 """
 
 from __future__ import annotations
@@ -252,33 +252,17 @@ def inverse_transform(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Real part of the inverse DFT per component, for coefficients that are
     Hermitian off the Nyquist planes (see the module docstring).
 
-    ``irfftn`` reads the half ``k_last >= 0`` of the lattice.  On the
-    Nyquist slab ``k_j = -n/2`` of each axis before the last, the part of the
-    Hermitian part that ``irfftn`` misses is added in value space: the
-    slab's inverse transform over the other axes, times ``(-1)**x_j``.
+    One ``irfftn`` of the half ``k_last >= 0`` of the lattice makes the
+    values; when the Nyquist planes do not hold their Hermitian part, a copy
+    of the coefficients with that part on the planes is transformed instead.
     """
-    n, dim = grid.n, grid.dim
-    axes = tuple(range(-dim, 0))
-    half = n // 2 + 1
-    values = sfft.irfftn(coeffs[..., :half], s=grid.shape, axes=axes, norm="forward", workers=_workers(grid))
-    rest = axes[1:]
-    for j in range(dim - 1):
-        # the slab maps to itself under k -> -k; delta = c_h - c on its half
-        slab = np.moveaxis(coeffs, j - dim, 0)[n // 2]
-        delta = np.roll(np.flip(slab, rest), 1, rest)[..., :half]
-        np.conjugate(delta, out=delta)
-        delta -= slab[..., :half]
-        delta *= 0.5
-        for i in range(j):
-            # the line where slab i crosses this one was corrected with slab i
-            np.moveaxis(delta, i - dim + 1, 0)[n // 2] = 0.0
-        if not delta.any():
-            continue
-        corr = sfft.irfftn(delta, s=grid.shape[1:], axes=rest, norm="forward")
-        alternating = np.moveaxis(values, j - dim, 0)
-        alternating[0::2] += corr
-        alternating[1::2] -= corr
-    return values
+    hermitian = _nyquist_hermitian(coeffs, grid)
+    if hermitian is not None:
+        coeffs = coeffs.copy()
+        coeffs[_nyquist_modes(grid)[0]] = hermitian
+    axes = tuple(range(-grid.dim, 0))
+    half = coeffs[..., : grid.n // 2 + 1]
+    return sfft.irfftn(half, s=grid.shape, axes=axes, norm="forward", workers=_workers(grid))
 
 
 def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: Grid) -> np.ndarray:
@@ -320,23 +304,31 @@ def _nyquist_modes(grid: Grid) -> tuple[tuple, tuple]:
     return (Ellipsis, *map(_read_only, modes)), (Ellipsis, *map(_read_only, mirrors))
 
 
+def _nyquist_hermitian(coeffs: np.ndarray, grid: Grid) -> np.ndarray | None:
+    """The Hermitian part (c + conj(c_mirror))/2 of the Nyquist planes' modes, in the order
+    of ``_nyquist_modes``, or None when the planes already hold it (all zero, or exactly
+    Hermitian)."""
+    modes, mirrors = _nyquist_modes(grid)
+    c = coeffs[modes]
+    if not c.any():
+        return None
+    h = np.conjugate(coeffs[mirrors])
+    h += c
+    h *= 0.5
+    return None if np.array_equal(h, c) else h
+
+
 def parseval_power(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """|c_h|^2 summed over the components of a coefficient stack, c_h the Hermitian part.
 
-    ``volume * sum`` of it is the collocation L2 norm squared of the values.
-    Under the contract of ``inverse_transform`` c_h = c off the Nyquist planes,
-    so the power there is |c|^2.  The Nyquist planes map to themselves under
-    k -> -k, so their Hermitian part comes from their own modes; when those are
-    all zero, as in every dealiased field, it is not formed.
+    ``volume * sum`` of it is the collocation L2 norm squared of the values:
+    |c|^2 off the Nyquist planes, where c_h = c, and |c_h|^2 of
+    ``_nyquist_hermitian`` on them.
     """
     power = _power(coeffs)
-    modes, mirrors = _nyquist_modes(grid)
-    c = coeffs[modes]
-    if c.any():
-        h = np.conjugate(coeffs[mirrors])
-        h += c
-        h *= 0.5
-        power[modes] = _power(h)
+    hermitian = _nyquist_hermitian(coeffs, grid)
+    if hermitian is not None:
+        power[_nyquist_modes(grid)[0]] = _power(hermitian)
     return power
 
 

@@ -114,6 +114,11 @@ class RunConfig:
             raise ValueError(f"width = {self.width:g} must be positive")
         if self.eps < 0:
             raise ValueError(f"eps = {self.eps:g} must be nonnegative")
+        if self.pert_h2 < 0:
+            raise ValueError(f"pert_h2 = {self.pert_h2:g} must be nonnegative")
+        # the perturbation's random generator takes a nonnegative integer seed
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed = {self.seed!r} must be a nonnegative integer")
         levels = default_levels(grid)
         # the crossover block of the hybrid norms must be one hybrid_besov_norm accepts
         if not levels[0] - 1 <= self.l0 <= levels[1]:

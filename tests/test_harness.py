@@ -248,6 +248,9 @@ def test_cli_bad_config_exit_2(tmp_path):
         ("amplitude", math.nan),
         ("width", math.inf),
         ("pert_h2", math.nan),
+        ("pert_h2", -1.0),
+        ("seed", -1),
+        ("seed", 1.5),
         ("cfl_max", math.inf),
     ],
 )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,9 +159,19 @@ def test_max_principle():
         assert lo >= lo0 - 1e-8 and hi <= hi0 + 1e-8
 
 
-def test_quasi_residual_refinement():
-    import warnings
+def test_log_density_warns_on_a_truncated_tail():
+    """The warning fires, once, when the log's tail beyond the dealiased band
+    carries more than LOG_TAIL_TOL of its L2 mass, and not for a smooth bump."""
+    g = make_grid(2, 64, 16.0)
+    with pytest.warns(UserWarning, match="log-density truncation") as record:
+        log_density(gaussian_bump(g, 0.5, 1.0, 0.1))
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_density(gaussian_bump(g, 0.5, 10.0, 0.1))
 
+
+def test_quasi_residual_refinement():
     res = {}
     for n in (64, 128):
         g = make_grid(1, n, (2 * math.pi,))

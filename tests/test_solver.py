@@ -24,7 +24,7 @@ from swlp import (
 from swlp.besov import hybrid_besov_norm, time_hybrid_besov_norm
 from swlp.checks import perturbed_state
 from swlp.dyadic import default_filter
-from swlp.grid import div, grad, sym_grad
+from swlp.grid import _nyquist_hermitian, div, grad, sym_grad
 from swlp.quasi import _check_floor, heat_evolve, velocity_from_density
 from swlp.solver import (
     FtTracker,
@@ -54,6 +54,18 @@ def _small_state(n=64, eps=1e-2, seed=3, mode="shallow_water", dim=2, **kw):
     cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, mode=mode, **kw)
     st = _perturbed_state(dim, n, cfg, eps, seed)
     return st, cfg, default_filter(st.grid)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
+def test_solver_fields_hold_their_nyquist_hermitian_part(dim, n):
+    """Every field a step makes is dealiased, so its Nyquist planes are zero and
+    ``inverse_transform`` needs no Hermitian copy of its coefficients."""
+    st, cfg, _ = _small_state(n=n, dim=dim)
+    states = [st, step(st, cfg)]
+    states.append(step(states[-1], cfg))
+    for st in states:
+        fields = (st.q1, st.h2, st.u2, st.u1_cache, *recompose(st))
+        assert [_nyquist_hermitian(f.coeffs, st.grid) for f in fields] == [None] * 6, st.t
 
 
 def _sum_products(pairs):
