@@ -56,34 +56,52 @@ so is the exponent of the translation phase.  Sums and real scalings keep
 it too.  On a Nyquist plane an odd derivative is not Hermitian (the Nyquist
 rule), nor is a translation phase.  Each Nyquist plane maps to itself under
 k -> -k, so its Hermitian part comes from its own modes, and
-``_nyquist_hermitian`` is the one place that forms it.  It forms nothing
-when the planes already hold their Hermitian part: when they are all zero
-(every dealiased field) or exactly Hermitian (the transform of real values).
-Its two readers:
+``_nyquist_hermitian`` is the one place that forms it, or takes any other
+conjugate of a mirror mode.  It forms nothing when the planes already hold
+their Hermitian part: when they are all zero (every dealiased field) or
+exactly Hermitian (the transform of real values).  Its readers:
 
-* ``inverse_transform`` is one call of the real-to-complex kernel
-  ``irfftn`` (Frigo & Johnson, Proc. IEEE 93, 2005), which reads only the
-  half ``k_last >= 0`` of the lattice and takes the coefficients to be
-  Hermitian.  When the planes' Hermitian part differs from their modes, it
-  goes into a copy of the coefficients first, so the values equal the real
-  part of the full inverse DFT to round-off;
+* ``transform`` runs the real-to-complex kernel ``rfftn`` (Frigo & Johnson,
+  Proc. IEEE 93, 2005), which fills the half ``k_last >= 0`` of the lattice.
+  The other half is completed by c(k) = conj(c(-k)), read through slices
+  of the first half.  The column passes leave the self-conjugate planes
+  k_last = 0 and -n/2, which map to themselves under k -> -k, Hermitian
+  only to round-off, so on them the later mode of each mirror pair takes
+  the conjugate of the earlier one, as pocketfft's complex transform of
+  real values does.  So the transform of real values is exactly Hermitian
+  on the whole lattice;
+* ``inverse_transform`` runs the complex-to-real kernel ``irfftn``, which
+  reads only the half ``k_last >= 0`` of the lattice and takes the
+  coefficients to be Hermitian.  When the Nyquist planes' Hermitian part
+  differs from their modes, it goes into a copy of the coefficients first,
+  so the values equal the real part of the full inverse DFT to round-off;
 * ``parseval_power``: ``volume * sum |c_h|^2`` is the collocation L2 norm
   squared exactly, also for coefficients that are not Hermitian (an
   undealiased gradient's Nyquist modes), where plain ``sum |c|^2`` is not.
   It is |c|^2 off the Nyquist planes, with no reflected copy of the
   lattice, and |c_h|^2 on them.
+
+Kernels and threads: the FFT is numpy's (pocketfft), and each transform is
+written as the 1-D passes of ``np.fft.rfftn`` or ``np.fft.irfftn``, in the
+same order, so it gives their bits (the forward one except on the plane
+modes that its completion overwrites).  At 2^16 lattice points per component and above, in 2-D and
+3-D (``_workers``), each pass splits its lines into two halves along another
+grid axis and runs them on the two threads of ``_FFT_POOL``.  numpy's FFT
+releases the interpreter lock, and each line is transformed on its own, so
+the split changes no bit either.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "Grid",
@@ -111,6 +129,8 @@ __all__ = [
 ]
 
 _FFT_WORKERS = 2
+# the threads of the large transforms; the executor starts them at its first task, not at import
+_FFT_POOL = ThreadPoolExecutor(_FFT_WORKERS)
 # Per-grid operators are cached for the few grids a process works on; the
 # bound keeps a sweep over many grid sizes from holding all of them.
 _OPERATOR_CACHE = 16
@@ -238,31 +258,70 @@ def _inverse_xi_mag2(grid: Grid) -> np.ndarray:
 
 
 def _workers(grid: Grid) -> int:
-    """FFT threads for one transform: a second thread pays only on large lattices."""
-    return 1 if grid.n**grid.dim < 2**16 else _FFT_WORKERS
+    """FFT threads for one transform: a second thread pays only on large lattices, and its
+    half of a pass's lines is cut along a second grid axis, which a 1-D grid lacks."""
+    return 1 if grid.dim == 1 or grid.n**grid.dim < 2**16 else _FFT_WORKERS
+
+
+def _fft_pass(kernel, src: np.ndarray, dst: np.ndarray, axis: int, grid: Grid) -> None:
+    """One 1-D pass of ``kernel`` (``np.fft.rfft``, ``fft``, ``ifft`` or ``irfft``) along grid
+    axis ``axis``, from ``src`` into ``dst`` (which may be ``src``), normalized forward.
+
+    With two workers the lines are split into two halves along another grid axis, one
+    half per thread of ``_FFT_POOL``.  Each line is transformed on its own, so the split
+    changes no bit of the result.
+    """
+    if _workers(grid) == 1:
+        kernel(src, axis=axis - grid.dim, norm="forward", out=dst)
+        return
+    cut = 1 if axis == 0 else 0
+    mid = dst.shape[cut - grid.dim] // 2
+    halves = [_slab(grid, cut, part) for part in (slice(None, mid), slice(mid, None))]
+    # reading every result re-raises an error of either thread
+    list(_FFT_POOL.map(lambda h: kernel(src[h], axis=axis - grid.dim, norm="forward", out=dst[h]), halves))
 
 
 def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Forward DFT per component, normalized so coeff[0] is the mean."""
-    axes = tuple(range(-grid.dim, 0))
-    return sfft.fftn(values, axes=axes, norm="forward", workers=_workers(grid))
+    """Forward DFT per component, normalized so coeff[0] is the mean.
+
+    numpy's ``rfftn`` passes, in its order, fill the half ``k_last >= 0`` of the lattice
+    (last-axis indices 0 to n/2), and ``_completion`` sets the rest, and the later mode of
+    each mirror pair on the planes k_last = 0 and -n/2, to the conjugates of their
+    mirrors: the result is exactly Hermitian.
+    """
+    coeffs = np.empty(values.shape, dtype=np.complex128)
+    half = coeffs[..., : grid.n // 2 + 1]
+    _fft_pass(np.fft.rfft, values, half, grid.dim - 1, grid)
+    for axis in range(grid.dim - 2, -1, -1):
+        _fft_pass(np.fft.fft, half, half, axis, grid)
+    for pair in _completion(grid):
+        _nyquist_hermitian(coeffs, pair, fill=True)
+    return coeffs
 
 
 def inverse_transform(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Real part of the inverse DFT per component, for coefficients that are
     Hermitian off the Nyquist planes (see the module docstring).
 
-    One ``irfftn`` of the half ``k_last >= 0`` of the lattice makes the
-    values; when the Nyquist planes do not hold their Hermitian part, a copy
+    numpy's ``irfftn`` passes, in its order, on the half ``k_last >= 0`` of the lattice
+    make the values; when the Nyquist planes do not hold their Hermitian part, a copy
     of the coefficients with that part on the planes is transformed instead.
     """
-    hermitian = _nyquist_hermitian(coeffs, grid)
+    nyquist = _nyquist_modes(grid)
+    hermitian = _nyquist_hermitian(coeffs, nyquist)
     if hermitian is not None:
         coeffs = coeffs.copy()
-        coeffs[_nyquist_modes(grid)[0]] = hermitian
-    axes = tuple(range(-grid.dim, 0))
+        coeffs[nyquist[0]] = hermitian
     half = coeffs[..., : grid.n // 2 + 1]
-    return sfft.irfftn(half, s=grid.shape, axes=axes, norm="forward", workers=_workers(grid))
+    if grid.dim > 1:
+        columns = np.empty(half.shape, dtype=np.complex128)
+        _fft_pass(np.fft.ifft, half, columns, 0, grid)
+        for axis in range(1, grid.dim - 1):
+            _fft_pass(np.fft.ifft, columns, columns, axis, grid)
+        half = columns
+    values = np.empty(coeffs.shape)
+    _fft_pass(np.fft.irfft, half, values, grid.dim - 1, grid)
+    return values
 
 
 def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: Grid) -> np.ndarray:
@@ -304,11 +363,41 @@ def _nyquist_modes(grid: Grid) -> tuple[tuple, tuple]:
     return (Ellipsis, *map(_read_only, modes)), (Ellipsis, *map(_read_only, mirrors))
 
 
-def _nyquist_hermitian(coeffs: np.ndarray, grid: Grid) -> np.ndarray | None:
-    """The Hermitian part (c + conj(c_mirror))/2 of the Nyquist planes' modes, in the order
-    of ``_nyquist_modes``, or None when the planes already hold it (all zero, or exactly
-    Hermitian)."""
-    modes, mirrors = _nyquist_modes(grid)
+@lru_cache(maxsize=_OPERATOR_CACHE)
+def _completion(grid: Grid) -> tuple[tuple[tuple, tuple], ...]:
+    """The modes that ``transform`` sets to the conjugates of their mirrors -k, as pairs of
+    slices ``(modes, mirrors)``; built once per grid.
+
+    They are the modes whose mirror comes first in row-major order of the half
+    ``k_last >= 0``: every mode with k_last < 0 other than -n/2, and on the self-conjugate
+    planes k_last = 0 and -n/2, those whose first k_j other than 0 and -n/2 is negative.
+    This is pocketfft's order for the complex transform of real values, so in 1-D and
+    2-D the result has the bits of that transform (``scipy.fft.fftn``).
+    """
+    h = grid.n // 2
+    # per axis, (modes, mirrors): index k has its mirror at n - k, and 0 and h are their own
+    whole = ((0, 0), (slice(1, None), slice(None, 0, -1)))
+    negative = (slice(h + 1, None), slice(h - 1, 0, -1))
+    own = (slice(None, None, h),) * 2
+    pieces = [(*other, negative) for other in product(whole, repeat=grid.dim - 1)]
+    for j in range(grid.dim - 1):
+        pieces += [(*(own,) * j, negative, *rest, own) for rest in product(whole, repeat=grid.dim - 2 - j)]
+    return tuple(((Ellipsis, *(m for m, _ in axes)), (Ellipsis, *(r for _, r in axes))) for axes in pieces)
+
+
+def _nyquist_hermitian(coeffs: np.ndarray, pair: tuple, fill: bool = False) -> np.ndarray | None:
+    """The Hermitian part (c + conj(c_mirror))/2 of the modes ``coeffs[modes]``, in their order,
+    or None when they already hold it (all zero, or exactly Hermitian).
+
+    ``pair`` is ``(modes, mirrors)``, and ``coeffs[mirrors]`` holds the mirrors -k of the
+    modes in the same order: the Nyquist planes (``_nyquist_modes``) or a piece of
+    ``_completion``.  With ``fill``, the modes take the conjugates of their mirrors
+    instead, in place (``modes`` must then be slices), and nothing is returned.
+    """
+    modes, mirrors = pair
+    if fill:
+        np.conjugate(coeffs[mirrors], out=coeffs[modes])
+        return None
     c = coeffs[modes]
     if not c.any():
         return None
@@ -326,9 +415,10 @@ def parseval_power(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     ``_nyquist_hermitian`` on them.
     """
     power = _power(coeffs)
-    hermitian = _nyquist_hermitian(coeffs, grid)
+    nyquist = _nyquist_modes(grid)
+    hermitian = _nyquist_hermitian(coeffs, nyquist)
     if hermitian is not None:
-        power[_nyquist_modes(grid)[0]] = _power(hermitian)
+        power[nyquist[0]] = _power(hermitian)
     return power
 
 

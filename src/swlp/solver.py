@@ -217,8 +217,9 @@ def initial_state(
     return state
 
 
-def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, SpectralField]:
-    """Explicit right-hand sides ``(h2_rhs, u2_rhs)`` of the perturbation system.
+def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, SpectralField, float]:
+    """Explicit right-hand sides ``(h2_rhs, u2_rhs)`` of the perturbation system, and the
+    largest |u_i| at the grid points, from which ``step`` checks the CFL cap.
 
     Diffusion of u2 (and the friction drag) are left to the implicit part
     of the stepper and are not included here.  Everything is assembled in
@@ -232,11 +233,11 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
                    + sum_j (p_j d_j u2_i + q_j d_i u2_j + w_j d_j u1_i)
 
     with q = (mu grad h2 - u1)/2, p = q - u and w = mu grad h2 - u2.  The
-    products are formed pointwise, in blocks of ``_RHS_BLOCK`` points.
+    products are formed pointwise, in blocks of ``_RHS_BLOCK`` points.  The
+    density floor is left to the caller: ``step`` checks it after the CFL cap.
     """
     g = state.grid
     dim = g.dim
-    state._rho_values  # checks the density floor, once per state
 
     gh2 = inverse_transform(_jacobian(state.h2.coeffs[0], g), g)
     du2 = inverse_transform(_jacobian(state.u2.coeffs, g), g)  # du2[i, j] = d_j u2_i
@@ -248,12 +249,14 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
     points = g.n**dim
     h2_rhs = np.empty(points)
     u2_rhs = np.empty((dim, points))
+    umax = 0.0
     for lo in range(0, points, _RHS_BLOCK):
         block = slice(lo, lo + _RHS_BLOCK)
-        _rhs_block(*(a[..., block] for a in inputs), upper, h2_rhs[block], u2_rhs[:, block], config)
+        umax = max(umax, _rhs_block(*(a[..., block] for a in inputs), upper, h2_rhs[block], u2_rhs[:, block], config))
     return (
         dealiased_from_values(g, h2_rhs.reshape(g.shape)),
         dealiased_from_values(g, u2_rhs.reshape(dim, *g.shape)),
+        umax,
     )
 
 
@@ -262,8 +265,9 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
 _RHS_BLOCK = 8192
 
 
-def _rhs_block(u1, u2, gh2, du2, du1_upper, upper, h2_out, u2_out, config: SolverConfig) -> None:
-    """The formulas of ``assemble_rhs`` on one block of points, written into ``h2_out`` and ``u2_out``.
+def _rhs_block(u1, u2, gh2, du2, du1_upper, upper, h2_out, u2_out, config: SolverConfig) -> float:
+    """The formulas of ``assemble_rhs`` on one block of points, written into ``h2_out`` and ``u2_out``;
+    returns the block's largest |u_i|, u = u1 + u2.
 
     ``du1_upper`` holds the entries ``upper`` (pairs i <= j) of the symmetric grad u1.
     """
@@ -300,6 +304,7 @@ def _rhs_block(u1, u2, gh2, du2, du1_upper, upper, h2_out, u2_out, config: Solve
             out += tmp
             np.multiply(w[j], du1[i, j], out=tmp)
             out += tmp
+    return max(float(u.max()), -float(u.min()))
 
 
 @lru_cache(maxsize=_OPERATOR_CACHE)
@@ -330,11 +335,14 @@ def _implicit_solve(u2_coeffs: np.ndarray, grid: Grid, m_sol, w) -> np.ndarray:
     return out
 
 
+def _cfl(umax: float, grid: Grid, config: SolverConfig) -> float:
+    """The advective CFL number of a largest speed ``umax``."""
+    return umax * config.dt * grid.n / min(grid.period)
+
+
 def cfl_number(state: SimState, config: SolverConfig) -> float:
     # the values of both fields are cached on them, and assemble_rhs reads them too
-    umax = float(np.abs(state.u1_cache.values + state.u2.values).max())
-    g = state.grid
-    return umax * config.dt * g.n / min(g.period)
+    return _cfl(float(np.abs(state.u1_cache.values + state.u2.values).max()), state.grid, config)
 
 
 def step(state: SimState, config: SolverConfig) -> SimState:
@@ -347,11 +355,11 @@ def step(state: SimState, config: SolverConfig) -> SimState:
         u1_next = velocity_from_density(heat_next)
         return SimState(t=state.t + dt, q1=q1_next, h2=state.h2, u2=state.u2, u1_cache=u1_next)
 
-    cfl = cfl_number(state, config)
+    h2_rhs, u2_rhs, umax = assemble_rhs(state, config)
+    cfl = _cfl(umax, g, config)
     if cfl > config.cfl_max:
         raise CflError(f"advective CFL {cfl:.3g} exceeds cap {config.cfl_max:.3g}")
-
-    h2_rhs, u2_rhs = assemble_rhs(state, config)
+    state._rho_values  # checks the density floor, once per state
     # the right-hand sides are fresh arrays that nothing else holds: the update reuses them
     h2_new = h2_rhs.coeffs
     h2_new *= dt
@@ -403,7 +411,7 @@ def full_residual(
     drho_dt = mult(drho1_dt, exp_h2)
     du_dt = du1_dt
     if include_perturbation_rate:
-        h2_rhs, u2_rhs = assemble_rhs(state, config)
+        h2_rhs, u2_rhs, _ = assemble_rhs(state, config)
         # the implicit part of the step: mu div D(u2) - drag u2
         u2 = state.u2
         du2_dt = u2_rhs + (laplacian(u2) + grad(div(u2))) * (0.5 * mu) + u2 * (-config.drag)

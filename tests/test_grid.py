@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ from swlp import (
     xi_mag2,
 )
 from swlp.dyadic import default_filter
-from swlp.grid import _jacobian, multiplied_values, parseval_power
+from swlp.grid import _jacobian, _workers, multiplied_values, parseval_power
 from swlp.quasi import gaussian_bump
 from swlp.solver import SolverConfig, _implicit_multipliers
 
@@ -35,6 +40,11 @@ GRIDS = {
     "3d": make_grid(3, 16, (2 * math.pi, 4 * math.pi, 2 * math.pi)),
 }
 on_grids = pytest.mark.parametrize("g", GRIDS.values(), ids=GRIDS.keys())
+# at 2^16 lattice points and above every FFT pass runs on two threads
+THREADED = {
+    "2d_256": make_grid(2, 256, (2 * math.pi, 4 * math.pi)),
+    "3d_64": make_grid(3, 64, (2 * math.pi, 4 * math.pi, 2 * math.pi)),
+}
 
 
 def numpy_values(coeffs, g):
@@ -71,11 +81,14 @@ def test_transform_roundtrip_and_mean():
     const = SpectralField.from_values(g, np.full((1, *g.shape), 2.5))
     assert const.coeffs[0][0, 0] == pytest.approx(2.5)
     assert const.mean()[0] == pytest.approx(2.5)
-    # the inverse kernel is numpy's real part on every kind of array the package makes,
-    # Nyquist slabs included (n = 8 has the largest share of them)
+    # the forward transform is numpy's fftn, and the inverse kernel numpy's real part on
+    # every kind of array the package makes, Nyquist slabs included (n = 8 has the
+    # largest share of them)
     small = [make_grid(dim, 8, (2 * math.pi, 3.0, 5.0)[:dim]) for dim in (1, 2, 3)]
     for g in (*GRIDS.values(), *small):
         u = SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape)))
+        ref = np.fft.fftn(u.values, axes=tuple(range(-g.dim, 0)), norm="forward")
+        assert np.abs(u.coeffs - ref).max() <= 1e-14 * np.abs(ref).max(), (g, "forward")
         par, sol = helmholtz_split(u)
         filt = default_filter(g)
         multipliers = [xi_mag2(g), dealias_mask(g), *(filt.weight(l) for l in range(filt.l_min, filt.l_max + 1))]
@@ -98,6 +111,56 @@ def test_transform_roundtrip_and_mean():
         nan[(0,) * (g.dim + 1)] = np.nan
         back = inverse_transform(transform(nan, g), g)
         assert np.isnan(back[0]).all() and np.isfinite(back[1:]).all()
+    # the threaded passes give the bits of numpy's single-threaded kernels, the forward
+    # one for 0 < k_last < n/2: on the planes k_last = 0 and -n/2 the completion sets
+    # half of the modes to their mirrors' conjugates
+    for g, ncomp in zip(THREADED.values(), (3, 1)):
+        assert _workers(g) == 2
+        axes = tuple(range(-g.dim, 0))
+        vals = rng.standard_normal((ncomp, *g.shape))
+        coeffs = transform(vals, g)
+        inner = (Ellipsis, slice(1, g.n // 2))
+        assert np.array_equal(coeffs[inner], np.fft.rfftn(vals, axes=axes, norm="forward")[inner])
+        ref = np.fft.fftn(vals, axes=axes, norm="forward")
+        assert np.abs(coeffs - ref).max() <= 1e-14 * np.abs(ref).max()
+        back = inverse_transform(coeffs, g)
+        half = coeffs[..., : g.n // 2 + 1]
+        assert np.array_equal(back, np.fft.irfftn(half, s=g.shape, axes=axes, norm="forward"))
+        assert np.abs(back - vals).max() < 1e-13
+        grad_coeffs = _jacobian(coeffs[0], g)
+        ref = numpy_values(grad_coeffs, g)
+        assert np.abs(inverse_transform(grad_coeffs, g) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_threaded_transforms_from_concurrent_callers():
+    """Callers on more threads than cores share the FFT pool: each gets its own result, bit for bit."""
+    g = THREADED["2d_256"]
+    rng = np.random.default_rng(3)
+    fields = [rng.standard_normal((2, *g.shape)) for _ in range(4)]
+    expected = [(transform(v, g), inverse_transform(transform(v, g), g)) for v in fields]
+
+    def both(v):
+        c = transform(v, g)
+        return c, inverse_transform(c, g)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(fields)) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(both, v) for v in fields for _ in range(3)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for (c, values), (c_ref, values_ref) in zip(got, [e for e in expected for _ in range(3)]):
+        assert np.array_equal(c, c_ref) and np.array_equal(values, values_ref)
+
+
+def test_import_loads_no_scipy():
+    """The transforms run on numpy's FFT: importing the package leaves scipy unloaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, swlp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @on_grids
@@ -249,7 +312,7 @@ def roll_flip_power(coeffs, g):
     return np.einsum("c...,c...->...", h.real, h.real) + np.einsum("c...,c...->...", h.imag, h.imag)
 
 
-@on_grids
+@pytest.mark.parametrize("g", [*GRIDS.values(), *THREADED.values()], ids=[*GRIDS, *THREADED])
 def test_parseval_power_matches_the_whole_lattice_hermitian_part(g):
     """Off the Nyquist planes the power is |c|^2, and on them the planes' own Hermitian part:
     the same numbers as the reflected copy of the whole lattice, bit for bit."""

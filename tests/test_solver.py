@@ -24,7 +24,7 @@ from swlp import (
 from swlp.besov import hybrid_besov_norm, time_hybrid_besov_norm
 from swlp.checks import perturbed_state
 from swlp.dyadic import default_filter
-from swlp.grid import _nyquist_hermitian, div, grad, sym_grad
+from swlp.grid import _nyquist_hermitian, _nyquist_modes, div, grad, sym_grad
 from swlp.quasi import _check_floor, heat_evolve, velocity_from_density
 from swlp.solver import (
     FtTracker,
@@ -65,7 +65,7 @@ def test_solver_fields_hold_their_nyquist_hermitian_part(dim, n):
     states.append(step(states[-1], cfg))
     for st in states:
         fields = (st.q1, st.h2, st.u2, st.u1_cache, *recompose(st))
-        assert [_nyquist_hermitian(f.coeffs, st.grid) for f in fields] == [None] * 6, st.t
+        assert [_nyquist_hermitian(f.coeffs, _nyquist_modes(st.grid)) for f in fields] == [None] * 6, st.t
 
 
 def _sum_products(pairs):
@@ -132,7 +132,8 @@ def _rhs_terms(st, cfg):
 def test_fast_rhs_matches_term_sum():
     for dim, n in ((1, 64), (2, 64), (3, 32)):
         st, cfg, _ = _small_state(n, dim=dim)
-        h2_rhs, u2_rhs = assemble_rhs(st, cfg)
+        h2_rhs, u2_rhs, umax = assemble_rhs(st, cfg)
+        assert umax == float(np.abs(st.u1_cache.values + st.u2.values).max()), dim
         terms_h, terms_u = _rhs_terms(st, cfg)
         assert np.abs(h2_rhs.coeffs - sum(t.coeffs for t in terms_h.values())).max() < 1e-13, dim
         assert np.abs(u2_rhs.coeffs - sum(t.coeffs for t in terms_u.values())).max() < 1e-13, dim
@@ -220,7 +221,9 @@ def test_first_order_time_convergence():
     assert 0.7 < order < 1.6
 
 
-def test_cfl_error_raised():
+def test_cfl_error_raised(counted):
+    """``step`` reads the largest speed from its right-hand side, not from ``cfl_number``, and
+    checks the cap before the density floor."""
     g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
     cfg = SolverConfig(mu=0.5, a=0.01, dt=1.0, cfl_max=0.4)
     q1 = gaussian_bump(g, 0.5, 1.0, 0.5)
@@ -228,9 +231,24 @@ def test_cfl_error_raised():
     filt = default_filter(g)
     u2 = random_band_field(g, rng, 0, 2, 2, filt, amplitude=5.0, norm="linf")
     st = initial_state(q1, SpectralField.zeros(g, 1), u2, cfg)
-    assert cfl_number(st, cfg) > cfg.cfl_max
-    with pytest.raises(CflError):
+    cfl = cfl_number(st, cfg)
+    assert cfl > cfg.cfl_max
+    message = f"advective CFL {cfl:.3g} exceeds cap {cfg.cfl_max:.3g}"
+    calls = counted("solver", "cfl_number")
+    with pytest.raises(CflError) as exc:
         step(st, cfg)
+    assert str(exc.value) == message
+    # e^{-20} puts rho below the density floor; the cap still fails first
+    low = SimState(t=st.t, q1=st.q1, h2=SpectralField.zeros(g, 1).with_mean(-20.0), u2=st.u2, u1_cache=st.u1_cache)
+    with pytest.raises(CflError) as exc:
+        step(low, cfg)
+    assert str(exc.value) == message
+    slow, slow_cfg, _ = _small_state()
+    step(slow, slow_cfg)
+    low = SimState(t=slow.t, q1=slow.q1, h2=slow.h2.with_mean(-20.0), u2=slow.u2, u1_cache=slow.u1_cache)
+    with pytest.raises(ValueError, match="density floor"):
+        step(low, slow_cfg)
+    assert calls == []
 
 
 def test_blowup_error_carries_state():
