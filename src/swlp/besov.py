@@ -13,8 +13,9 @@ p = 2 norms never leave coefficient space: ``grid.parseval_power`` gives
 exactly.  Every block weight is real and radial in xi, so the Hermitian part
 of Delta_l u is phi_l c_h, and one power array per field, summed over each
 |xi| shell of the filter, gives the L2 norm of every block.  The L^inf
-blocks of ``besov_minus1_infty`` go through one stacked inverse transform
-per field.
+blocks of ``besov_minus1_infty`` go through two stacked inverse transforms
+per field, each of half the blocks, so that no more than half of the
+blocks' coefficients and values are held at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicFilter
-from .grid import SpectralField, multiplied_values, parseval_power, xi_mag2
+from .grid import SpectralField, multiplied_values, parseval_power, parseval_sum, xi_mag2
 
 __all__ = [
     "BesovSpec",
@@ -88,8 +89,20 @@ def _check_grid(field: SpectralField, filt: DyadicFilter) -> None:
 
 def _lp(values: np.ndarray, p: float, volume: float) -> list[float]:
     """L^p norms of a stack of fields given as values (fields, ncomp, *grid)."""
-    mag = np.abs(values[:, 0]) if values.shape[1] == 1 else np.sqrt(np.sum(values**2, axis=1))
-    axes = tuple(range(1, mag.ndim))
+    axes = tuple(range(1, values.ndim - 1))
+    if values.shape[1] == 1:
+        mag = np.abs(values[:, 0])
+    else:
+        # the squared magnitude summed component by component, in np.sum's order
+        mag = np.square(values[:, 0])
+        square = np.empty_like(mag)
+        for comp in range(1, values.shape[1]):
+            mag += np.square(values[:, comp], out=square)
+        del square
+        if math.isinf(p):
+            # sqrt is monotone and correctly rounded: the sqrt of the max is the max of the sqrt
+            return [math.sqrt(v) for v in mag.max(axis=axes)]
+        np.sqrt(mag, out=mag)
     if math.isinf(p):
         return [float(v) for v in mag.max(axis=axes)]
     return [float(v) for v in (np.mean(mag**p, axis=axes) * volume) ** (1.0 / p)]
@@ -105,7 +118,7 @@ def lp_norm(field: SpectralField, p: float) -> float:
     p = _check_index(p, "p")
     if p == 2.0:
         g = field.grid
-        return math.sqrt(g.volume * float(np.sum(parseval_power(field.coeffs, g))))
+        return math.sqrt(g.volume * parseval_sum(field.coeffs, g))
     return _lp(field.values[None], p, field.grid.volume)[0]
 
 
@@ -237,19 +250,28 @@ def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | 
     piece weighted by 2^{-low_cut} (nonhomogeneous-style evaluation; needed
     for decay diagnostics where the homogeneous sup is dominated by the
     ever-lower frequency content of spreading heat profiles).
+
+    The pieces go through two stacked inverse transforms, the first half of
+    them (lowest first) and then the rest: a stack of every piece would hold
+    (pieces x components) coefficient lattices at once.
     """
     _check_grid(field, filt)
-    levels = [l for l in filt.levels if low_cut is None or l >= low_cut]
-    weights = [2.0 ** (-l) for l in levels]
-    multipliers = [filt.weight(l) for l in levels]
+    # (weight, lowest level, highest level) of every piece
+    pieces = [(2.0 ** (-l), l, l) for l in filt.levels if low_cut is None or l >= low_cut]
     if low_cut is not None:
         # S_{low_cut} u, the blocks below low_cut lumped into one piece (zero
         # when low_cut <= l_min, all blocks when low_cut > l_max)
-        weights.insert(0, 2.0 ** (-low_cut))
-        multipliers.insert(0, filt.band(filt.l_min, low_cut - 1))
-    if not multipliers:
+        pieces.insert(0, (2.0 ** (-low_cut), filt.l_min, low_cut - 1))
+    if not pieces:
         return 0.0
-    return max(w * v for w, v in zip(weights, _stacked_lp(field, multipliers, INF)))
+    # two stacks, each holding half of the pieces' coefficients and values at once
+    half = (len(pieces) + 1) // 2
+    return max(
+        w * v
+        for stack in (pieces[:half], pieces[half:])
+        if stack
+        for (w, _, _), v in zip(stack, _stacked_lp(field, [filt.band(lo, hi) for _, lo, hi in stack], INF))
+    )
 
 
 def active_levels(field: SpectralField, filt: DyadicFilter) -> list[int]:

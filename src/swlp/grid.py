@@ -16,8 +16,9 @@ Conventions used throughout the package:
   transform output in place;
 * every spatial derivative is one multiplication by ``i xi_j``: the
   multipliers are built once per grid (``_i_xi``), and ``_jacobian`` (with
-  its upper triangle ``_jacobian_upper``) and ``_divergence`` are the only
-  operations that apply them.  ``grad``, ``div``, ``sym_grad``,
+  its upper triangle ``_jacobian_upper`` and its entry ``_partial``),
+  ``_sym_grad_upper`` and ``_divergence`` are the only operations that
+  apply them.  ``grad``, ``div``, ``sym_grad``,
   ``curl_norm``, ``helmholtz_split`` and the solver's derivatives are
   written with these;
 * Nyquist rule: the values of a first derivative along axis ``j`` carry
@@ -35,7 +36,9 @@ few operations:
   have the lattice's shape, so code that needs that shape reads it from a
   multiplier or from the coefficients, never from ``Grid.shape`` (the shape
   of the values);
-* ``parseval_power``, the L2 power of a coefficient stack;
+* ``parseval_power``, the L2 power of a coefficient stack, and its sum
+  ``parseval_sum``;
+* ``kept_power``, the power of the modes a dealias keeps;
 * ``dealias`` and ``dealiased_from_values``, which zero the dropped slabs;
 * ``SpectralField.mean`` and ``SpectralField.with_mean``, which read and set
   the ``k = 0`` coefficients;
@@ -112,6 +115,8 @@ __all__ = [
     "inverse_transform",
     "multiplied_values",
     "parseval_power",
+    "parseval_sum",
+    "kept_power",
     "shift_phase",
     "dealias_mask",
     "dealias",
@@ -245,9 +250,32 @@ def _jacobian_upper(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return upper
 
 
+def _partial(coeffs: np.ndarray, grid: Grid, j: int) -> np.ndarray:
+    """d_j f of a coefficient array, one derivative of ``_jacobian``."""
+    return _i_xi(grid)[j] * coeffs
+
+
+def _sym_grad_upper(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """The entries (D f)_ij = (d_j f_i + d_i f_j)/2 with i <= j of a vector field's symmetric
+    gradient, stacked in ``np.triu_indices`` order: the whole of it, as D is symmetric."""
+    i_xi = _i_xi(grid)
+    rows, cols = np.triu_indices(grid.dim)
+    upper = np.empty((rows.size, *grid.shape), dtype=np.complex128)
+    for out, i, j in zip(upper, rows, cols):
+        np.multiply(i_xi[j], coeffs[i], out=out)
+        out += i_xi[i] * coeffs[j]
+        out *= 0.5
+    return upper
+
+
 def _divergence(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Contract the axis just before the grid axes: sum_j d_j f[..., j]."""
-    return sum(m * f_j for m, f_j in zip(_i_xi(grid), np.moveaxis(coeffs, -grid.dim - 1, 0)))
+    """Contract the axis just before the grid axes: sum_j d_j f[..., j], added in place in order of j."""
+    terms = zip(_i_xi(grid), np.moveaxis(coeffs, -grid.dim - 1, 0))
+    m, f_j = next(terms)
+    out = m * f_j
+    for m, f_j in terms:
+        out += m * f_j
+    return out
 
 
 @lru_cache(maxsize=_OPERATOR_CACHE)
@@ -420,6 +448,64 @@ def parseval_power(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     if hermitian is not None:
         power[nyquist[0]] = _power(hermitian)
     return power
+
+
+def parseval_sum(coeffs: np.ndarray, grid: Grid) -> float:
+    """The sum of ``parseval_power(coeffs, grid)``, with no lattice-sized temporary:
+    ``volume *`` it is the squared collocation L2 norm of the values.
+
+    ``_square_sum`` gives sum |c|^2, and the Nyquist planes' |c|^2 is replaced by
+    |c_h|^2 where the planes do not hold their Hermitian part.
+    """
+    total = _square_sum(coeffs)
+    nyquist = _nyquist_modes(grid)
+    hermitian = _nyquist_hermitian(coeffs, nyquist)
+    if hermitian is not None:
+        total += _square_sum(hermitian) - _square_sum(coeffs[nyquist[0]])
+    return total
+
+
+# float64s squared per chunk of ``_square_sum``: 512 KiB of scratch, not a lattice
+_SQUARE_CHUNK = 1 << 16
+
+
+def _square_sum(a: np.ndarray) -> float:
+    """sum |a|^2 over every entry of a real or complex array, from its float64s.
+
+    The squares are summed pairwise (``np.sum``) a chunk at a time, so the sum is
+    as accurate as ``np.sum(parseval_power(...))`` with no lattice-sized
+    temporary.  A BLAS dot product would be faster alone, but its threads keep
+    spinning on the cores that the transforms' threads need.
+    """
+    # a copy when ``a`` is not contiguous, as the blocks of ``kept_power`` are
+    flat = a.reshape(-1).view(np.float64)
+    square = np.empty(min(flat.size, _SQUARE_CHUNK))
+    total = 0.0
+    for lo in range(0, flat.size, _SQUARE_CHUNK):
+        chunk = flat[lo : lo + _SQUARE_CHUNK]
+        total += float(np.sum(np.square(chunk, out=square[: chunk.size])))
+    return total
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE)
+def _kept_blocks(grid: Grid) -> tuple[tuple, ...]:
+    """The indices of the 2^dim blocks of modes the 2/3 dealias keeps; built once per grid.
+
+    Per axis the kept |k_j| < n/3 are two runs of indices in fft layout: the m
+    indices of 0 <= k_j < m and the m - 1 of -m < k_j < 0.
+    """
+    m = (int(np.count_nonzero(np.abs(grid.wavenumbers()) < 2.0 / 3.0 * grid.n / 2.0)) + 1) // 2
+    runs = (slice(0, m), slice(grid.n - m + 1, None))
+    return tuple((Ellipsis, *block) for block in product(runs, repeat=grid.dim))
+
+
+def kept_power(coeffs: np.ndarray, grid: Grid) -> float:
+    """sum |c|^2 over the modes that ``dealias`` keeps, all components.
+
+    Those modes lie off the Nyquist planes, where c_h = c, so ``volume *`` it is
+    the squared L2 norm of the dealiased field.
+    """
+    return sum(_square_sum(coeffs[block]) for block in _kept_blocks(grid))
 
 
 def shift_phase(grid: Grid, x0) -> np.ndarray:
@@ -622,8 +708,11 @@ def sym_grad(field: SpectralField) -> np.ndarray:
     g = field.grid
     if field.ncomp != g.dim:
         raise ValueError("sym_grad expects a dim-component field")
-    jac = _jacobian(field.coeffs, g)
-    return 0.5 * (jac + np.swapaxes(jac, 0, 1))
+    upper = _sym_grad_upper(field.coeffs, g)
+    tensor = np.empty((g.dim, g.dim, *upper.shape[1:]), dtype=np.complex128)
+    for entry, i, j in zip(upper, *np.triu_indices(g.dim)):
+        tensor[i, j] = tensor[j, i] = entry
+    return tensor
 
 
 def curl_norm(field: SpectralField) -> float:
@@ -634,7 +723,7 @@ def curl_norm(field: SpectralField) -> float:
     jac = _jacobian(field.coeffs, g)
     i, j = np.triu_indices(g.dim, 1)
     w = jac[j, i] - jac[i, j]
-    return math.sqrt(g.volume * float(np.sum(parseval_power(w, g))))
+    return math.sqrt(g.volume * parseval_sum(w, g))
 
 
 def helmholtz_split(field: SpectralField) -> tuple[SpectralField, SpectralField]:

@@ -39,16 +39,19 @@ from .grid import (
     SpectralField,
     _dealias_in_place,
     _divergence,
+    _partial,
     _read_only,
-    dealias_mask,
+    _square_sum,
+    _sym_grad_upper,
     dealiased_from_values,
     div,
     grad,
+    inverse_transform,
+    kept_power,
     laplacian,
     mult,
-    parseval_power,
+    parseval_sum,
     shift_phase,
-    sym_grad,
     transform,
     xi_mag2,
 )
@@ -129,11 +132,11 @@ def log_density(q1: SpectralField) -> SpectralField:
     g = q1.grid
     rho = 1.0 + q1.values[0]
     _check_floor(rho)
-    coeffs = transform(np.log(rho)[None], g)
-    # the mask is even in k, so the power of the trimmed field is the masked power
-    power = parseval_power(coeffs, g)
-    total = float(np.sum(power))
-    kept = float(np.sum(power * dealias_mask(g)))
+    log_rho = np.log(rho)
+    coeffs = transform(log_rho[None], g)
+    # Parseval: the power of the coefficients is the mean square of the values
+    total = _square_sum(log_rho) / log_rho.size
+    kept = kept_power(coeffs, g)
     if total > 0 and (total - kept) / total > LOG_TAIL_TOL:
         warnings.warn(
             "log-density truncation tail exceeds 1e-10 of the L2 mass; "
@@ -230,25 +233,12 @@ def _reciprocal(rho: SpectralField) -> SpectralField:
     return dealiased_from_values(rho.grid, 1.0 / vals)
 
 
-def _row_div(tensor: SpectralField) -> SpectralField:
-    """Row divergence of a tensor stacked row-major as dim*dim components:
-    component i is sum_j d_j T_ij."""
-    g = tensor.grid
-    c = tensor.coeffs
-    return SpectralField(g, _divergence(c.reshape(g.dim, g.dim, *c.shape[1:]), g))
-
-
-def _rows(tensor: np.ndarray) -> np.ndarray:
-    """A (dim, dim, ...) tensor stacked row-major as dim*dim components."""
-    return tensor.reshape(-1, *tensor.shape[2:])
-
-
-def _rel_l2(residual: SpectralField, scales: list[SpectralField]) -> float:
-    num = lp_norm(residual, 2.0)
-    den = max((lp_norm(s, 2.0) for s in scales), default=0.0)
+def _rel_l2(residual_sq: float, scales_sq) -> float:
+    """sqrt(residual_sq / max(scales_sq)): a relative L2 norm from squared norms (0.0 for 0/0)."""
+    den = max(scales_sq, default=0.0)
     if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
+        return 0.0 if residual_sq == 0.0 else math.inf
+    return math.sqrt(residual_sq / den)
 
 
 def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: float):
@@ -259,24 +249,79 @@ def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: f
 
     The rates ``drho_dt`` and ``du_dt`` are given fields, or both None to drop
     the time terms.  The relative residuals divide each L2 norm by the
-    largest L2 norm of its terms.  A zero ``pressure`` or ``drag`` adds exact
-    zeros: the sum is bit-for-bit the sum without that term.
+    largest L2 norm of its terms.  A zero ``pressure`` or ``drag`` drops its
+    term.
+
+    The momentum is built one component i at a time, with P the 2/3 dealias:
+    P(d_t rho u_i) + P(rho d_t u_i), sum_j d_j P(u_i (rho u)_j),
+    -mu sum_j d_j P(rho D(u)_ij), pressure d_i rho and drag (rho u)_i, each
+    added into the running sum as it is made, keeping only its squared
+    Parseval norm.  Every product is dealiased as in the whole-field sum of
+    these terms, left to right, so both fields have that sum's bits; only
+    the relative residuals move, by the order of the norms' sums.
     """
     g = u.grid
+    # D(u) from its upper triangle: (D u)_ij = (D u)_ji
+    sym = inverse_transform(_sym_grad_upper(u.coeffs, g), g)
+    entry = {}
+    for k, (i, j) in enumerate(zip(*np.triu_indices(g.dim))):
+        entry[i, j] = entry[j, i] = sym[k]
     rho_u = mult(rho, u)
-    # all products u_i (rho u)_j in one forward transform and one dealias (it is linear)
-    outer = u.values[:, None] * rho_u.values[None, :]
-    conv = _row_div(dealiased_from_values(g, _rows(outer)))
-    visc = _row_div(mult(rho, SpectralField(g, _rows(sym_grad(u))))) * mu
-    mass_terms = [div(rho_u)]
-    mom_terms = [conv, -visc, grad(rho) * pressure, rho_u * drag]
-    if drho_dt is not None:
-        mass_terms.insert(0, drho_dt)
-        mom_terms.insert(0, mult(drho_dt, u) + mult(rho, du_dt))
-    # added left to right, time term first
-    mass = sum(mass_terms[1:], mass_terms[0])
-    mom = sum(mom_terms[1:], mom_terms[0])
-    return mass, mom, _rel_l2(mass, mass_terms), _rel_l2(mom, mom_terms)
+    flux = div(rho_u)
+    if drho_dt is None:
+        mass, mass_sq = flux, []
+    else:
+        mass, mass_sq = drho_dt + flux, [parseval_sum(drho_dt.coeffs, g)]
+    mass_sq.append(parseval_sum(flux.coeffs, g))
+    rho_vals, u_vals, ru_vals = rho.values[0], u.values, rho_u.values
+    # only the values of rho u are read from here on
+    del flux, rho_u
+
+    def row_terms(i):
+        """The terms of momentum component i, in the order they are summed, each made when
+        asked for and dropped when the next one is asked for."""
+        if drho_dt is not None:
+            time = dealiased_from_values(g, drho_dt.values[0] * u_vals[i]).coeffs[0]
+            time += dealiased_from_values(g, rho_vals * du_dt.values[i]).coeffs[0]
+            yield time
+            del time
+        yield _divergence(dealiased_from_values(g, u_vals[i] * ru_vals).coeffs, g)
+        stress = np.empty((g.dim, *g.shape))
+        for j, out in enumerate(stress):
+            np.multiply(rho_vals, entry[i, j], out=out)
+        # the values of rho D(u)_i go once their coefficients are made
+        stress = dealiased_from_values(g, stress).coeffs
+        visc = _divergence(stress, g)
+        del stress
+        visc *= -mu
+        yield visc
+        del visc
+        if pressure != 0.0:
+            yield _partial(rho.coeffs[0], g, i) * pressure
+        if drag != 0.0:
+            # (rho u)_i, with the bits of the component of mult(rho, u)
+            yield dealiased_from_values(g, rho_vals * u_vals[i]).coeffs[0] * drag
+
+    mom = np.empty(u.coeffs.shape, dtype=np.complex128)
+    # the squared norm of each term so far, by its place in the sum
+    mom_sq = [0.0] * 5
+    for i, total in enumerate(mom):
+        # counted by hand: enumerate would keep the last term alive while the next is made
+        k = 0
+        for term in row_terms(i):
+            mom_sq[k] += parseval_sum(term, g)
+            if k == 0:
+                total[...] = term
+            else:
+                total += term
+            del term
+            k += 1
+    return (
+        mass,
+        SpectralField(g, mom),
+        _rel_l2(parseval_sum(mass.coeffs, g), mass_sq),
+        _rel_l2(parseval_sum(mom, g), mom_sq),
+    )
 
 
 def quasi_residual(state: HeatState) -> tuple[float, float]:

@@ -63,6 +63,7 @@ from .grid import (
     inverse_transform,
     laplacian,
     mult,
+    parseval_sum,
     xi_mag2,
 )
 from .quasi import (
@@ -70,7 +71,6 @@ from .quasi import (
     _check_floor,
     _heat_rates,
     _rel_l2,
-    _rows,
     _system_residual,
     heat_evolve,
     velocity_from_density,
@@ -401,15 +401,19 @@ def full_residual(
     substituted from the perturbation system, which certifies that the
     integrated system is an exact reformulation (residuals at the spectral
     truncation floor for any state).
+
+    The rates are formed first, and what they are made from is dropped
+    before ``quasi._system_residual`` runs: it builds the momentum residual
+    one component at a time, in the order time, convection, viscosity,
+    pressure, drag, with the bits of the whole-field sum of those terms.
     """
     g = state.grid
     mu = config.mu
     rho, u = recompose(state)
-    _, drho1_dt, du1_dt = _heat_rates(state.heat_state(mu))
-
-    exp_h2 = dealiased_from_values(g, state._exp_h2)
-    drho_dt = mult(drho1_dt, exp_h2)
-    du_dt = du1_dt
+    drho1_dt, du_dt = _heat_rates(state.heat_state(mu))[1:]
+    drho_dt = mult(drho1_dt, dealiased_from_values(g, state._exp_h2))
+    # the rate of rho1 and its values go before the system residual's temporaries
+    del drho1_dt
     if include_perturbation_rate:
         h2_rhs, u2_rhs, _ = assemble_rhs(state, config)
         # the implicit part of the step: mu div D(u2) - drag u2
@@ -417,6 +421,7 @@ def full_residual(
         du2_dt = u2_rhs + (laplacian(u2) + grad(div(u2))) * (0.5 * mu) + u2 * (-config.drag)
         drho_dt = drho_dt + mult(rho, h2_rhs)
         du_dt = du_dt + du2_dt
+        del h2_rhs, u2_rhs, du2_dt
     _, _, mass_rel, mom_rel = _system_residual(
         rho, u, drho_dt, du_dt, mu, config.pressure_coeff, config.drag
     )
@@ -430,15 +435,15 @@ def gronwall_integrand(state: SimState, filt: DyadicFilter, l0: int = 0) -> floa
     spec_q_linear = HybridBesovSpec(dim / 2 + 1, dim / 2 + 2, 2, 2, math.inf, math.inf, l0)
     spec_du1 = HybridBesovSpec(dim / 2 - 1, dim / 2, 2, 2, math.inf, math.inf, l0)
     q1 = state.q1
-    u1 = state.u1_cache
-    u = u1 + state.u2
-    du1 = grad_norm_field(u1)
-    du = grad_norm_field(u)
+    du1 = grad_norm_field(state.u1_cache)
+    du1_term = max(lp_norm(du1, math.inf), hybrid_besov_norm(du1, spec_du1, filt))
+    # grad u1 and its values go before grad u is made
+    del du1
     return (
         hybrid_besov_norm(q1, spec_q_quartic, filt) ** 4
         + hybrid_besov_norm(q1, spec_q_linear, filt)
-        + max(lp_norm(du1, math.inf), hybrid_besov_norm(du1, spec_du1, filt))
-        + lp_norm(du, math.inf)
+        + du1_term
+        + lp_norm(grad_norm_field(state.u1_cache + state.u2), math.inf)
     )
 
 
@@ -459,7 +464,8 @@ class GronwallTracker:
 def grad_norm_field(u: SpectralField) -> SpectralField:
     """All first derivatives of a vector field, stacked as components: d_j u_i is component i*dim + j."""
     g = u.grid
-    return SpectralField(g, _rows(_jacobian(u.coeffs, g)))
+    jac = _jacobian(u.coeffs, g)
+    return SpectralField(g, jac.reshape(-1, *jac.shape[2:]))
 
 
 def ft_specs(dim: int, l0: int = 0):
@@ -535,9 +541,10 @@ def scaling_check(
     mass, mom, _, _ = _system_residual(rho, u, None, None, config.mu, a, 0.0)
     mom_rhs = dilate(mom, l_factor) * float(l_factor**3)
     mass_rhs = dilate(mass, l_factor) * float(l_factor**2)
+    g = state.grid
     return max(
-        _rel_l2(mom_lhs - mom_rhs, [mom_lhs, mom_rhs]),
-        _rel_l2(mass_lhs - mass_rhs, [mass_lhs, mass_rhs]),
+        _rel_l2(parseval_sum((lhs - rhs).coeffs, g), [parseval_sum(lhs.coeffs, g), parseval_sum(rhs.coeffs, g)])
+        for lhs, rhs in ((mom_lhs, mom_rhs), (mass_lhs, mass_rhs))
     )
 
 

@@ -30,7 +30,14 @@ from swlp import (
     xi_mag2,
 )
 from swlp.dyadic import default_filter
-from swlp.grid import _jacobian, _workers, multiplied_values, parseval_power
+from swlp.grid import (
+    _jacobian,
+    _workers,
+    kept_power,
+    multiplied_values,
+    parseval_power,
+    parseval_sum,
+)
 from swlp.quasi import gaussian_bump
 from swlp.solver import SolverConfig, _implicit_multipliers
 
@@ -332,6 +339,36 @@ def test_parseval_power_matches_the_whole_lattice_hermitian_part(g):
     # on those planes plain |c|^2 is not the power
     grad_coeffs = cases["undealiased_grad"]
     assert not np.allclose(np.sum(np.abs(grad_coeffs) ** 2, 0), roll_flip_power(grad_coeffs, g), rtol=1e-3)
+
+
+@pytest.mark.parametrize("g", [*GRIDS.values(), *THREADED.values()], ids=[*GRIDS, *THREADED])
+def test_power_sums_match_the_power_array(g):
+    """``parseval_sum`` is the sum of ``parseval_power``, also where the Nyquist planes are
+    not Hermitian, and ``kept_power`` is its sum over the modes a dealias keeps; both also
+    take one component's lattice without a component axis."""
+    rng = np.random.default_rng(9)
+    white = SpectralField.from_values(g, rng.standard_normal((1, *g.shape)))
+    vector = SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape)))
+    cases = {
+        "white_vector": vector.coeffs,
+        "dealiased": dealias(vector).coeffs,
+        "undealiased_grad": grad(white).coeffs,
+        "one_component": grad(white).coeffs[0],
+    }
+    for name, coeffs in cases.items():
+        power = parseval_power(coeffs if coeffs.ndim > g.dim else coeffs[None], g)
+        assert parseval_sum(coeffs, g) == pytest.approx(float(np.sum(power)), rel=1e-13, abs=0), name
+        kept = kept_power(coeffs, g)
+        assert kept == pytest.approx(float(np.sum(power * dealias_mask(g))), rel=1e-13, abs=0), name
+        assert kept == pytest.approx(parseval_sum(dealias(SpectralField(g, coeffs)).coeffs, g), rel=1e-13, abs=0), name
+
+
+@on_grids
+def test_sym_grad_has_the_bits_of_the_symmetric_part_of_the_jacobian(g):
+    """Filled from its upper triangle, D(u) equals (J + J^T)/2 of the whole Jacobian bit for bit."""
+    u = SpectralField.from_values(g, np.random.default_rng(4).standard_normal((g.dim, *g.shape)))
+    jac = _jacobian(u.coeffs, g)
+    assert np.array_equal(sym_grad(u), 0.5 * (jac + np.swapaxes(jac, 0, 1)))
 
 
 @settings(max_examples=20, deadline=None)

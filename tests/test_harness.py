@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from swlp import checks
 from swlp.cli import main as cli_main
+from swlp.besov import besov_minus1_infty
 from swlp.dyadic import default_filter
 from swlp.grid import make_grid
 from swlp.harness import (
@@ -20,7 +22,16 @@ from swlp.harness import (
     load_config,
     run,
 )
-from swlp.solver import CflError, FtTracker, GronwallTracker, cfl_number, gronwall_integrand, step
+from swlp.solver import (
+    CflError,
+    FtTracker,
+    GronwallTracker,
+    cfl_number,
+    full_residual,
+    gronwall_integrand,
+    recompose,
+    step,
+)
 
 FAST = dict(n=64, dt=0.05, t_end=1.0, snapshot_dt=0.25, dump_fields=False)
 
@@ -102,10 +113,42 @@ def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms, trans
     # one per right-hand side and one for ln rho1
     assert len(transforms) <= 3
     del inverse_transforms[:]
-    # 14 are needed; one transform per dyadic block or per product would
-    # make about 70
+    # 15 are needed, with the L-inf blocks in two stacks; one transform per
+    # dyadic block or per product would make about 70
     _diagnostics(state, scfg, filt, FtTracker(filt), GronwallTracker(filt))
-    assert len(inverse_transforms) <= 16
+    assert len(inverse_transforms) <= 15
+
+
+def test_snapshot_diagnostics_memory_budget():
+    """The snapshot diagnostics' working set, as the tracemalloc peak of what a call
+    allocates, in complex lattices of the grid (n^2 * 16 bytes).  A step peaks at about
+    14; the whole-field residual and one stack of every L-inf block took the
+    diagnostics to 37.6, the residual alone to 33.6 and the blocks to 9.1."""
+    config = RunConfig(**FAST)
+    grid = make_grid(2, config.n, config.period)
+    filt = default_filter(grid)
+    scfg = config.solver_config()
+    stepped = step(_initial_state(config, grid, filt), scfg)
+
+    def peak(fn, state) -> float:
+        tracemalloc.start()
+        try:
+            fn(state)
+            return tracemalloc.get_traced_memory()[1] / (16 * config.n**2)
+        finally:
+            tracemalloc.stop()
+
+    def recomposed():
+        # _diagnostics recomposes first; the fields are cached on the state
+        state = step(stepped, scfg)
+        recompose(state)
+        return state
+
+    # each measurement on a fresh state: a state caches what it computes
+    assert peak(lambda st: _diagnostics(st, scfg, filt, FtTracker(filt), GronwallTracker(filt)), step(stepped, scfg)) <= 25
+    assert peak(lambda st: full_residual(st, scfg), recomposed()) <= 18
+    assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 5
+    assert peak(lambda st: gronwall_integrand(st, filt), recomposed()) <= 10.5
 
 
 def test_failed_run_keeps_rows_and_status(tmp_path):

@@ -18,8 +18,10 @@ from swlp import (
     quasi_residual,
     velocity_from_density,
 )
-from swlp.besov import BesovSpec
+from swlp.besov import BesovSpec, lp_norm
 from swlp.dyadic import default_filter
+from swlp.grid import dealias, div, grad, mult, sym_grad
+from swlp.quasi import _system_residual
 from swlp.solver import random_band_field
 
 
@@ -240,3 +242,56 @@ def test_heat_estimate_rejects_bad_times_before_the_solve(counted, times):
     with pytest.raises(ValueError, match="strictly increasing"):
         heat_estimate_ratio(u0, snaps, BesovSpec(1.0, 2, 1), 1.0, 0.5, filt)
     assert transforms == [] and multipliers == []
+
+
+def _whole_field_residual(rho, u, drho_dt, du_dt, mu, pressure, drag):
+    """The system as whole-field terms summed left to right, each term's norm from its own
+    field: the formula ``_system_residual`` builds one momentum component at a time."""
+    g = u.grid
+    dim = g.dim
+    rho_u = mult(rho, u)
+    outer = u.values[:, None] * rho_u.values[None, :]
+    conv_rows = dealias(SpectralField.from_values(g, outer.reshape(dim * dim, *g.shape))).coeffs
+    stress = SpectralField(g, sym_grad(u).reshape(dim * dim, *u.coeffs.shape[1:]))
+    visc_rows = mult(rho, stress).coeffs
+
+    def row_div(rows):
+        return SpectralField(g, np.concatenate([div(SpectralField(g, rows[i * dim : (i + 1) * dim])).coeffs for i in range(dim)]))
+
+    mass_terms = [div(rho_u)]
+    mom_terms = [row_div(conv_rows), -(row_div(visc_rows) * mu), grad(rho) * pressure, rho_u * drag]
+    if drho_dt is not None:
+        mass_terms.insert(0, drho_dt)
+        mom_terms.insert(0, mult(drho_dt, u) + mult(rho, du_dt))
+    mass = sum(mass_terms[1:], mass_terms[0])
+    mom = sum(mom_terms[1:], mom_terms[0])
+
+    def rel(total, terms):
+        return lp_norm(total, 2.0) / max(lp_norm(t, 2.0) for t in terms)
+
+    return mass, mom, rel(mass, mass_terms), rel(mom, mom_terms)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("with_rates", [True, False], ids=["rates", "no_rates"])
+@pytest.mark.parametrize("pressure, drag", [(0.7, 0.3), (0.0, 0.0)], ids=["pressure_drag", "neither"])
+def test_system_residual_matches_the_whole_field_sum(dim, n, with_rates, pressure, drag):
+    """Built one momentum component at a time, the residual fields equal the whole-field sum
+    (np.array_equal), and the relative residuals agree to 1e-13."""
+    g = make_grid(dim, n, tuple(2 * math.pi * (1 + a) for a in range(dim)))
+    rng = np.random.default_rng(dim)
+
+    def field(ncomp, scale):
+        return dealias(SpectralField.from_values(g, scale * rng.standard_normal((ncomp, *g.shape))))
+
+    rho = field(1, 0.1).with_mean(1.0)
+    u = field(dim, 1.0)
+    rates = (field(1, 1.0), field(dim, 1.0)) if with_rates else (None, None)
+    got = _system_residual(rho, u, *rates, 0.1, pressure, drag)
+    want = _whole_field_residual(rho, u, *rates, 0.1, pressure, drag)
+    assert np.array_equal(got[0].coeffs, want[0].coeffs)
+    assert np.array_equal(got[1].coeffs, want[1].coeffs)
+    assert got[2] == pytest.approx(want[2], rel=1e-13, abs=0)
+    assert got[3] == pytest.approx(want[3], rel=1e-13, abs=0)
+    # a random state is far from a solution: the residuals are not round-off
+    assert min(got[2:]) > 1e-3
