@@ -20,21 +20,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .besov import besov_minus1_infty, lp_norm
+from .besov import _time_hybrid, besov_minus1_infty, block_norms, lp_norm
 from .dyadic import DyadicFilter, default_filter, default_levels
 from .grid import Grid, SpectralField, dump_field, helmholtz_split, make_grid
 from .quasi import gaussian_bump, kernel_rate
 from .solver import (
     BlowupError,
     CflError,
-    FtTracker,
-    GronwallTracker,
     SimState,
     SolverConfig,
     _check_band,
     _check_finite,
     cfl_number,
+    ft_specs,
     full_residual,
+    gronwall_integrand,
     initial_state,
     random_band_field,
     recompose,
@@ -181,21 +181,62 @@ class RunResult:
     out_dir: Path | None
 
 
-def _diagnostics(state, scfg, filt, ft_tracker, gr_tracker):
-    rho, u = recompose(state)
-    res_mass, res_mom = full_residual(state, scfg)
-    mass = rho.mean()[0] * state.grid.volume
-    return {
-        "t": state.t,
-        "linf_rho_minus_1": float(np.abs(rho.values[0] - 1.0).max()),
-        "besov_u_m1_inf": besov_minus1_infty(u, filt, low_cut=2),
-        "mass": mass,
-        "res_mass": res_mass,
-        "res_mom": res_mom,
-        "ft_norm": ft_tracker.update(state),
-        "V_T": gr_tracker.update(state),
-        "cfl": cfl_number(state, scfg),
-    }
+class _Series:
+    """A run's ``series.csv`` rows, one per snapshot, and the one history behind two columns.
+
+    The history keeps the snapshot times, a row of p = 2 block norms of h2
+    and of u2 per snapshot, and the ``gronwall_integrand`` values.  The
+    working norm ``ft_norm`` is the sum of the four Chemin-Lerner hybrid
+    norms of ``ft_specs`` over the block-norm rows; the Gronwall exponent
+    ``V_T`` is the trapezoid integral of the integrand values.
+    """
+
+    def __init__(self, scfg: SolverConfig, filt: DyadicFilter, l0: int = 0):
+        self.scfg = scfg
+        self.filt = filt
+        self.l0 = l0
+        self.specs = ft_specs(filt.grid.dim, l0)
+        self.rows: list[dict] = []
+        self.times: list[float] = []
+        self.blocks: dict[str, list[list[float]]] = {"h2": [], "u2": []}
+        self.integrand: list[float] = []
+
+    def record(self, state: SimState) -> dict:
+        """Append the snapshot of ``state`` to the series and return its row."""
+        # a copy caches the recomposed fields and e^{h2}: they die with it, and
+        # the step that reads ``state`` next holds what any other step holds
+        state = dataclasses.replace(state)
+        rho, u = recompose(state)
+        res_mass, res_mom = full_residual(state, self.scfg)
+        mass = rho.mean()[0] * state.grid.volume
+        mass0 = self.rows[0]["mass"] if self.rows else mass
+        self.times.append(state.t)
+        for key, rows in self.blocks.items():
+            rows.append(list(block_norms(getattr(state, key), 2.0, self.filt).values()))
+        self.integrand.append(gronwall_integrand(state, self.filt, self.l0))
+        row = {
+            "t": state.t,
+            "linf_rho_minus_1": float(np.abs(rho.values[0] - 1.0).max()),
+            "besov_u_m1_inf": besov_minus1_infty(u, self.filt, low_cut=2),
+            "mass": mass,
+            "mass_drift": abs(mass - mass0) / abs(mass0),
+            "res_mass": res_mass,
+            "res_mom": res_mom,
+            "ft_norm": self.ft_norm(),
+            "V_T": float(np.trapezoid(self.integrand, self.times)),
+            "cfl": cfl_number(state, self.scfg),
+        }
+        self.rows.append(row)
+        return row
+
+    def ft_norm(self) -> float:
+        times = np.asarray(self.times)
+        out = 0.0
+        for name, hspec in self.specs.items():
+            key, time_norm = name.split("_")
+            rho = math.inf if time_norm == "inf" else 1.0
+            out += _time_hybrid(times, {2.0: self.blocks[key]}, rho, hspec, self.filt.levels)
+        return out
 
 
 def _initial_state(config: RunConfig, grid: Grid, filt: DyadicFilter) -> SimState:
@@ -242,11 +283,8 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
     filt = default_filter(grid)
     state = _initial_state(config, grid, filt)
 
-    ft_tracker = FtTracker(filt, config.l0)
-    gr_tracker = GronwallTracker(filt, config.l0)
-    rows = [_diagnostics(state, scfg, filt, ft_tracker, gr_tracker)]
-    mass0 = rows[0]["mass"]
-    rows[0]["mass_drift"] = 0.0
+    series = _Series(scfg, filt, config.l0)
+    series.record(state)
 
     n_steps = config.n_steps
     status, failure = "ok", None
@@ -254,14 +292,13 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
         for k in range(1, n_steps + 1):
             state = step(state, scfg)
             if k % config.snap_stride == 0 or k == n_steps:
-                row = _diagnostics(state, scfg, filt, ft_tracker, gr_tracker)
-                row["mass_drift"] = abs(row["mass"] - mass0) / abs(mass0)
-                rows.append(row)
+                series.record(state)
     except CflError as exc:
         status, failure = "cfl", exc
     except BlowupError as exc:
         status, failure = "blowup", exc
 
+    rows = series.rows
     result = RunResult(config=config, rows=rows, final_state=state, out_dir=None)
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .besov import HybridBesovSpec, _time_hybrid, block_norms, hybrid_besov_norm, lp_norm
+from .besov import HybridBesovSpec, hybrid_besov_norm, lp_norm
 from .dyadic import DyadicFilter, default_filter
 from .grid import (
     _OPERATOR_CACHE,
@@ -87,9 +87,7 @@ __all__ = [
     "recompose",
     "full_residual",
     "gronwall_integrand",
-    "GronwallTracker",
     "ft_specs",
-    "FtTracker",
     "scaling_check",
     "random_band_field",
 ]
@@ -176,9 +174,6 @@ class SimState:
     @property
     def grid(self) -> Grid:
         return self.q1.grid
-
-    def heat_state(self, mu: float) -> HeatState:
-        return HeatState(t=self.t, q1=self.q1, mu=mu)
 
     @cached_property
     def _exp_h2(self) -> np.ndarray:
@@ -410,7 +405,7 @@ def full_residual(
     g = state.grid
     mu = config.mu
     rho, u = recompose(state)
-    drho1_dt, du_dt = _heat_rates(state.heat_state(mu))[1:]
+    drho1_dt, du_dt = _heat_rates(HeatState(t=state.t, q1=state.q1, mu=mu))[1:]
     drho_dt = mult(drho1_dt, dealiased_from_values(g, state._exp_h2))
     # the rate of rho1 and its values go before the system residual's temporaries
     del drho1_dt
@@ -447,20 +442,6 @@ def gronwall_integrand(state: SimState, filt: DyadicFilter, l0: int = 0) -> floa
     )
 
 
-class GronwallTracker:
-    """V(T): trapezoidal integral of ``gronwall_integrand`` over the snapshots so far."""
-
-    def __init__(self, filt: DyadicFilter, l0: int = 0):
-        self.filt = filt
-        self.l0 = l0
-        self.history: list[tuple[float, float]] = []
-
-    def update(self, state: SimState) -> float:
-        self.history.append((state.t, gronwall_integrand(state, self.filt, self.l0)))
-        times, values = zip(*self.history)
-        return float(np.trapezoid(values, times))
-
-
 def grad_norm_field(u: SpectralField) -> SpectralField:
     """All first derivatives of a vector field, stacked as components: d_j u_i is component i*dim + j."""
     g = u.grid
@@ -476,38 +457,6 @@ def ft_specs(dim: int, l0: int = 0):
         "h2_l1": HybridBesovSpec(dim / 2 + 1, dim / 2, 2, 2, 1, 1, l0),
         "u2_l1": HybridBesovSpec(dim / 2 + 1, dim / 2 + 1, 2, 2, 1, 1, l0),
     }
-
-
-class FtTracker:
-    """Working-space norm of a growing (h2, u2) history.
-
-    The norm is the sum of four Chemin-Lerner hybrid norms: a sup-in-time
-    pair and a time-integrated pair.  The tracker keeps the snapshot times
-    and a row of p = 2 block norms per field and snapshot, so a snapshot
-    costs one block decomposition per field; the value is the time norm of
-    those rows.
-    """
-
-    def __init__(self, filt: DyadicFilter, l0: int = 0):
-        self.filt = filt
-        self.specs = ft_specs(filt.grid.dim, l0)
-        self.times: list[float] = []
-        self.rows: dict[str, list[list[float]]] = {"h2": [], "u2": []}
-
-    def update(self, state: SimState) -> float:
-        self.times.append(state.t)
-        for key, rows in self.rows.items():
-            rows.append(list(block_norms(getattr(state, key), 2.0, self.filt).values()))
-        return self.value()
-
-    def value(self) -> float:
-        times = np.asarray(self.times)
-        out = 0.0
-        for name, hspec in self.specs.items():
-            key, time_norm = name.split("_")
-            rho = math.inf if time_norm == "inf" else 1.0
-            out += _time_hybrid(times, {2.0: self.rows[key]}, rho, hspec, self.filt.levels)
-        return out
 
 
 def scaling_check(

@@ -15,8 +15,8 @@ from swlp.grid import make_grid
 from swlp.harness import (
     SERIES_COLUMNS,
     RunConfig,
-    _diagnostics,
     _initial_state,
+    _Series,
     fit_decay,
     fit_series,
     load_config,
@@ -24,8 +24,6 @@ from swlp.harness import (
 )
 from swlp.solver import (
     CflError,
-    FtTracker,
-    GronwallTracker,
     cfl_number,
     full_residual,
     gronwall_integrand,
@@ -83,18 +81,33 @@ def test_run_deterministic_per_seed(tmp_path):
 
 def test_v_t_is_trapezoid_of_gronwall_integrand():
     cfg = RunConfig(**FAST)
-    res = run(cfg)
     g = make_grid(cfg.dim, cfg.n, cfg.period)
     filt = default_filter(g)
+    scfg = cfg.solver_config()
+    series = _Series(scfg, filt, cfg.l0)
     state = _initial_state(cfg, g, filt)
-    times, values = [state.t], [gronwall_integrand(state, filt)]
-    for k in range(1, cfg.n_steps + 1):
-        state = step(state, cfg.solver_config())
+    times, values = [], []
+    for k in range(cfg.n_steps + 1):
+        if k:
+            state = step(state, scfg)
         if k % cfg.snap_stride == 0:
+            row = series.record(state)
             times.append(state.t)
             values.append(gronwall_integrand(state, filt))
-    assert [row["t"] for row in res.rows] == pytest.approx(times, rel=1e-12)
-    assert res.rows[-1]["V_T"] == pytest.approx(np.trapezoid(values, times), rel=1e-12)
+            assert row["V_T"] == np.trapezoid(values, times)
+    assert len(times) > 2
+    assert run(cfg).rows == series.rows
+
+
+def test_run_traces_one_residual_and_two_gradient_stacks_per_row(counted):
+    """The benchmark's tracer counts a run's snapshots by its ``solver.full_residual``
+    spans, and its ``harness.diag_per_step`` divides by that count."""
+    residuals = counted("solver", "full_residual")
+    gradients = counted("solver", "grad_norm_field")
+    rows = run(RunConfig(**FAST)).rows
+    assert len(rows) == 5
+    assert len(residuals) == len(rows)
+    assert len(gradients) == 2 * len(rows)
 
 
 def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms, transforms):
@@ -115,7 +128,7 @@ def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms, trans
     del inverse_transforms[:]
     # 15 are needed, with the L-inf blocks in two stacks; one transform per
     # dyadic block or per product would make about 70
-    _diagnostics(state, scfg, filt, FtTracker(filt), GronwallTracker(filt))
+    _Series(scfg, filt).record(state)
     assert len(inverse_transforms) <= 15
 
 
@@ -139,16 +152,45 @@ def test_snapshot_diagnostics_memory_budget():
             tracemalloc.stop()
 
     def recomposed():
-        # _diagnostics recomposes first; the fields are cached on the state
+        # a snapshot recomposes first; the fields are cached on the state
         state = step(stepped, scfg)
         recompose(state)
         return state
 
     # each measurement on a fresh state: a state caches what it computes
-    assert peak(lambda st: _diagnostics(st, scfg, filt, FtTracker(filt), GronwallTracker(filt)), step(stepped, scfg)) <= 25
+    assert peak(lambda st: _Series(scfg, filt).record(st), step(stepped, scfg)) <= 25
     assert peak(lambda st: full_residual(st, scfg), recomposed()) <= 18
     assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 5
     assert peak(lambda st: gronwall_integrand(st, filt), recomposed()) <= 10.5
+
+
+def test_step_after_a_snapshot_holds_what_any_step_holds():
+    """The tracemalloc peak of a step, counted from before the run's first state, in
+    complex lattices: the step after a recorded snapshot peaks with the step before it.
+    Were the snapshot's recomposed rho and u and e^{h2} cached on the state the step
+    reads, it would peak about 5 lattices higher."""
+    config = RunConfig(**FAST)
+    grid = make_grid(2, config.n, config.period)
+    filt = default_filter(grid)
+    scfg = config.solver_config()
+    peaks = []
+    tracemalloc.start()
+    try:
+        series = _Series(scfg, filt, config.l0)
+        state = _initial_state(config, grid, filt)
+        # the first snapshot and step build the per-grid operators that later ones reuse
+        series.record(state)
+        state = step(state, scfg)
+        for snapshot in (False, True):
+            if snapshot:
+                series.record(state)
+            tracemalloc.reset_peak()
+            state = step(state, scfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (16 * config.n**2))
+    finally:
+        tracemalloc.stop()
+    before, after = peaks
+    assert after <= before + 0.5, peaks
 
 
 def test_failed_run_keeps_rows_and_status(tmp_path):

@@ -21,13 +21,13 @@ from swlp import (
     scaling_check,
     step,
 )
-from swlp.besov import hybrid_besov_norm, time_hybrid_besov_norm
+from swlp.besov import block_norms, hybrid_besov_norm, time_hybrid_besov_norm
 from swlp.checks import perturbed_state
 from swlp.dyadic import default_filter
 from swlp.grid import _nyquist_hermitian, _nyquist_modes, div, grad, sym_grad
+from swlp.harness import _Series
 from swlp.quasi import _check_floor, heat_evolve, velocity_from_density
 from swlp.solver import (
-    FtTracker,
     _implicit_multipliers,
     _implicit_solve,
     ft_specs,
@@ -311,8 +311,9 @@ def test_p2_snapshot_norms_make_no_inverse_transform(inverse_transforms, monkeyp
     st, cfg, filt = _small_state()
     st = step(st, cfg)
     del inverse_transforms[:]
-    tracker = FtTracker(filt)
-    tracker.update(st)
+    # the working norm's history: a row of p = 2 block norms of h2 and of u2
+    block_norms(st.h2, 2.0, filt)
+    block_norms(st.u2, 2.0, filt)
     assert inverse_transforms == []
 
     inside = []
@@ -404,11 +405,11 @@ def test_ft_norm_matches_time_hybrid_norms():
         + time_hybrid_besov_norm(h2_snaps, 1.0, specs["h2_l1"], filt)
         + time_hybrid_besov_norm(u2_snaps, 1.0, specs["u2_l1"], filt)
     )
-    tracker = FtTracker(filt)
-    values = [tracker.update(s) for s in history]
-    assert values[-1] == pytest.approx(reference, rel=1e-12)
+    series = _Series(cfg, filt)
+    values = [series.record(s)["ft_norm"] for s in history]
+    assert values[-1] == reference
     assert reference > 0
     start = time_hybrid_besov_norm(h2_snaps[:1], math.inf, specs["h2_inf"], filt)
     start += time_hybrid_besov_norm(u2_snaps[:1], math.inf, specs["u2_inf"], filt)
-    assert values[0] == pytest.approx(start, rel=1e-12)
+    assert values[0] == start
     assert start > 0
