@@ -1,9 +1,11 @@
-"""Golden-output gate: the 2-D regression runs reproduce their stored series.
+"""Golden-output gate: the regression runs reproduce their stored series.
 
 ``tests/data/golden_series.json`` (written by ``scripts/golden_series.py``)
-holds every series column of two runs, 64^2 over period 16 and 128^2 over
-period 32, to t = 4 with a snapshot every 0.25 and seed 0, and of each run's
-twin with the amplitude one ulp higher.
+holds every series column of seven runs, and of each run's twin with the
+amplitude one ulp higher: the acceptance physics on 64^2 over period 16 and
+128^2 over period 32 to t = 4 with a snapshot every 0.25 and seed 0, a
+friction run, a 1-D and a 3-D run, and a 256^2 and a 64^3 run whose
+transforms run on two threads.
 
 * Every column must match to ``COLUMN_TOL`` of the column's largest value.
 * ``res_mass`` and ``res_mom`` sit at the truncation floor, where round-off
@@ -25,7 +27,15 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "golden_series.j
 COLUMN_TOL = 1e-12
 SPREAD_COLUMNS = ("res_mass", "res_mom")
 SPREAD_MULTIPLE = 10.0
-RUN_IDS = [f"{r['config']['n']}x{r['config']['n']}" for r in GOLDEN["runs"]]
+
+
+def run_id(config: dict) -> str:
+    """``64x64`` for a 64^2 run, with the mode appended when it is not shallow water."""
+    shape = "x".join([str(config["n"])] * config["dim"])
+    return shape if config["mode"] == "shallow_water" else f"{shape}-{config['mode']}"
+
+
+RUN_IDS = [run_id(r["config"]) for r in GOLDEN["runs"]]
 
 
 def tolerances(stored: dict) -> dict[str, float]:
