@@ -27,9 +27,7 @@ from .dyadic import (
 from .grid import (
     Grid,
     SpectralField,
-    curl_norm,
     dealias,
-    dealias_mask,
     dilate,
     div,
     dump_field,
@@ -40,7 +38,6 @@ from .grid import (
     load_field,
     make_grid,
     mult,
-    sym_grad,
     transform,
     xi_mag2,
 )
@@ -54,7 +51,6 @@ from .paraproduct import (
 )
 from .quasi import (
     FrictionReport,
-    HeatState,
     friction_exact_residual,
     gaussian_bump,
     heat_estimate_ratio,

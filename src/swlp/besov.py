@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicFilter
-from .grid import SpectralField, multiplied_values, parseval_power, parseval_sum, xi_mag2
+from .grid import SpectralField, _heat_multiplier, multiplied_values, parseval_power, parseval_sum
 
 __all__ = [
     "BesovSpec",
@@ -306,10 +306,9 @@ def heat_characterization_ratio(
     t_max = 2.0 ** (-2.0 * (min(active) - 3))
     n_pts = max(int(8 * math.log10(t_max / t_min)), 8)
     ts = np.geomspace(t_min, t_max, n_pts)
-    mag2 = xi_mag2(field.grid)
     samples = np.empty(n_pts)
     for i, t in enumerate(ts):
-        ut = SpectralField(field.grid, field.coeffs * np.exp(-t * mag2))
+        ut = SpectralField(field.grid, field.coeffs * _heat_multiplier(field.grid, 1.0, t))
         samples[i] = t**s * lp_norm(ut, p)
     if math.isinf(r):
         quantity = float(samples.max())

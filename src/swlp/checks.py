@@ -112,14 +112,14 @@ def quasi_solution_identity():
     g1 = make_grid(1, 1024, (2 * math.pi,))
     x = g1.coords(0)
     rho0 = 1.0 + 0.4 * np.sin(x) + 0.1 * np.cos(3 * x)  # in [0.5, 1.5]
-    st1 = heat_evolve(SpectralField.from_values(g1, (rho0 - 1.0)[None]), 0.1, 0.2)
-    res1 = quasi_residual(st1)[1]
+    q1 = heat_evolve(SpectralField.from_values(g1, (rho0 - 1.0)[None]), 0.1, 0.2)
+    res1 = quasi_residual(q1, 0.1)[1]
 
     res2 = {}
     for n in (128, 256):
         g2 = make_grid(2, n, (64.0, 64.0))
-        st2 = heat_evolve(gaussian_bump(g2, 0.5, 1.0, 0.5), 0.1, 0.5)
-        res2[n] = quasi_residual(st2)[1]
+        q2 = heat_evolve(gaussian_bump(g2, 0.5, 1.0, 0.5), 0.1, 0.5)
+        res2[n] = quasi_residual(q2, 0.1)[1]
     refinement = res2[128] / max(res2[256], 1e-300)
     records = [
         check("quasi_momentum_residual_1d", res1, "<=", 1e-8),
@@ -132,15 +132,15 @@ def quasi_solution_identity():
 @_criterion(4, "quasi", "friction system solved exactly when r*mu*Fr^2 = 1")
 def friction_exactness():
     g = make_grid(2, 128, (2 * math.pi, 2 * math.pi))
-    st = heat_evolve(gaussian_bump(g, 0.3, 1.0, 1.0), 1.0, 0.3)
-    exact = friction_exact_residual(st, Fr=1.0, r=1.0)  # r mu Fr^2 = 1
+    q1 = heat_evolve(gaussian_bump(g, 0.3, 1.0, 1.0), 1.0, 0.3)
+    exact = friction_exact_residual(q1, 1.0, Fr=1.0, r=1.0)  # r mu Fr^2 = 1
 
     # negative control: r mu Fr^2 != 1 leaves a residual proportional to
     # the gradient of the density
     controls = []
     for amp in (0.1, 0.2):
-        stc = heat_evolve(gaussian_bump(g, amp, 1.0, 1.0), 1.0, 0.3)
-        controls.append(friction_exact_residual(stc, Fr=1.0, r=3.0))
+        qc = heat_evolve(gaussian_bump(g, amp, 1.0, 1.0), 1.0, 0.3)
+        controls.append(friction_exact_residual(qc, 1.0, Fr=1.0, r=3.0))
     grad_ratio = controls[1].grad_rho_norm / controls[0].grad_rho_norm
     res_ratio = controls[1].absolute_residual / controls[0].absolute_residual
     records = [
@@ -319,8 +319,8 @@ def besov_consistency():
 @_criterion(14, "quasi", "quasi-solution mass residual")
 def quasi_mass_residual():
     g = make_grid(1, 1024, (2 * math.pi,))
-    st = heat_evolve(gaussian_bump(g, 0.5, 1.0, 0.1), 0.1, 0.5)
-    res = quasi_residual(st)[0]
+    q1 = heat_evolve(gaussian_bump(g, 0.5, 1.0, 0.1), 0.1, 0.5)
+    res = quasi_residual(q1, 0.1)[0]
     return [check("quasi_mass_residual_1d", res, "<=", 1e-8)], f"1D@1024={res:.2e}"
 
 

@@ -11,16 +11,19 @@ Conventions used throughout the package:
   wavenumbers zeroed per axis) so quadratic aliases never pollute retained
   modes.  The dropped modes are the slabs |k_j| >= n/3, one contiguous run
   of indices per axis, so a dealias zeroes those slabs; it never multiplies
-  the lattice by ``dealias_mask``.  ``dealiased_from_values`` is the
-  dealiased forward transform of values: it zeroes the slabs of the fresh
-  transform output in place;
+  the lattice by a mask.  ``dealiased_from_values`` is the dealiased forward
+  transform of values: it zeroes the slabs of the fresh transform output in
+  place;
 * every spatial derivative is one multiplication by ``i xi_j``: the
   multipliers are built once per grid (``_i_xi``), and ``_jacobian`` (with
   its upper triangle ``_jacobian_upper`` and its entry ``_partial``),
   ``_sym_grad_upper`` and ``_divergence`` are the only operations that
-  apply them.  ``grad``, ``div``, ``sym_grad``,
-  ``curl_norm``, ``helmholtz_split`` and the solver's derivatives are
-  written with these;
+  apply them.  ``grad``, ``div``, ``helmholtz_split`` and the solver's
+  derivatives are written with these;
+* the heat semigroup e^{-mu |xi|^2 t} is one multiplier, ``_heat_multiplier``:
+  the exact heat flow of ``quasi.heat_evolve``, the Duhamel steps of
+  ``quasi.heat_estimate_ratio`` and the samples of
+  ``besov.heat_characterization_ratio`` (mu = 1) all read it;
 * Nyquist rule: the values of a first derivative along axis ``j`` carry
   nothing of the Nyquist plane ``k_j = -n/2``, as if that plane were zeroed.
   ``k -> -k`` maps that plane to itself, and ``i xi_j`` has the same
@@ -32,7 +35,7 @@ Layout: the coefficients of a field fill the full fft lattice, one
 only this module knows it.  The other modules reach the storage through a
 few operations:
 
-* the per-grid multipliers (``xi_mag2``, ``dealias_mask``, ``_i_xi``), which
+* the per-grid multipliers (``xi_mag2``, ``_i_xi``, ``_heat_multiplier``), which
   have the lattice's shape, so code that needs that shape reads it from a
   multiplier or from the coefficients, never from ``Grid.shape`` (the shape
   of the values);
@@ -118,15 +121,12 @@ __all__ = [
     "parseval_sum",
     "kept_power",
     "shift_phase",
-    "dealias_mask",
     "dealias",
     "dealiased_from_values",
     "mult",
     "grad",
     "div",
     "laplacian",
-    "sym_grad",
-    "curl_norm",
     "helmholtz_split",
     "dilate",
     "dump_field",
@@ -283,6 +283,14 @@ def _inverse_xi_mag2(grid: Grid) -> np.ndarray:
     """1/|xi|^2 with 0 at xi = 0; built once per grid, read-only."""
     mag2 = xi_mag2(grid)
     return _read_only(np.where(mag2 > 0, 1.0 / np.where(mag2 > 0, mag2, 1.0), 0.0))
+
+
+# the one key that repeats is the step's (grid, mu, dt): a run calls heat_evolve
+# with nothing else between its steps, so one entry serves every hit
+@lru_cache(maxsize=1)
+def _heat_multiplier(grid: Grid, mu: float, t: float) -> np.ndarray:
+    """The heat semigroup e^{-mu |xi|^2 t} on the lattice; built once per (grid, mu, t), read-only."""
+    return _read_only(np.exp(-mu * xi_mag2(grid) * t))
 
 
 def _workers(grid: Grid) -> int:
@@ -574,9 +582,6 @@ class SpectralField:
             self._values = inverse_transform(self.coeffs, self.grid)
         return self._values
 
-    def component(self, i: int) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs[i : i + 1])
-
     def mean(self) -> np.ndarray:
         return np.real(self.coeffs[_mean_mode(self.grid)])
 
@@ -617,22 +622,6 @@ class SpectralField:
 
 
 @lru_cache(maxsize=_OPERATOR_CACHE)
-def dealias_mask(grid: Grid, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Boolean mask of retained modes: |k_i| < fraction * n/2 on every axis.
-
-    Built once per (grid, fraction), read-only.
-    """
-    cut = fraction * grid.n / 2.0
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[ax] = grid.n
-        k = grid.wavenumbers().reshape(shape)
-        mask &= np.abs(k) < cut
-    return _read_only(mask)
-
-
-@lru_cache(maxsize=_OPERATOR_CACHE)
 def _dropped_slabs(grid: Grid, fraction: float) -> tuple[tuple, ...]:
     """Per axis j, the index of the slab |k_j| >= fraction * n/2: in fft layout its indices are one run."""
     drop = np.flatnonzero(np.abs(grid.wavenumbers()) >= fraction * grid.n / 2.0)
@@ -645,7 +634,7 @@ def _dropped_slabs(grid: Grid, fraction: float) -> tuple[tuple, ...]:
 def _dealias_in_place(coeffs: np.ndarray, grid: Grid, fraction: float = 2.0 / 3.0) -> np.ndarray:
     """Zero the modes the dealias drops, in place: the slab |k_j| >= fraction * n/2 of every axis j.
 
-    A mode is kept iff it lies in no slab, which is the ``dealias_mask``.
+    A mode is kept iff |k_j| < fraction * n/2 on every axis j.
     """
     for slab in _dropped_slabs(grid, fraction):
         coeffs[slab] = 0.0
@@ -653,7 +642,7 @@ def _dealias_in_place(coeffs: np.ndarray, grid: Grid, fraction: float = 2.0 / 3.
 
 
 def dealias(field: SpectralField, fraction: float = 2.0 / 3.0) -> SpectralField:
-    """The field with the modes outside ``dealias_mask(grid, fraction)`` zeroed."""
+    """The field with the modes outside |k_j| < fraction * n/2 (every axis j) zeroed."""
     return SpectralField(field.grid, _dealias_in_place(field.coeffs.copy(), field.grid, fraction))
 
 
@@ -697,33 +686,6 @@ def div(field: SpectralField) -> SpectralField:
 def laplacian(field: SpectralField) -> SpectralField:
     g = field.grid
     return SpectralField(g, -xi_mag2(g) * field.coeffs)
-
-
-def sym_grad(field: SpectralField) -> np.ndarray:
-    """Symmetric gradient D(u) = (grad u + grad u^T)/2 of a vector field.
-
-    Returns the coefficient tensor with shape ``(dim, dim, n, ..., n)``;
-    entry ``[i, j]`` holds (D u)_{ij} = (d_j u_i + d_i u_j)/2.
-    """
-    g = field.grid
-    if field.ncomp != g.dim:
-        raise ValueError("sym_grad expects a dim-component field")
-    upper = _sym_grad_upper(field.coeffs, g)
-    tensor = np.empty((g.dim, g.dim, *upper.shape[1:]), dtype=np.complex128)
-    for entry, i, j in zip(upper, *np.triu_indices(g.dim)):
-        tensor[i, j] = tensor[j, i] = entry
-    return tensor
-
-
-def curl_norm(field: SpectralField) -> float:
-    """L2 norm of the curl (all antisymmetric gradient components), by Parseval."""
-    g = field.grid
-    if field.ncomp != g.dim:
-        raise ValueError("curl expects a dim-component field")
-    jac = _jacobian(field.coeffs, g)
-    i, j = np.triu_indices(g.dim, 1)
-    w = jac[j, i] - jac[i, j]
-    return math.sqrt(g.volume * parseval_sum(w, g))
 
 
 def helmholtz_split(field: SpectralField) -> tuple[SpectralField, SpectralField]:

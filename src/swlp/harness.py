@@ -30,7 +30,6 @@ from .solver import (
     SimState,
     SolverConfig,
     _check_band,
-    _check_finite,
     cfl_number,
     ft_specs,
     full_residual,
@@ -75,16 +74,13 @@ FIT_WINDOW = (2.0, 20.0)
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(SolverConfig):
+    """A run: the solver's physics (the fields of ``SolverConfig``) and the grid,
+    initial data, length and output of one integration."""
+
     dim: int = 2
     n: int = 256
     period: float = 64.0
-    mu: float = 0.1
-    a: float = 1e-5
-    Fr: float = 1.0
-    r_fric: float = 0.0
-    mode: str = "shallow_water"
-    dt: float = 0.05
     t_end: float = 20.0
     amplitude: float = 0.5
     width: float = 1.0
@@ -97,16 +93,14 @@ class RunConfig:
     pert_h2_l_hi: int = -2
     seed: int = 0
     snapshot_dt: float = 0.1
-    forcing: bool = True
     l0: int = 0
-    cfl_max: float = 0.4
     dump_fields: bool = True
 
     def __post_init__(self):
-        # a bad grid, physics, amplitude, dt or run length fails here, before any work
-        _check_finite(self)
+        # a bad physics, grid, amplitude, dt or run length fails here, before any work;
+        # SolverConfig's checks cover every field's finiteness and the physics
+        super().__post_init__()
         grid = make_grid(self.dim, self.n, self.period)
-        self.solver_config()
         _ = (self.n_steps, self.snap_stride)
         if self.amplitude <= -1.0:
             raise ValueError(f"amplitude = {self.amplitude:g} leaves no positive density; need > -1")
@@ -138,16 +132,8 @@ class RunConfig:
         return _whole_steps(self.snapshot_dt, self.dt, "snapshot_dt")
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            mu=self.mu,
-            a=self.a,
-            Fr=self.Fr,
-            r_fric=self.r_fric,
-            mode=self.mode,
-            dt=self.dt,
-            forcing=self.forcing,
-            cfl_max=self.cfl_max,
-        )
+        """The physics alone: a ``SolverConfig``, the key of the solver's per-configuration caches."""
+        return SolverConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(SolverConfig)})
 
 
 def _whole_steps(span: float, dt: float, name: str) -> int:

@@ -1,12 +1,14 @@
 """Heat-driven irrotational states and their exactness diagnostics.
 
-A state carries q1 = rho1 - 1 where rho1 solves d_t rho1 = mu * Lap rho1
-exactly (Fourier multiplier), and the derived velocity is
-u1 = -mu * grad(ln rho1).  The pair (rho1, u1) solves the pressureless
-system (mass + viscous momentum, no pressure) identically, and the
-friction system with drag r and Froude number Fr whenever r*mu*Fr^2 = 1.
-Time derivatives in all residuals are substituted analytically from the
-heat equation, never finite-differenced.
+A heat-driven state is the pair (q1, mu): q1 = rho1 - 1, where rho1 solves
+d_t rho1 = mu * Lap rho1 exactly (``heat_evolve``, one multiply by the
+semigroup ``grid._heat_multiplier``), and the derived velocity is
+u1 = -mu * grad(ln rho1) (``velocity_from_density``).  The functions here
+take q1 and mu as they are; no wrapper type carries them.  The pair
+(rho1, u1) solves the pressureless system (mass + viscous momentum, no
+pressure) identically, and the friction system with drag r and Froude
+number Fr whenever r*mu*Fr^2 = 1.  Time derivatives in all residuals are
+substituted analytically from the heat equation, never finite-differenced.
 
 The viscous shallow-water system (mass and momentum, with a pressure and a
 drag coefficient) is written once, in ``_system_residual``: the
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from .grid import (
     SpectralField,
     _dealias_in_place,
     _divergence,
+    _heat_multiplier,
     _partial,
-    _read_only,
     _square_sum,
     _sym_grad_upper,
     dealiased_from_values,
@@ -57,7 +58,6 @@ from .grid import (
 )
 
 __all__ = [
-    "HeatState",
     "kernel_rate",
     "heat_evolve",
     "velocity_from_density",
@@ -73,22 +73,6 @@ DENSITY_FLOOR = 1e-6
 LOG_TAIL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HeatState:
-    """Exactly heat-evolved irrotational state at time t."""
-
-    t: float
-    q1: SpectralField
-    mu: float
-
-    @property
-    def grid(self) -> Grid:
-        return self.q1.grid
-
-    def rho1_values(self) -> np.ndarray:
-        return 1.0 + self.q1.values[0]
-
-
 def kernel_rate(dim: int, alpha_order: int, p: float) -> float:
     """Heat-kernel L^p decay exponent N/2 (1 - 1/p) + |alpha|/2."""
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
@@ -102,25 +86,16 @@ def _check_floor(rho_values: np.ndarray) -> None:
         raise ValueError(f"density floor violated: min(rho) = {low:.3g} < {DENSITY_FLOOR:.3g}")
 
 
-# the one key that repeats is the step's (grid, mu, dt): a run calls heat_evolve
-# with nothing else between its steps, so one entry serves every hit
-@lru_cache(maxsize=1)
-def _heat_multiplier(grid: Grid, mu: float, t: float) -> np.ndarray:
-    """The heat semigroup e^{-mu |xi|^2 t} on the lattice; built once per (grid, mu, t), read-only."""
-    return _read_only(np.exp(-mu * xi_mag2(grid) * t))
-
-
-def heat_evolve(q1_initial: SpectralField, mu: float, t: float) -> HeatState:
-    """Exact semigroup solution of d_t rho1 = mu Lap rho1 at time t >= 0."""
+def heat_evolve(q1: SpectralField, mu: float, t: float) -> SpectralField:
+    """q1 at time t >= 0: the exact semigroup solution of d_t rho1 = mu Lap rho1."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if q1_initial.ncomp != 1:
+    if q1.ncomp != 1:
         raise ValueError("q1 must be a scalar field")
-    _check_floor(1.0 + q1_initial.values[0])
-    coeffs = q1_initial.coeffs * _heat_multiplier(q1_initial.grid, mu, t)
-    return HeatState(t=t, q1=SpectralField(q1_initial.grid, coeffs), mu=mu)
+    _check_floor(1.0 + q1.values[0])
+    return SpectralField(q1.grid, q1.coeffs * _heat_multiplier(q1.grid, mu, t))
 
 
 def log_density(q1: SpectralField) -> SpectralField:
@@ -146,16 +121,16 @@ def log_density(q1: SpectralField) -> SpectralField:
     return SpectralField(g, _dealias_in_place(coeffs, g))
 
 
-def velocity_from_density(state: HeatState) -> SpectralField:
-    """u1 = -mu grad(ln rho1); irrotational by construction."""
-    return grad(log_density(state.q1)) * (-state.mu)
+def velocity_from_density(q1: SpectralField, mu: float) -> SpectralField:
+    """u1 = -mu grad(ln rho1), rho1 = 1 + q1; irrotational by construction."""
+    return grad(log_density(q1)) * (-mu)
 
 
 def max_principle_check(
-    state: HeatState, initial_min: float, initial_max: float
+    q1: SpectralField, initial_min: float, initial_max: float
 ) -> tuple[float, float, bool]:
-    """min and max of rho1, and whether both stay within 1e-8 of the initial range."""
-    rho = state.rho1_values()
+    """min and max of rho1 = 1 + q1, and whether both stay within 1e-8 of the initial range."""
+    rho = 1.0 + q1.values[0]
     lo, hi = float(rho.min()), float(rho.max())
     ok = lo >= initial_min - 1e-8 and hi <= initial_max + 1e-8
     return lo, hi, ok
@@ -206,8 +181,7 @@ def kernel_decay_fit(
     times = np.geomspace(1.0 + t0, 1.0 + t1, 24) - 1.0
     norms = np.empty(times.size)
     for i, t in enumerate(times):
-        st = heat_evolve(q1_initial, mu, t)
-        f = st.q1
+        f = heat_evolve(q1_initial, mu, t)
         if alpha_order == 1:
             f = grad(f)
         elif alpha_order == 2:
@@ -217,13 +191,12 @@ def kernel_decay_fit(
     return float(-slope)
 
 
-def _heat_rates(state: HeatState):
+def _heat_rates(q1: SpectralField, mu: float):
     """(rho1, d_t rho1, d_t u1) with the rates substituted from the heat equation:
     d_t rho1 = mu Lap rho1 and d_t u1 = -mu grad(d_t rho1 / rho1)."""
-    q1 = state.q1
     rho = q1.with_mean(q1.mean() + 1.0)
-    drho_dt = laplacian(rho) * state.mu
-    du1_dt = grad(mult(drho_dt, _reciprocal(rho))) * (-state.mu)
+    drho_dt = laplacian(rho) * mu
+    du1_dt = grad(mult(drho_dt, _reciprocal(rho))) * (-mu)
     return rho, drho_dt, du1_dt
 
 
@@ -324,16 +297,16 @@ def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: f
     )
 
 
-def quasi_residual(state: HeatState) -> tuple[float, float]:
-    """Relative L2 residuals of the pressureless system at the state.
+def quasi_residual(q1: SpectralField, mu: float) -> tuple[float, float]:
+    """Relative L2 residuals of the pressureless system at the heat-driven state (q1, mu).
 
     mass:     d_t rho1 + div(rho1 u1)
     momentum: d_t(rho1 u1) + div(rho1 u1 x u1) - div(mu rho1 D(u1))
     with d_t terms substituted analytically via the heat equation.
     """
-    rho, drho_dt, du1_dt = _heat_rates(state)
-    u1 = velocity_from_density(state)
-    _, _, mass_rel, mom_rel = _system_residual(rho, u1, drho_dt, du1_dt, state.mu, 0.0, 0.0)
+    rho, drho_dt, du1_dt = _heat_rates(q1, mu)
+    u1 = velocity_from_density(q1, mu)
+    _, _, mass_rel, mom_rel = _system_residual(rho, u1, drho_dt, du1_dt, mu, 0.0, 0.0)
     return mass_rel, mom_rel
 
 
@@ -346,8 +319,8 @@ class FrictionReport:
     grad_rho_norm: float
 
 
-def friction_exact_residual(state: HeatState, Fr: float, r: float) -> FrictionReport:
-    """Relative L2 momentum residual of the friction system at the state.
+def friction_exact_residual(q1: SpectralField, mu: float, Fr: float, r: float) -> FrictionReport:
+    """Relative L2 momentum residual of the friction system at the heat-driven state (q1, mu).
 
     Includes grad(rho)/Fr^2 + r rho u; the friction and pressure terms
     cancel exactly iff r * mu * Fr^2 = 1.  When the relation fails the
@@ -355,10 +328,10 @@ def friction_exact_residual(state: HeatState, Fr: float, r: float) -> FrictionRe
     """
     if Fr <= 0 or r < 0:
         raise ValueError("need Fr > 0 and r >= 0")
-    rho, drho_dt, du1_dt = _heat_rates(state)
-    u1 = velocity_from_density(state)
-    _, mom_res, _, rel = _system_residual(rho, u1, drho_dt, du1_dt, state.mu, 1.0 / Fr**2, r)
-    relation_error = abs(r * state.mu * Fr**2 - 1.0)
+    rho, drho_dt, du1_dt = _heat_rates(q1, mu)
+    u1 = velocity_from_density(q1, mu)
+    _, mom_res, _, rel = _system_residual(rho, u1, drho_dt, du1_dt, mu, 1.0 / Fr**2, r)
+    relation_error = abs(r * mu * Fr**2 - 1.0)
     certified = relation_error <= 1e-12 and rel <= 1e-8
     return FrictionReport(
         residual=rel,
@@ -399,12 +372,11 @@ def heat_estimate_ratio(
     if rhs == 0.0:
         return math.nan, math.nan
     g = u0.grid
-    mag2 = xi_mag2(g)
     u_fields = [u0]
     u_prev = u0.coeffs
     for (t_prev, f_prev), (t_next, f_next) in zip(f_snapshots[:-1], f_snapshots[1:]):
         dt = t_next - t_prev
-        decay = np.exp(-mu * mag2 * dt)
+        decay = _heat_multiplier(g, mu, dt)
         u_next = decay * u_prev + 0.5 * dt * (decay * f_prev.coeffs + f_next.coeffs)
         u_fields.append(SpectralField(g, u_next))
         u_prev = u_next

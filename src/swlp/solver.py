@@ -27,8 +27,11 @@ modes by m_sol = 1/(1 + (mu |xi|^2 / 2 + r) dt).  The irrotational part is
 -grad(div u)/|xi|^2, so the solve is one projector multiply,
 u <- m_sol u - grad(w div u) with w = (m_par - m_sol)/|xi|^2 (0 at xi = 0),
 and no Helmholtz split is formed.  The explicit right-hand sides are
-assembled pointwise and transformed once per output; each new h2 and u2 is
-dealiased by zeroing the dropped slabs of its fresh coefficients in place.
+assembled pointwise and transformed once per output, dealiased
+(``grid.dealiased_from_values``).  The state's h2 and u2 are dealiased and the
+implicit solve acts mode by mode, so each new h2 and u2 is dealiased as made.
+q1 advances by the heat semigroup of ``grid._heat_multiplier``
+(``quasi.heat_evolve``).
 
 ``full_residual`` and ``scaling_check`` evaluate the full system through the
 one residual of the package, ``quasi._system_residual``, with the
@@ -50,7 +53,6 @@ from .grid import (
     _OPERATOR_CACHE,
     Grid,
     SpectralField,
-    _dealias_in_place,
     _divergence,
     _jacobian,
     _jacobian_upper,
@@ -67,7 +69,6 @@ from .grid import (
     xi_mag2,
 )
 from .quasi import (
-    HeatState,
     _check_floor,
     _heat_rates,
     _rel_l2,
@@ -206,7 +207,7 @@ def initial_state(
     q1 = dealias(q1)
     h2 = dealias(h2)
     u2 = dealias(u2)
-    u1 = velocity_from_density(HeatState(t=0.0, q1=q1, mu=config.mu))
+    u1 = velocity_from_density(q1, config.mu)
     state = SimState(t=0.0, q1=q1, h2=h2, u2=u2, u1_cache=u1)
     state._rho_values  # the density floor fails here, before any step
     return state
@@ -344,10 +345,9 @@ def step(state: SimState, config: SolverConfig) -> SimState:
     """One IMEX step; q1 advances by its exact semigroup."""
     g = state.grid
     dt = config.dt
-    heat_next = heat_evolve(state.q1, config.mu, dt)
-    q1_next = heat_next.q1
+    q1_next = heat_evolve(state.q1, config.mu, dt)
     if config.mode == "heat_only":
-        u1_next = velocity_from_density(heat_next)
+        u1_next = velocity_from_density(q1_next, config.mu)
         return SimState(t=state.t + dt, q1=q1_next, h2=state.h2, u2=state.u2, u1_cache=u1_next)
 
     h2_rhs, u2_rhs, umax = assemble_rhs(state, config)
@@ -362,13 +362,12 @@ def step(state: SimState, config: SolverConfig) -> SimState:
     u2_new = u2_rhs.coeffs
     u2_new *= dt
     u2_new += state.u2.coeffs
-    u2_new = _implicit_solve(u2_new, g, *_implicit_multipliers(g, config))
-
-    h2_f = SpectralField(g, _dealias_in_place(h2_new, g))
-    u2_f = SpectralField(g, _dealias_in_place(u2_new, g))
+    # dealiased as made: so are the right-hand sides and the state, and the solve acts mode by mode
+    h2_f = SpectralField(g, h2_new)
+    u2_f = SpectralField(g, _implicit_solve(u2_new, g, *_implicit_multipliers(g, config)))
     if not (np.isfinite(h2_f.values).all() and np.isfinite(u2_f.values).all()):
         raise BlowupError(f"non-finite sample at t = {state.t + dt:g}", state)
-    u1_next = velocity_from_density(heat_next)
+    u1_next = velocity_from_density(q1_next, config.mu)
     return SimState(t=state.t + dt, q1=q1_next, h2=h2_f, u2=u2_f, u1_cache=u1_next)
 
 
@@ -405,7 +404,7 @@ def full_residual(
     g = state.grid
     mu = config.mu
     rho, u = recompose(state)
-    drho1_dt, du_dt = _heat_rates(HeatState(t=state.t, q1=state.q1, mu=mu))[1:]
+    drho1_dt, du_dt = _heat_rates(state.q1, mu)[1:]
     drho_dt = mult(drho1_dt, dealiased_from_values(g, state._exp_h2))
     # the rate of rho1 and its values go before the system residual's temporaries
     del drho1_dt

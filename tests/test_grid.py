@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from swlp import (
     SpectralField,
-    curl_norm,
     dealias,
-    dealias_mask,
     dilate,
     div,
     dump_field,
@@ -25,12 +23,12 @@ from swlp import (
     load_field,
     make_grid,
     mult,
-    sym_grad,
     transform,
     xi_mag2,
 )
 from swlp.dyadic import default_filter
 from swlp.grid import (
+    _heat_multiplier,
     _jacobian,
     _workers,
     kept_power,
@@ -40,6 +38,8 @@ from swlp.grid import (
 )
 from swlp.quasi import gaussian_bump
 from swlp.solver import SolverConfig, _implicit_multipliers
+
+from oracles import component, curl_norm, dealias_mask, sym_grad
 
 GRIDS = {
     "1d": make_grid(1, 64, (4 * math.pi,)),
@@ -253,7 +253,7 @@ def test_sym_grad_and_curl(g):
 def test_curl_norm_is_the_collocation_norm(g):
     """Undealiased noise: the curl's values carry no Nyquist-plane terms, and neither does its norm."""
     u = SpectralField.from_values(g, np.random.default_rng(6).standard_normal((g.dim, *g.shape)))
-    d = [grad(u.component(i)).values for i in range(g.dim)]  # d[i][j] = d_j u_i
+    d = [grad(component(u, i)).values for i in range(g.dim)]  # d[i][j] = d_j u_i
     w2 = sum((d[j][i] - d[i][j]) ** 2 for i in range(g.dim) for j in range(i + 1, g.dim))
     assert curl_norm(u) == pytest.approx(math.sqrt(g.volume * float(np.mean(w2))), rel=1e-13)
 
@@ -414,7 +414,11 @@ def test_cached_operators_are_shared_and_read_only():
     assert w[mag2 == 0].tolist() == [0.0]
     off = mag2 > 0
     assert np.allclose(w[off], (m_par - m_sol)[off] / mag2[off], rtol=1e-12, atol=0.0)
-    for arr in (mag2, dealias_mask(g), filt.shell, filt.table, *multipliers):
+    # the heat semigroup: one entry, the last (grid, mu, t) asked for
+    heat = _heat_multiplier(g, 0.5, 0.01)
+    assert _heat_multiplier(make_grid(2, 32, (2 * math.pi, 4 * math.pi)), 0.5, 0.01) is heat
+    assert np.array_equal(heat, np.exp(-0.5 * mag2 * 0.01))
+    for arr in (mag2, heat, filt.shell, filt.table, *multipliers):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
     # one shell per distinct |xi|^2, so anisotropic periods stay exact

@@ -13,9 +13,9 @@ with ``ast``, and no other module may
   zero tuples such as ``c[(0,) * (dim + 1)]``.
 
 A component index, ``c[0]`` or ``c[i : i + 1]``, names no lattice axis and is
-allowed.  A coefficient array is ``.coeffs``, the result of ``transform``,
-``_jacobian`` or ``sym_grad``, a product or copy of one, or a name that the same
-function assigns from one (``target = u.coeffs.copy()``)."""
+allowed.  A coefficient array is ``.coeffs``, the result of ``transform`` or
+``_jacobian``, a product or copy of one, or a name that the same function
+assigns from one (``target = u.coeffs.copy()``)."""
 
 import ast
 from pathlib import Path
@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(p for p in (ROOT / "src/swlp").glob("*.py") if p.name != "grid.py")
 FFT_CALLS = {"fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft", "fft2", "ifft2"}
 LAYOUT_CALLS = {"roll", "flip", "fftshift", "ifftshift", "xi_grids", "xi", "wavenumbers", *FFT_CALLS}
-COEFFICIENT_CALLS = {"transform", "_jacobian", "sym_grad"}
+COEFFICIENT_CALLS = {"transform", "_jacobian"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

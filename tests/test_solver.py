@@ -24,7 +24,7 @@ from swlp import (
 from swlp.besov import block_norms, hybrid_besov_norm, time_hybrid_besov_norm
 from swlp.checks import perturbed_state
 from swlp.dyadic import default_filter
-from swlp.grid import _nyquist_hermitian, _nyquist_modes, div, grad, sym_grad
+from swlp.grid import _nyquist_hermitian, _nyquist_modes, dealias, div, grad
 from swlp.harness import _Series
 from swlp.quasi import _check_floor, heat_evolve, velocity_from_density
 from swlp.solver import (
@@ -34,6 +34,8 @@ from swlp.solver import (
     gronwall_integrand,
     random_band_field,
 )
+
+from oracles import component, sym_grad
 
 
 def _perturbed_state(dim, n, cfg, eps, seed):
@@ -85,19 +87,19 @@ def _stack(grid, components):
 def _grad_contract_sym(v_grad, D, grid):
     """(grad v . D w)_i = sum_j d_j v (Dw)_{ji}, dealiased."""
     return _stack(grid, [
-        _sum_products((v_grad.component(j), SpectralField(grid, D[j, i])) for j in range(grid.dim))
+        _sum_products((component(v_grad, j), SpectralField(grid, D[j, i])) for j in range(grid.dim))
         for i in range(grid.dim)
     ])
 
 
 def _advect_scalar(u, s_grad, grid):
     """u . grad s for a scalar s, given grad s."""
-    return _sum_products((u.component(j), s_grad.component(j)) for j in range(grid.dim))
+    return _sum_products((component(u, j), component(s_grad, j)) for j in range(grid.dim))
 
 
 def _advect_vector(u, w, grid):
     """(u . grad) w for a vector w."""
-    return _stack(grid, [_advect_scalar(u, grad(w.component(i)), grid) for i in range(grid.dim)])
+    return _stack(grid, [_advect_scalar(u, grad(component(w, i)), grid) for i in range(grid.dim)])
 
 
 def _rhs_terms(st, cfg):
@@ -380,14 +382,31 @@ def test_implicit_solve_decay_rates_per_helmholtz_part(dim):
         assert np.abs(out.values - vals / (1.0 + cfg.dt * rate)).max() < 1e-14, m
 
 
+@pytest.mark.parametrize(
+    "dim, n, mode, kw",
+    [(1, 64, "shallow_water", {}), (2, 64, "shallow_water", {}), (3, 16, "shallow_water", {}),
+     (2, 64, "friction", {"Fr": 1.0, "r_fric": 2.0})],
+    ids=["1d", "2d", "3d", "friction"],
+)
+def test_stepped_fields_are_dealiased_as_made(dim, n, mode, kw):
+    """``step`` zeroes no dropped mode itself: the right-hand sides and the state are
+    dealiased and the implicit solve acts mode by mode, so the new h2 and u2 already
+    hold their ``dealias``, to the bit (+0 on every dropped mode)."""
+    st, cfg, _ = _small_state(n=n, dim=dim, mode=mode, **kw)
+    for _ in range(3):
+        st = step(st, cfg)
+        for f in (st.h2, st.u2):
+            assert f.coeffs.tobytes() == dealias(f).coeffs.tobytes(), st.t
+
+
 def test_heat_only_step_moves_only_q1():
     cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01, mode="heat_only")
     for dim, n in ((1, 64), (2, 64), (3, 32)):
         st, _, _ = _small_state(n, dim=dim)
         nxt = step(st, cfg)
         assert nxt.h2 is st.h2 and nxt.u2 is st.u2
-        assert np.array_equal(nxt.q1.coeffs, heat_evolve(st.q1, cfg.mu, cfg.dt).q1.coeffs)
-        assert np.array_equal(nxt.u1_cache.coeffs, velocity_from_density(heat_evolve(st.q1, cfg.mu, cfg.dt)).coeffs)
+        assert np.array_equal(nxt.q1.coeffs, heat_evolve(st.q1, cfg.mu, cfg.dt).coeffs)
+        assert np.array_equal(nxt.u1_cache.coeffs, velocity_from_density(heat_evolve(st.q1, cfg.mu, cfg.dt), cfg.mu).coeffs)
         assert nxt.t == st.t + cfg.dt
 
 
