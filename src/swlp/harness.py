@@ -293,8 +293,8 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
         summary = {
             "config": dataclasses.asdict(config),
             "status": status,
-            # the end of the step that failed; state.t is the last valid time
-            "t_fail": None if failure is None else state.t + config.dt,
+            # the end of step k, the one that failed; state.t is the last valid time
+            "t_fail": None if failure is None else k * config.dt,
             "t_final": state.t,
             "n_steps": n_steps,
             "final": {k: rows[-1][k] for k in SERIES_COLUMNS if k != "t"},

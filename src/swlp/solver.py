@@ -342,13 +342,18 @@ def cfl_number(state: SimState, config: SolverConfig) -> float:
 
 
 def step(state: SimState, config: SolverConfig) -> SimState:
-    """One IMEX step; q1 advances by its exact semigroup."""
+    """One IMEX step; q1 advances by its exact semigroup.
+
+    The new state's time is its step count times dt, the count of ``state`` being
+    ``round(state.t / dt)``: a running sum t + dt drifts by round-off over a run.
+    """
     g = state.grid
     dt = config.dt
+    t = (round(state.t / dt) + 1) * dt
     q1_next = heat_evolve(state.q1, config.mu, dt)
     if config.mode == "heat_only":
         u1_next = velocity_from_density(q1_next, config.mu)
-        return SimState(t=state.t + dt, q1=q1_next, h2=state.h2, u2=state.u2, u1_cache=u1_next)
+        return SimState(t=t, q1=q1_next, h2=state.h2, u2=state.u2, u1_cache=u1_next)
 
     h2_rhs, u2_rhs, umax = assemble_rhs(state, config)
     cfl = _cfl(umax, g, config)
@@ -366,9 +371,9 @@ def step(state: SimState, config: SolverConfig) -> SimState:
     h2_f = SpectralField(g, h2_new)
     u2_f = SpectralField(g, _implicit_solve(u2_new, g, *_implicit_multipliers(g, config)))
     if not (np.isfinite(h2_f.values).all() and np.isfinite(u2_f.values).all()):
-        raise BlowupError(f"non-finite sample at t = {state.t + dt:g}", state)
+        raise BlowupError(f"non-finite sample at t = {t:g}", state)
     u1_next = velocity_from_density(q1_next, config.mu)
-    return SimState(t=state.t + dt, q1=q1_next, h2=h2_f, u2=u2_f, u1_cache=u1_next)
+    return SimState(t=t, q1=q1_next, h2=h2_f, u2=u2_f, u1_cache=u1_next)
 
 
 def recompose(state: SimState) -> tuple[SpectralField, SpectralField]:

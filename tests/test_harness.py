@@ -13,6 +13,7 @@ from swlp.besov import besov_minus1_infty
 from swlp.dyadic import default_filter
 from swlp.grid import make_grid
 from swlp.harness import (
+    FIT_WINDOW,
     SERIES_COLUMNS,
     RunConfig,
     _initial_state,
@@ -97,6 +98,25 @@ def test_v_t_is_trapezoid_of_gronwall_integrand():
             assert row["V_T"] == np.trapezoid(values, times)
     assert len(times) > 2
     assert run(cfg).rows == series.rows
+
+
+def test_run_clock_is_the_step_count_times_dt(tmp_path):
+    """A state's time is its step count times dt, not a running sum: at dt 0.1 the
+    run ends at t = 1.0, where ten additions of 0.1 give 0.9999999999999999."""
+    cfg = RunConfig(**{**FAST, "dt": 0.1, "snapshot_dt": 0.2})
+    res = run(cfg, out_dir=tmp_path)
+    assert [r["t"] for r in res.rows] == [k * 0.1 for k in range(0, 11, 2)]
+    assert res.final_state.t == 1.0
+    assert json.loads((tmp_path / "summary.json").read_text())["t_final"] == 1.0
+
+
+def test_decay_fit_reads_the_final_snapshot(tmp_path):
+    """The snapshot at t = 20 lies in the fit window [2, 20]: a run to t = 20 with a
+    snapshot every 1 gives both fits the 19 snapshots at t = 2, 3, ..., 20."""
+    run(RunConfig(**{**FAST, "t_end": 20.0, "snapshot_dt": 1.0}), out_dir=tmp_path)
+    report = fit_series(tmp_path / "series.csv")
+    assert report["window"] == list(FIT_WINDOW)
+    assert [f["n_points"] for f in report["fits"]] == [19, 19]
 
 
 def test_run_traces_one_residual_and_two_gradient_stacks_per_row(counted):
