@@ -335,22 +335,25 @@ def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
     return coeffs
 
 
-def inverse_transform(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+def inverse_transform(coeffs: np.ndarray, grid: Grid, overwrite: bool = False) -> np.ndarray:
     """Real part of the inverse DFT per component, for coefficients that are
     Hermitian off the Nyquist planes (see the module docstring).
 
     numpy's ``irfftn`` passes, in its order, on the half ``k_last >= 0`` of the lattice
     make the values; when the Nyquist planes do not hold their Hermitian part, a copy
-    of the coefficients with that part on the planes is transformed instead.
+    of the coefficients with that part on the planes is transformed instead.  With
+    ``overwrite`` the caller gives up ``coeffs``: the Nyquist part and the column
+    passes are written into it, and no copy or column array is made.
     """
     nyquist = _nyquist_modes(grid)
     hermitian = _nyquist_hermitian(coeffs, nyquist)
     if hermitian is not None:
-        coeffs = coeffs.copy()
+        if not overwrite:
+            coeffs = coeffs.copy()
         coeffs[nyquist[0]] = hermitian
     half = coeffs[..., : grid.n // 2 + 1]
     if grid.dim > 1:
-        columns = np.empty(half.shape, dtype=np.complex128)
+        columns = half if overwrite else np.empty(half.shape, dtype=np.complex128)
         _fft_pass(np.fft.ifft, half, columns, 0, grid)
         for axis in range(1, grid.dim - 1):
             _fft_pass(np.fft.ifft, columns, columns, axis, grid)
@@ -364,7 +367,7 @@ def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: G
     """Values of ``m * coeffs`` for every multiplier m, shape ``(len(multipliers), *coeffs.shape)``.
 
     The products fill one preallocated stack, and one inverse transform
-    makes all of their values.
+    makes all of their values, working in the stack in place.
     """
     stack = np.empty((len(multipliers), *coeffs.shape), dtype=np.complex128)
     for i, out in enumerate(stack):
@@ -372,7 +375,7 @@ def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: G
     # the multipliers are no longer needed: unless the caller holds them too,
     # this frees them before the transform allocates its output
     del multipliers
-    return inverse_transform(stack, grid)
+    return inverse_transform(stack, grid, overwrite=True)
 
 
 def _slab(grid: Grid, axis: int, index) -> tuple:
@@ -542,12 +545,17 @@ def _value_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
 class SpectralField:
     """Scalar or vector field carrying collocation values and coefficients.
 
-    Coefficients are the ground truth; values are materialized lazily and
-    cached.  Fields are treated as immutable values: operations return new
-    instances and never mutate their inputs.
+    Coefficients are the ground truth.  Two things derived from them are
+    made lazily and cached: ``values``, and in ``_blocks`` the pair
+    ``(filter, stack)``, ``stack`` the values of every dyadic block of the
+    field under that filter object, which the Bony operators of
+    ``paraproduct`` make and read.  Fields are treated as immutable values:
+    operations return new instances and never mutate their inputs.  Never
+    write into the ``.coeffs`` of a field whose values or blocks were read:
+    the caches would no longer match them.
     """
 
-    __slots__ = ("grid", "coeffs", "_values")
+    __slots__ = ("grid", "coeffs", "_values", "_blocks")
 
     def __init__(self, grid: Grid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -560,6 +568,7 @@ class SpectralField:
         self.grid = grid
         self.coeffs = coeffs
         self._values = None
+        self._blocks = None
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "SpectralField":

@@ -9,11 +9,17 @@ holds exactly (to round-off) for band-limited inputs.  The recomposition
 identity is stated against the dealiased product, which is the reference
 product throughout the package.
 
-Each operator is a sum over levels q of blockwise products a_q b_q.  The
-values of every a_q come from one stacked inverse transform, and so do those
-of every b_q; the products are summed in value space and dealiased once.
-The dealias is linear, so this equals the sum of the dealiased blockwise
-products, with one forward transform in place of one per level.
+Each operator is a sum over levels q of blockwise products a_q b_q, built
+from the values of the blocks Delta_l u and Delta_l v alone.  A field's
+block values come from one stacked inverse transform and are cached on the
+field per filter (``SpectralField._blocks``), so para(u, v), para(v, u) and
+remainder(u, v) on one pair make two inverse transforms between them.  The
+low factor S_{q-1} u of T_u v is a running sum of u's block values plus
+mean(u), and the near factor of R(u, v) the sum of three neighbouring block
+values of v.  Every level is used: a zero block has exactly zero values.
+The products are summed in value space and dealiased once.  The dealias is
+linear, so this equals the sum of the dealiased blockwise products, with one
+forward transform in place of one per level.
 """
 
 from __future__ import annotations
@@ -52,9 +58,15 @@ def _check_pair(u: SpectralField, v: SpectralField) -> None:
         raise ValueError("component-count mismatch")
 
 
-def _nonzero_levels(filt: DyadicFilter, f: SpectralField) -> list[int]:
-    """The levels q whose block Delta_q f is nonzero."""
-    return [q for q in filt.levels if np.any(f.coeffs * filt.weight(q))]
+def _block_values(filt: DyadicFilter, f: SpectralField) -> np.ndarray:
+    """The values of every block Delta_l f, l in ``filt.levels``, stacked ``(levels, ncomp, *grid)``.
+
+    One stacked inverse transform makes them the first time; they are cached on
+    ``f`` and read again while ``filt`` is the same filter object.
+    """
+    if f._blocks is None or f._blocks[0] is not filt:
+        f._blocks = (filt, multiplied_values(f.coeffs, [filt.weight(l) for l in filt.levels], f.grid))
+    return f._blocks[1]
 
 
 def _constant(c: np.ndarray, grid: Grid) -> np.ndarray:
@@ -62,21 +74,21 @@ def _constant(c: np.ndarray, grid: Grid) -> np.ndarray:
     return c.reshape(-1, *(1,) * grid.dim)
 
 
-def _dealiased_sum(grid: Grid, a: np.ndarray, b: np.ndarray, constant) -> SpectralField:
-    """dealias(constant + sum_q a_q b_q) for value stacks of shape (levels, ncomp, *grid)."""
-    total = np.einsum("q...,q...->...", a, b) + constant
-    return dealiased_from_values(grid, total)
-
-
 def para(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> SpectralField:
-    """T_u v = sum_q S_{q-1} u  Delta_q v, the mean of u included in S_{q-1} u."""
+    """T_u v = sum_q S_{q-1} u  Delta_q v, the mean of u included in S_{q-1} u.
+
+    S_{q-1} u = mean(u) + sum_{l <= q-2} Delta_l u is a running sum of u's blocks.
+    """
     _check_pair(u, v)
     g = u.grid
-    levels = _nonzero_levels(filt, v)
-    low = multiplied_values(u.coeffs, [filt.band(filt.l_min, q - 2) for q in levels], g)
-    low += _constant(u.mean(), g)
-    high = multiplied_values(v.coeffs, [filt.weight(q) for q in levels], g)
-    return _dealiased_sum(g, low, high, 0.0)
+    du, dv = _block_values(filt, u), _block_values(filt, v)
+    low = np.full(du.shape[1:], _constant(u.mean(), g))
+    total = np.zeros((max(u.ncomp, v.ncomp), *g.shape))
+    for q, high in enumerate(dv):
+        if q >= 2:
+            low += du[q - 2]
+        total += low * high
+    return dealiased_from_values(g, total)
 
 
 def remainder(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> SpectralField:
@@ -87,10 +99,11 @@ def remainder(filt: DyadicFilter, u: SpectralField, v: SpectralField) -> Spectra
     """
     _check_pair(u, v)
     g = u.grid
-    levels = _nonzero_levels(filt, u)
-    du = multiplied_values(u.coeffs, [filt.weight(q) for q in levels], g)
-    near = multiplied_values(v.coeffs, [filt.band(q - 1, q + 1) for q in levels], g)
-    return _dealiased_sum(g, du, near, _constant(u.mean() * v.mean(), g))
+    du, dv = _block_values(filt, u), _block_values(filt, v)
+    total = np.full((max(u.ncomp, v.ncomp), *g.shape), _constant(u.mean() * v.mean(), g))
+    for q, block in enumerate(du):
+        total += block * dv[max(q - 1, 0) : q + 2].sum(axis=0)
+    return dealiased_from_values(g, total)
 
 
 def bony_parts(filt: DyadicFilter, u: SpectralField, v: SpectralField):
@@ -145,6 +158,8 @@ def hybrid_para_ratio(
     remainder_low:  low-block weighted sum (split at hspec_out.l0)
 
     All 0.0 when an input is zero, nan when the denominator otherwise vanishes.
+    T_u v and R(u, v) read the block values that u and v cache for ``filt``, so
+    the two operators make two inverse transforms between them.
     """
     den = hybrid_besov_norm(u, hspec_u, filt) * hybrid_besov_norm(v, hspec_v, filt)
     if den == 0.0:

@@ -109,7 +109,10 @@ def test_transform_roundtrip_and_mean():
         }
         for name, coeffs in cases.items():
             ref = numpy_values(coeffs, g)
-            assert np.abs(inverse_transform(coeffs, g) - ref).max() <= 1e-14 * np.abs(ref).max(), (g, name)
+            back = inverse_transform(coeffs, g)
+            assert np.abs(back - ref).max() <= 1e-14 * np.abs(ref).max(), (g, name)
+            # working in the coefficients in place gives the same bits
+            assert np.array_equal(inverse_transform(coeffs.copy(), g, overwrite=True), back), (g, name)
         ref = numpy_values(np.stack([m * u.coeffs for m in multipliers]), g)
         stack = multiplied_values(u.coeffs, multipliers, g)
         assert np.abs(stack - ref).max() <= 1e-14 * np.abs(ref).max(), (g, "stack")
@@ -136,7 +139,9 @@ def test_transform_roundtrip_and_mean():
         assert np.abs(back - vals).max() < 1e-13
         grad_coeffs = _jacobian(coeffs[0], g)
         ref = numpy_values(grad_coeffs, g)
-        assert np.abs(inverse_transform(grad_coeffs, g) - ref).max() <= 1e-14 * np.abs(ref).max()
+        back = inverse_transform(grad_coeffs, g)
+        assert np.abs(back - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(inverse_transform(grad_coeffs.copy(), g, overwrite=True), back)
 
 
 def test_threaded_transforms_from_concurrent_callers():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from swlp import (
     HybridBesovSpec,
     SpectralField,
     bony_parts,
+    build_dyadic_filter,
     composition_ratio,
     dealias,
     default_filter,
@@ -132,6 +134,63 @@ def test_operators_make_one_forward_transform(grid2d, filt2d, rng, inverse_trans
             op(filt2d, a, b)
             assert len(inverse_transforms) - inv <= 2
             assert len(transforms) - fwd == 1
+
+
+def test_bony_sum_reads_each_fields_blocks_once(grid2d, filt2d, rng, inverse_transforms, transforms):
+    # the block values of u and of v take one stacked inverse transform each, and
+    # the three operators read them from the fields; each operator makes one
+    # forward transform of its summed products
+    u, v = _random_pair(grid2d, rng)
+    del inverse_transforms[:], transforms[:]
+    para(filt2d, u, v), para(filt2d, v, u), remainder(filt2d, u, v)
+    assert (len(inverse_transforms), len(transforms)) == (2, 3)
+    del inverse_transforms[:]
+    para(filt2d, u, v), para(filt2d, v, u), remainder(filt2d, u, v)
+    assert len(inverse_transforms) == 0
+
+
+def test_block_cache_is_keyed_by_filter_and_invisible(grid2d, filt2d, rng):
+    u, v = _oracle_cases(grid2d, filt2d, rng)["means"]
+    coeffs, values = u.coeffs.tobytes(), u.values.tobytes()
+    truncated = build_dyadic_filter(grid2d, filt2d.l_min, filt2d.l_max - 1)
+    # back to the first filter after the second: the cache follows the filter object
+    for filt in (filt2d, truncated, filt2d):
+        assert _close(para(filt, u, v), _oracle_para(filt, u, v))
+        assert _close(para(filt, v, u), _oracle_para(filt, v, u))
+        assert _close(remainder(filt, u, v), _oracle_remainder(filt, u, v))
+    assert u.coeffs.tobytes() == coeffs
+    assert u.values.tobytes() == values
+
+
+def test_bony_sum_memory_budget(rng):
+    """The tracemalloc peak of para + para + remainder on a 128^2 pair made from values,
+    in real lattices (n^2 * 8 bytes).  The cached block values of both fields take 16 of
+    it; a stack transform of one field's 8 blocks peaks at 24 more.  One stack per factor
+    of each operator peaked at 42.2."""
+    n = 128
+    g = make_grid(2, n, (2 * math.pi, 2 * math.pi))
+    filt = default_filter(g)
+
+    def pair():
+        # modes up to |k| = n/4, as the lp_toolkit benchmark's fields, plus a mean
+        return [
+            SpectralField.from_values(g, random_band_field(g, rng, filt.l_min, 4, 1, filt).values + rng.uniform(-1, 1))
+            for _ in range(2)
+        ]
+
+    def bony_sum(u, v):
+        return para(filt, u, v) + para(filt, v, u) + remainder(filt, u, v)
+
+    # the first sum builds the per-grid operators that later ones reuse
+    bony_sum(*pair())
+    u, v = pair()
+    tracemalloc.start()
+    try:
+        bony_sum(u, v)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * n**2)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 35, peak
 
 
 def test_bony_identity_exact(filt_nd, rng):
