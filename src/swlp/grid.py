@@ -79,8 +79,9 @@ exactly Hermitian (the transform of real values).  Its readers:
 * ``inverse_transform`` runs the complex-to-real kernel ``irfftn``, which
   reads only the half ``k_last >= 0`` of the lattice and takes the
   coefficients to be Hermitian.  When the Nyquist planes' Hermitian part
-  differs from their modes, it goes into a copy of the coefficients first,
-  so the values equal the real part of the full inverse DFT to round-off;
+  differs from their modes, it goes into a copy of the coefficients first
+  (into the coefficients themselves when the caller gives them up, as
+  ``multiplied_values`` gives up its stack), so the values equal the real part of the full inverse DFT to round-off;
 * ``parseval_power``: ``volume * sum |c_h|^2`` is the collocation L2 norm
   squared exactly, also for coefficients that are not Hermitian (an
   undealiased gradient's Nyquist modes), where plain ``sum |c|^2`` is not.

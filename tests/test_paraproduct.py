@@ -164,15 +164,15 @@ def test_block_cache_is_keyed_by_filter_and_invisible(grid2d, filt2d, rng):
 
 def test_bony_sum_memory_budget(rng):
     """The tracemalloc peak of para + para + remainder on a 128^2 pair made from values,
-    in real lattices (n^2 * 8 bytes).  The cached block values of both fields take 16 of
-    it; a stack transform of one field's 8 blocks peaks at 24 more.  One stack per factor
-    of each operator peaked at 42.2."""
+    in real lattices (n^2 * 8 bytes).  It comes while v's 8 blocks are transformed: u's
+    cached block values (8), v's coefficient stack (16) and its values (8).  One stack
+    per factor of each operator peaked at 42.1."""
     n = 128
     g = make_grid(2, n, (2 * math.pi, 2 * math.pi))
     filt = default_filter(g)
 
     def pair():
-        # modes up to |k| = n/4, as the lp_toolkit benchmark's fields, plus a mean
+        # band-limited fields with a mean, made from values as the lp_toolkit benchmark makes them
         return [
             SpectralField.from_values(g, random_band_field(g, rng, filt.l_min, 4, 1, filt).values + rng.uniform(-1, 1))
             for _ in range(2)
