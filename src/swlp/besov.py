@@ -12,10 +12,10 @@ p = 2 norms never leave coefficient space: ``grid.parseval_power`` gives
 ``lp_norm(u, 2)**2 = vol * sum |c_h|^2`` is the collocation definition above
 exactly.  Every block weight is real and radial in xi, so the Hermitian part
 of Delta_l u is phi_l c_h, and one power array per field, summed over each
-|xi| shell of the filter, gives the L2 norm of every block.  The L^inf
-blocks of ``besov_minus1_infty`` go through two stacked inverse transforms
-per field, each of half the blocks, so that no more than half of the
-blocks' coefficients and values are held at once.
+|xi| shell of the filter, gives the L2 norm of every block.  Any other p
+reads the block values that ``dyadic`` makes and caches on the field, and the
+L^inf pieces of ``besov_minus1_infty`` come in two stacks of ``dyadic`` band
+values, each of half the pieces, so that no more than half are held at once.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicFilter
-from .grid import SpectralField, _heat_multiplier, multiplied_values, parseval_power, parseval_sum
+from .dyadic import DyadicFilter, _band_values, _block_values, _check_grid
+from .grid import SpectralField, _heat_multiplier, parseval_power, parseval_sum
 
 __all__ = [
     "BesovSpec",
@@ -82,11 +82,6 @@ class HybridBesovSpec:
             _check_index(getattr(self, name), name)
 
 
-def _check_grid(field: SpectralField, filt: DyadicFilter) -> None:
-    if field.grid != filt.grid:
-        raise ValueError("grid mismatch")
-
-
 def _lp(values: np.ndarray, p: float, volume: float) -> list[float]:
     """L^p norms of a stack of fields given as values (fields, ncomp, *grid)."""
     axes = tuple(range(1, values.ndim - 1))
@@ -108,12 +103,6 @@ def _lp(values: np.ndarray, p: float, volume: float) -> list[float]:
     return [float(v) for v in (np.mean(mag**p, axis=axes) * volume) ** (1.0 / p)]
 
 
-def _stacked_lp(field: SpectralField, multipliers: list[np.ndarray], p: float) -> list[float]:
-    """L^p norms of the fields m * u for every multiplier m, in one inverse transform."""
-    g = field.grid
-    return _lp(multiplied_values(field.coeffs, multipliers, g), p, g.volume)
-
-
 def lp_norm(field: SpectralField, p: float) -> float:
     p = _check_index(p, "p")
     if p == 2.0:
@@ -130,14 +119,11 @@ def _shell_power(field: SpectralField, filt: DyadicFilter) -> np.ndarray:
 
 def _staleness_check(shell_power: np.ndarray, filt: DyadicFilter) -> None:
     total = float(np.sum(shell_power[1:]))  # shell 0 is the mean mode
-    if total <= 0:
-        return
-    inside = float(filt.table.sum(axis=0) ** 2 @ shell_power)
-    if 1.0 - inside / total > 1e-3:
+    if total > 0 and 1.0 - float(filt.table.sum(axis=0) ** 2 @ shell_power) / total > 1e-3:
         warnings.warn(
             "more than 0.1% of the L2 mass sits in blocks outside the filter "
             "range; the Besov norm is unreliable",
-            stacklevel=3,
+            stacklevel=2,
         )
 
 
@@ -149,26 +135,17 @@ def _block_norms(
             shell_power = _shell_power(field, filt)
         energies = filt.table**2 @ shell_power
         return {l: math.sqrt(field.grid.volume * float(e)) for l, e in zip(filt.levels, energies)}
-    # one transform per block: a stack of all blocks would hold (levels x field) at once
-    return {l: _stacked_lp(field, [filt.weight(l)], p)[0] for l in filt.levels}
+    return dict(zip(filt.levels, _lp(_block_values(filt, field), p, field.grid.volume)))
 
 
 def block_norms(field: SpectralField, p: float, filt: DyadicFilter) -> dict[int, float]:
     """L^p norms of every dyadic block within the filter range.
 
-    p = 2 comes by Parseval from one power array per field, with no inverse
-    transform; any other p takes one inverse transform per block.
+    p = 2 comes by Parseval from one power array per field, with no inverse transform; any
+    other p reads the block values the field caches per filter (``dyadic._block_values``).
     """
-    _check_grid(field, filt)
+    _check_grid(filt, field)
     return _block_norms(field, _check_index(p, "p"), filt)
-
-
-def _checked_tables(field: SpectralField, filt: DyadicFilter, ps) -> dict[float, dict[int, float]]:
-    """Block-norm tables for each distinct p, after the filter-range check."""
-    _check_grid(field, filt)
-    shell_power = _shell_power(field, filt)
-    _staleness_check(shell_power, filt)
-    return {p: _block_norms(field, p, filt, shell_power) for p in set(ps)}
 
 
 def _weighted(table, levels, s: float, r: float) -> float:
@@ -202,7 +179,10 @@ def besov_norm(field: SpectralField, spec: BesovSpec, filt: DyadicFilter) -> flo
 def hybrid_besov_norm(field: SpectralField, hspec: HybridBesovSpec, filt: DyadicFilter) -> float:
     if hspec.l0 < filt.l_min - 1 or hspec.l0 > filt.l_max:
         raise ValueError(f"l0 = {hspec.l0} outside the filter range")
-    tables = _checked_tables(field, filt, [hspec.p_low, hspec.p_high])
+    _check_grid(filt, field)
+    shell_power = _shell_power(field, filt)
+    _staleness_check(shell_power, filt)
+    tables = {p: _block_norms(field, p, filt, shell_power) for p in {hspec.p_low, hspec.p_high}}
     return _weighted_sum(tables, hspec, filt.levels)
 
 
@@ -251,17 +231,17 @@ def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | 
     for decay diagnostics where the homogeneous sup is dominated by the
     ever-lower frequency content of spreading heat profiles).
 
-    The pieces go through two stacked inverse transforms, the first half of
-    them (lowest first) and then the rest: a stack of every piece would hold
-    (pieces x components) coefficient lattices at once.
+    The pieces go through two stacks of band values (``dyadic._band_values``), the
+    first half of them (lowest first) and then the rest: a stack of every piece, or
+    the field's cached blocks, would hold (pieces x components) lattices at once.
     """
-    _check_grid(field, filt)
-    # (weight, lowest level, highest level) of every piece
-    pieces = [(2.0 ** (-l), l, l) for l in filt.levels if low_cut is None or l >= low_cut]
+    _check_grid(filt, field)
+    # (weight, (lowest level, highest level)) of every piece
+    pieces = [(2.0 ** (-l), (l, l)) for l in filt.levels if low_cut is None or l >= low_cut]
     if low_cut is not None:
         # S_{low_cut} u, the blocks below low_cut lumped into one piece (zero
         # when low_cut <= l_min, all blocks when low_cut > l_max)
-        pieces.insert(0, (2.0 ** (-low_cut), filt.l_min, low_cut - 1))
+        pieces.insert(0, (2.0 ** (-low_cut), (filt.l_min, low_cut - 1)))
     if not pieces:
         return 0.0
     # two stacks, each holding half of the pieces' coefficients and values at once
@@ -270,7 +250,7 @@ def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | 
         w * v
         for stack in (pieces[:half], pieces[half:])
         if stack
-        for (w, _, _), v in zip(stack, _stacked_lp(field, [filt.band(lo, hi) for _, lo, hi in stack], INF))
+        for (w, _), v in zip(stack, _lp(_band_values(filt, field, [band for _, band in stack]), INF, field.grid.volume))
     )
 
 

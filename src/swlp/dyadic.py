@@ -12,6 +12,12 @@ levels x shells table of phi_l, evaluated on the distinct |xi| only; at 512^2
 over period 64 that is 27 435 shells and about 4 MiB in place of ten
 grid-sized arrays.  ``band(lo, hi)`` gathers the multiplier of any range of
 levels onto the lattice, and ``weight`` and ``cumulative_below`` are bands.
+
+This module alone makes a field's band values (``_band_values``, the one caller
+of ``grid.multiplied_values``), caches its block values read-only on the field,
+per filter object and for the field's lifetime (``_block_values``), and checks
+that a filter belongs to a field's grid (``_check_grid``); ``besov`` and
+``paraproduct`` only read them (guard: ``tests/test_one_band_path.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _read_only, xi_mag2
+from .grid import Grid, SpectralField, _read_only, multiplied_values, xi_mag2
 
 __all__ = [
     "DyadicFilter",
@@ -147,22 +153,44 @@ def default_filter(grid: Grid) -> DyadicFilter:
     return build_dyadic_filter(grid, *default_levels(grid))
 
 
+def _check_grid(filt: DyadicFilter, f: SpectralField) -> None:
+    """Reject a filter built on another grid than the field's, period included."""
+    if f.grid != filt.grid:
+        raise ValueError("grid mismatch")
+
+
+def _band_values(filt: DyadicFilter, f: SpectralField, bands: list[tuple[int, int]]) -> np.ndarray:
+    """The values of sum_{l=lo}^{hi} Delta_l f for every ``(lo, hi)`` in ``bands``, stacked
+    ``(bands, ncomp, *grid)``, from one stacked inverse transform."""
+    _check_grid(filt, f)
+    return multiplied_values(f.coeffs, [filt.band(lo, hi) for lo, hi in bands], f.grid)
+
+
+def _block_values(filt: DyadicFilter, f: SpectralField) -> np.ndarray:
+    """The values of every block Delta_l f, l in ``filt.levels``, stacked ``(levels, ncomp, *grid)``.
+
+    Made once, then cached read-only on ``f`` and read again while ``filt`` is the same object.
+    """
+    if f._blocks is None or f._blocks[0] is not filt:
+        f._blocks = (filt, _read_only(_band_values(filt, f, [(l, l) for l in filt.levels])))
+    return f._blocks[1]
+
+
 def dyadic_block(filt: DyadicFilter, u: SpectralField, l: int) -> SpectralField:
     """Delta_l u: coefficientwise product with phi(2^-l xi)."""
-    if u.grid != filt.grid:
-        raise ValueError("grid mismatch")
+    _check_grid(filt, u)
     return SpectralField(u.grid, u.coeffs * filt.weight(l))
 
 
 def low_sum(filt: DyadicFilter, u: SpectralField, l: int) -> SpectralField:
     """S_l u = sum_{k <= l-1} Delta_k u (mean mode excluded)."""
-    if u.grid != filt.grid:
-        raise ValueError("grid mismatch")
+    _check_grid(filt, u)
     return SpectralField(u.grid, u.coeffs * filt.cumulative_below(l))
 
 
 def freq_split(filt: DyadicFilter, u: SpectralField, l0: int) -> tuple[SpectralField, SpectralField]:
     """(u_BF, u_HF) with u_BF = sum_{l <= l0} Delta_l u; sum is u - mean."""
+    _check_grid(filt, u)
     return (
         SpectralField(u.grid, u.coeffs * filt.band(filt.l_min, l0)),
         SpectralField(u.grid, u.coeffs * filt.band(l0 + 1, filt.l_max)),

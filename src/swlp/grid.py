@@ -411,8 +411,8 @@ def _completion(grid: Grid) -> tuple[tuple[tuple, tuple], ...]:
     They are the modes whose mirror comes first in row-major order of the half
     ``k_last >= 0``: every mode with k_last < 0 other than -n/2, and on the self-conjugate
     planes k_last = 0 and -n/2, those whose first k_j other than 0 and -n/2 is negative.
-    This is pocketfft's order for the complex transform of real values, so in 1-D and
-    2-D the result has the bits of that transform (``scipy.fft.fftn``).
+    So the result is exactly Hermitian, with the bits of numpy's ``rfftn`` off those planes
+    (0 < k_last < n/2); ``tests/test_grid.py`` checks both.
     """
     h = grid.n // 2
     # per axis, (modes, mirrors): index k has its mirror at n - k, and 0 and h are their own
@@ -548,12 +548,12 @@ class SpectralField:
 
     Coefficients are the ground truth.  Two things derived from them are
     made lazily and cached: ``values``, and in ``_blocks`` the pair
-    ``(filter, stack)``, ``stack`` the values of every dyadic block of the
-    field under that filter object, which the Bony operators of
-    ``paraproduct`` make and read.  Fields are treated as immutable values:
-    operations return new instances and never mutate their inputs.  Never
-    write into the ``.coeffs`` of a field whose values or blocks were read:
-    the caches would no longer match them.
+    ``(filter, stack)``, ``stack`` the read-only values of every dyadic block
+    of the field under that filter object, which ``dyadic._block_values``
+    alone makes and reads (this class only declares the slot).  Fields are
+    treated as immutable values: operations return new instances and never
+    mutate their inputs.  Never write into the ``.coeffs`` of a field whose
+    values or blocks were read: the caches would no longer match them.
     """
 
     __slots__ = ("grid", "coeffs", "_values", "_blocks")

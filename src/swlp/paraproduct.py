@@ -10,16 +10,16 @@ identity is stated against the dealiased product, which is the reference
 product throughout the package.
 
 Each operator is a sum over levels q of blockwise products a_q b_q, built
-from the values of the blocks Delta_l u and Delta_l v alone.  A field's
-block values come from one stacked inverse transform and are cached on the
-field per filter (``SpectralField._blocks``), so para(u, v), para(v, u) and
-remainder(u, v) on one pair make two inverse transforms between them.  The
-low factor S_{q-1} u of T_u v is a running sum of u's block values plus
-mean(u), and the near factor of R(u, v) the sum of three neighbouring block
-values of v.  Every level is used: a zero block has exactly zero values.
-The products are summed in value space and dealiased once.  The dealias is
-linear, so this equals the sum of the dealiased blockwise products, with one
-forward transform in place of one per level.
+from the values of the blocks Delta_l u and Delta_l v alone, which
+``dyadic._block_values`` makes in one stacked inverse transform and caches on
+the field per filter object: para(u, v), para(v, u) and remainder(u, v) on
+one pair make two inverse transforms between them.  The low factor
+S_{q-1} u of T_u v is a running sum of u's block values plus mean(u), and
+the near factor of R(u, v) the sum of three neighbouring block values of v.
+Every level is used: a zero block has exactly zero values.  The products are
+summed in value space and dealiased once.  The dealias is linear, so this
+equals the sum of the dealiased blockwise products, with one forward
+transform in place of one per level.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .besov import (
     hybrid_besov_norm,
     lp_norm,
 )
-from .dyadic import DyadicFilter
-from .grid import Grid, SpectralField, dealiased_from_values, mult, multiplied_values
+from .dyadic import DyadicFilter, _block_values
+from .grid import Grid, SpectralField, dealiased_from_values, mult
 
 __all__ = [
     "para",
@@ -56,17 +56,6 @@ def _check_pair(u: SpectralField, v: SpectralField) -> None:
         raise ValueError("grid mismatch")
     if u.ncomp != v.ncomp and 1 not in (u.ncomp, v.ncomp):
         raise ValueError("component-count mismatch")
-
-
-def _block_values(filt: DyadicFilter, f: SpectralField) -> np.ndarray:
-    """The values of every block Delta_l f, l in ``filt.levels``, stacked ``(levels, ncomp, *grid)``.
-
-    One stacked inverse transform makes them the first time; they are cached on
-    ``f`` and read again while ``filt`` is the same filter object.
-    """
-    if f._blocks is None or f._blocks[0] is not filt:
-        f._blocks = (filt, multiplied_values(f.coeffs, [filt.weight(l) for l in filt.levels], f.grid))
-    return f._blocks[1]
 
 
 def _constant(c: np.ndarray, grid: Grid) -> np.ndarray:

@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .besov import HybridBesovSpec, hybrid_besov_norm, lp_norm
-from .dyadic import DyadicFilter, default_filter
+from .dyadic import DyadicFilter, _check_grid, default_filter
 from .grid import (
     _OPERATOR_CACHE,
     Grid,
@@ -530,6 +530,7 @@ def random_band_field(
     _check_band("[l_lo, l_hi]", l_lo, l_hi, filt.l_min, filt.l_max)
     noise = rng.standard_normal((ncomp, *grid.shape))
     f = SpectralField.from_values(grid, noise)
+    _check_grid(filt, f)
     f = SpectralField(grid, f.coeffs * filt.band(l_lo, l_hi))
     scale = lp_norm(f, p)
     if scale == 0.0:

@@ -24,6 +24,9 @@ from swlp import (
     time_besov_norm,
     time_hybrid_besov_norm,
 )
+from swlp.dyadic import _block_values
+from swlp.grid import inverse_transform
+from swlp.paraproduct import para
 from swlp.solver import random_band_field
 from test_grid import GRIDS
 
@@ -138,6 +141,26 @@ def test_besov_minus1_infty_modes(grid2d, filt2d, rng):
     assert hom == pytest.approx(max(blocks.values()), rel=1e-14)
     low = 2.0**-2 * lp_norm(freq_split(filt2d, u, 1)[0], math.inf)
     assert nonhom == pytest.approx(max([low] + [v for l, v in blocks.items() if l >= 2]), rel=1e-14)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_block_norms_read_the_cached_block_values(grid2d, rng, inverse_transforms, ncomp):
+    # p = 1 and p = inf read one stack of block values; para with the same filter
+    # object reads it too; the norms have the bits of one transform per block
+    filt = default_filter(grid2d)
+    f = SpectralField.from_values(grid2d, rng.standard_normal((ncomp, *grid2d.shape)))
+    del inverse_transforms[:]
+    norms = {p: block_norms(f, p, filt) for p in (1.0, math.inf)}
+    assert len(inverse_transforms) == 1
+    para(filt, f, f)
+    assert len(inverse_transforms) == 1
+    for l in filt.levels:
+        values = inverse_transform(f.coeffs * filt.weight(l), grid2d)
+        mag = np.sqrt(np.sum(np.square(values), axis=0)) if ncomp > 1 else np.abs(values[0])
+        assert norms[1.0][l] == float(np.mean(mag) * grid2d.volume), l
+        assert norms[math.inf][l] == float(mag.max()), l
+    with pytest.raises(ValueError, match="read-only"):
+        _block_values(filt, f)[0, 0, 0, 0] = 1.0
 
 
 def _white_noise(grid, ncomp):

@@ -172,3 +172,45 @@ def test_block_of_single_mode(grid2d, filt2d):
     lo, hi = cover_range(4.0)
     assert set(active) <= set(range(lo, hi + 1))
     assert lp_norm(total - u, 2.0) < 1e-12
+
+
+def _entry_points():
+    """Every public function that takes a filter and a field, called on ``(filt, u, v)``."""
+    from swlp import besov, paraproduct, quasi
+
+    s, h = besov.BesovSpec(0.5, 2, 1), besov.HybridBesovSpec(0.5, 1.0, 2, 2, 1, 1, 0)
+    return {
+        "dyadic_block": lambda filt, u, v: dyadic_block(filt, u, filt.l_min),
+        "low_sum": lambda filt, u, v: low_sum(filt, u, filt.l_min + 1),
+        "freq_split": lambda filt, u, v: freq_split(filt, u, filt.l_min),
+        "block_norms_p2": lambda filt, u, v: besov.block_norms(u, 2.0, filt),
+        "block_norms_p1": lambda filt, u, v: besov.block_norms(u, 1.0, filt),
+        "besov_norm": lambda filt, u, v: besov.besov_norm(u, s, filt),
+        "hybrid_besov_norm": lambda filt, u, v: besov.hybrid_besov_norm(u, h, filt),
+        "time_besov_norm": lambda filt, u, v: besov.time_besov_norm([(0.0, u), (1.0, v)], 1.0, s, filt),
+        "time_hybrid_besov_norm": lambda filt, u, v: besov.time_hybrid_besov_norm([(0.0, u), (1.0, v)], 1.0, h, filt),
+        "besov_minus1_infty": lambda filt, u, v: besov.besov_minus1_infty(u, filt, low_cut=filt.l_min + 1),
+        "active_levels": lambda filt, u, v: besov.active_levels(u, filt),
+        "heat_characterization_ratio": lambda filt, u, v: besov.heat_characterization_ratio(u, 0.5, 2, 1, filt),
+        "para": lambda filt, u, v: paraproduct.para(filt, u, v),
+        "remainder": lambda filt, u, v: paraproduct.remainder(filt, u, v),
+        "bony_parts": lambda filt, u, v: paraproduct.bony_parts(filt, u, v),
+        "product_law_ratio": lambda filt, u, v: paraproduct.product_law_ratio(filt, u, v, s, s, s),
+        "hybrid_para_ratio": lambda filt, u, v: paraproduct.hybrid_para_ratio(filt, u, v, h, h, h),
+        "composition_ratio": lambda filt, u, v: paraproduct.composition_ratio(filt, u, 1.0),
+        "heat_estimate_ratio": lambda filt, u, v: quasi.heat_estimate_ratio(u, [(0.0, v), (1.0, v)], s, 1.0, 0.5, filt),
+        "random_band_field": lambda filt, u, v: random_band_field(
+            u.grid, np.random.default_rng(0), filt.l_min, filt.l_max, 1, filt
+        ),
+    }
+
+
+@pytest.mark.parametrize("other", ["period", "n"])
+@pytest.mark.parametrize("name", list(_entry_points()))
+def test_a_filter_from_another_grid_is_rejected(grid2d, rng, name, other):
+    # a filter built on the same n over another period, or on another n
+    g = make_grid(2, 64, (4 * math.pi, 4 * math.pi)) if other == "period" else make_grid(2, 32, grid2d.period)
+    filt = default_filter(g)
+    u, v = (random_band_field(grid2d, rng, 0, 2, 1, amplitude=0.5) for _ in range(2))
+    with pytest.raises(ValueError, match="^grid mismatch$"):
+        _entry_points()[name](filt, u, v)

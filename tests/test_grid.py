@@ -96,6 +96,9 @@ def test_transform_roundtrip_and_mean():
         u = SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape)))
         ref = np.fft.fftn(u.values, axes=tuple(range(-g.dim, 0)), norm="forward")
         assert np.abs(u.coeffs - ref).max() <= 1e-14 * np.abs(ref).max(), (g, "forward")
+        # and it is exactly Hermitian: c(-k) = conj(c(k)) to the bit
+        axes = tuple(range(-g.dim, 0))
+        assert np.array_equal(np.roll(np.flip(u.coeffs, axes), 1, axes), np.conj(u.coeffs)), (g, "Hermitian")
         par, sol = helmholtz_split(u)
         filt = default_filter(g)
         multipliers = [xi_mag2(g), dealias_mask(g), *(filt.weight(l) for l in range(filt.l_min, filt.l_max + 1))]
@@ -131,6 +134,7 @@ def test_transform_roundtrip_and_mean():
         coeffs = transform(vals, g)
         inner = (Ellipsis, slice(1, g.n // 2))
         assert np.array_equal(coeffs[inner], np.fft.rfftn(vals, axes=axes, norm="forward")[inner])
+        assert np.array_equal(np.roll(np.flip(coeffs, axes), 1, axes), np.conj(coeffs))
         ref = np.fft.fftn(vals, axes=axes, norm="forward")
         assert np.abs(coeffs - ref).max() <= 1e-14 * np.abs(ref).max()
         back = inverse_transform(coeffs, g)
