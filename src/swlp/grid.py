@@ -91,11 +91,13 @@ exactly Hermitian (the transform of real values).  Its readers:
 Kernels and threads: the FFT is numpy's (pocketfft), and each transform is
 written as the 1-D passes of ``np.fft.rfftn`` or ``np.fft.irfftn``, in the
 same order, so it gives their bits (the forward one except on the plane
-modes that its completion overwrites).  At 2^16 lattice points per component and above, in 2-D and
-3-D (``_workers``), each pass splits its lines into two halves along another
-grid axis and runs them on the two threads of ``_FFT_POOL``.  numpy's FFT
-releases the interpreter lock, and each line is transformed on its own, so
-the split changes no bit either.
+modes that its completion overwrites).  At 2^16 lattice points per component and above, in
+2-D and 3-D (``_workers``), ``_in_halves`` runs half of each transform pass's lines, of the
+completion's rows and of each whole-lattice multiplier product (the derivatives, ``__mul__``,
+``solver._implicit_solve``, ``quasi.heat_evolve``) on ``_FFT_POOL`` and the other half on the
+calling thread.  numpy's FFT and ufuncs release the interpreter lock, and each line and point
+is computed on its own, so the split changes no bit either.  ``solver._rhs_block``'s many small
+ufunc calls contend for the lock, so its point loop stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ __all__ = [
 ]
 
 _FFT_WORKERS = 2
-# the threads of the large transforms; the executor starts them at its first task, not at import
-_FFT_POOL = ThreadPoolExecutor(_FFT_WORKERS)
+# the second thread of a split (``_in_halves``); the executor starts it at its first task, not at import
+_FFT_POOL = ThreadPoolExecutor(_FFT_WORKERS - 1)
 # Per-grid operators are cached for the few grids a process works on; the
 # bound keeps a sweep over many grid sizes from holding all of them.
 _OPERATOR_CACHE = 16
@@ -233,8 +235,12 @@ def _i_xi(grid: Grid) -> tuple[np.ndarray, ...]:
 def _jacobian(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Add an axis of first derivatives before the grid axes: entry ``[..., j]`` is d_j f[...]."""
     jac = np.empty((*coeffs.shape[: -grid.dim], grid.dim, *grid.shape), dtype=np.complex128)
-    for m, d_j in zip(_i_xi(grid), np.moveaxis(jac, -grid.dim - 1, 0)):
-        np.multiply(m, coeffs, out=d_j)
+
+    def half(h):
+        for m, d_j in zip(_i_xi(grid), np.moveaxis(jac, -grid.dim - 1, 0)):
+            np.multiply(m[h], coeffs[h], out=d_j[h])
+
+    _in_halves(half, grid, 0)
     return jac
 
 
@@ -246,8 +252,12 @@ def _jacobian_upper(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     i_xi = _i_xi(grid)
     rows, cols = np.triu_indices(grid.dim)
     upper = np.empty((rows.size, *grid.shape), dtype=np.complex128)
-    for out, i, j in zip(upper, rows, cols):
-        np.multiply(i_xi[j], coeffs[i], out=out)
+
+    def half(h):
+        for out, i, j in zip(upper, rows, cols):
+            np.multiply(i_xi[j][h], coeffs[i][h], out=out[h])
+
+    _in_halves(half, grid, 0)
     return upper
 
 
@@ -271,11 +281,15 @@ def _sym_grad_upper(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _divergence(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Contract the axis just before the grid axes: sum_j d_j f[..., j], added in place in order of j."""
-    terms = zip(_i_xi(grid), np.moveaxis(coeffs, -grid.dim - 1, 0))
-    m, f_j = next(terms)
-    out = m * f_j
-    for m, f_j in terms:
-        out += m * f_j
+    (m, f), *terms = zip(_i_xi(grid), np.moveaxis(coeffs, -grid.dim - 1, 0))
+    out, term = np.empty(f.shape, dtype=np.complex128), np.empty(f.shape, dtype=np.complex128)
+
+    def half(h):
+        part = np.multiply(m[h], f[h], out=out[h])
+        for m_j, f_j in terms:
+            part += np.multiply(m_j[h], f_j[h], out=term[h])
+
+    _in_halves(half, grid, 0)
     return out
 
 
@@ -300,22 +314,36 @@ def _workers(grid: Grid) -> int:
     return 1 if grid.dim == 1 or grid.n**grid.dim < 2**16 else _FFT_WORKERS
 
 
+def _in_halves(fn, grid: Grid, axis: int, length: int | None = None) -> None:
+    """``fn(index)``: once with ``...`` at one worker (``_workers``), else with the first half of
+    grid axis ``axis`` (``length`` long, n by default) on the calling thread and the second on
+    ``_FFT_POOL``, which is joined before the call returns or raises an error of either half.
+
+    The second half counts from the end, so it is also the whole of a length-1 axis: a broadcastable
+    multiplier takes both indices.  ``fn`` writes only into its caller's arrays, and splits nothing.
+    """
+    if _workers(grid) == 1:
+        fn(Ellipsis)
+        return
+    length = length or grid.n
+    pool_half = _FFT_POOL.submit(fn, _slab(grid, axis, slice(length // 2 - length, None)))
+    try:
+        fn(_slab(grid, axis, slice(None, length // 2)))
+    finally:
+        pool_half.result()
+
+
 def _fft_pass(kernel, src: np.ndarray, dst: np.ndarray, axis: int, grid: Grid) -> None:
     """One 1-D pass of ``kernel`` (``np.fft.rfft``, ``fft``, ``ifft`` or ``irfft``) along grid
     axis ``axis``, from ``src`` into ``dst`` (which may be ``src``), normalized forward.
 
-    With two workers the lines are split into two halves along another grid axis, one
-    half per thread of ``_FFT_POOL``.  Each line is transformed on its own, so the split
-    changes no bit of the result.
+    With two workers the lines are split into two halves along another grid axis
+    (``_in_halves``).  Each line is transformed on its own, so the split changes no bit of
+    the result.
     """
-    if _workers(grid) == 1:
-        kernel(src, axis=axis - grid.dim, norm="forward", out=dst)
-        return
     cut = 1 if axis == 0 else 0
-    mid = dst.shape[cut - grid.dim] // 2
-    halves = [_slab(grid, cut, part) for part in (slice(None, mid), slice(mid, None))]
-    # reading every result re-raises an error of either thread
-    list(_FFT_POOL.map(lambda h: kernel(src[h], axis=axis - grid.dim, norm="forward", out=dst[h]), halves))
+    size = dst.shape[cut - grid.dim]
+    _in_halves(lambda h: kernel(src[h], axis=axis - grid.dim, norm="forward", out=dst[h]), grid, cut, size)
 
 
 def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -331,8 +359,11 @@ def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
     _fft_pass(np.fft.rfft, values, half, grid.dim - 1, grid)
     for axis in range(grid.dim - 2, -1, -1):
         _fft_pass(np.fft.fft, half, half, axis, grid)
-    for pair in _completion(grid):
-        _nyquist_hermitian(coeffs, pair, fill=True)
+    # the first piece (k_last < 0, every k_j != 0) is the largest; its n - 1 rows read and write disjoint columns
+    negative, *planes = _completion(grid)
+    _in_halves(lambda h: _nyquist_hermitian(coeffs, negative, fill=h), grid, 0, grid.n - 1)
+    for pair in planes:
+        _nyquist_hermitian(coeffs, pair, fill=Ellipsis)
     return coeffs
 
 
@@ -416,7 +447,7 @@ def _completion(grid: Grid) -> tuple[tuple[tuple, tuple], ...]:
     """
     h = grid.n // 2
     # per axis, (modes, mirrors): index k has its mirror at n - k, and 0 and h are their own
-    whole = ((0, 0), (slice(1, None), slice(None, 0, -1)))
+    whole = ((slice(1, None), slice(None, 0, -1)), (0, 0))
     negative = (slice(h + 1, None), slice(h - 1, 0, -1))
     own = (slice(None, None, h),) * 2
     pieces = [(*other, negative) for other in product(whole, repeat=grid.dim - 1)]
@@ -425,18 +456,18 @@ def _completion(grid: Grid) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(((Ellipsis, *(m for m, _ in axes)), (Ellipsis, *(r for _, r in axes))) for axes in pieces)
 
 
-def _nyquist_hermitian(coeffs: np.ndarray, pair: tuple, fill: bool = False) -> np.ndarray | None:
+def _nyquist_hermitian(coeffs: np.ndarray, pair: tuple, fill=None) -> np.ndarray | None:
     """The Hermitian part (c + conj(c_mirror))/2 of the modes ``coeffs[modes]``, in their order,
     or None when they already hold it (all zero, or exactly Hermitian).
 
     ``pair`` is ``(modes, mirrors)``, and ``coeffs[mirrors]`` holds the mirrors -k of the
     modes in the same order: the Nyquist planes (``_nyquist_modes``) or a piece of
-    ``_completion``.  With ``fill``, the modes take the conjugates of their mirrors
-    instead, in place (``modes`` must then be slices), and nothing is returned.
+    ``_completion``.  Given ``fill``, an index into the modes (``...``: all), those modes take
+    the conjugates of their mirrors instead, in place (``modes`` must be slices).
     """
     modes, mirrors = pair
-    if fill:
-        np.conjugate(coeffs[mirrors], out=coeffs[modes])
+    if fill is not None:
+        np.conjugate(coeffs[mirrors][fill], out=coeffs[modes][fill])
         return None
     c = coeffs[modes]
     if not c.any():
@@ -617,7 +648,9 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, c: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * c)
+        out = np.empty(self.coeffs.shape, dtype=np.complex128)
+        _in_halves(lambda h: np.multiply(self.coeffs[h], c, out=out[h]), self.grid, 0)
+        return SpectralField(self.grid, out)
 
     __rmul__ = __mul__
 

@@ -80,7 +80,7 @@ class RunConfig(SolverConfig):
 
     dim: int = 2
     n: int = 256
-    period: float = 64.0
+    period: float | list[float] = 64.0
     t_end: float = 20.0
     amplitude: float = 0.5
     width: float = 1.0
@@ -110,8 +110,8 @@ class RunConfig(SolverConfig):
             raise ValueError(f"eps = {self.eps:g} must be nonnegative")
         if self.pert_h2 < 0:
             raise ValueError(f"pert_h2 = {self.pert_h2:g} must be nonnegative")
-        # the perturbation's random generator takes a nonnegative integer seed
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        # the perturbation's random generator takes a nonnegative seed
+        if self.seed < 0:
             raise ValueError(f"seed = {self.seed!r} must be a nonnegative integer")
         levels = default_levels(grid)
         # the crossover block of the hybrid norms must be one hybrid_besov_norm accepts

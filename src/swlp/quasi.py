@@ -41,6 +41,7 @@ from .grid import (
     _dealias_in_place,
     _divergence,
     _heat_multiplier,
+    _in_halves,
     _partial,
     _square_sum,
     _sym_grad_upper,
@@ -95,7 +96,10 @@ def heat_evolve(q1: SpectralField, mu: float, t: float) -> SpectralField:
     if q1.ncomp != 1:
         raise ValueError("q1 must be a scalar field")
     _check_floor(1.0 + q1.values[0])
-    return SpectralField(q1.grid, q1.coeffs * _heat_multiplier(q1.grid, mu, t))
+    decay = _heat_multiplier(q1.grid, mu, t)
+    out = np.empty(q1.coeffs.shape, dtype=np.complex128)
+    _in_halves(lambda h: np.multiply(q1.coeffs[h], decay[h], out=out[h]), q1.grid, 0)
+    return SpectralField(q1.grid, out)
 
 
 def log_density(q1: SpectralField) -> SpectralField:
@@ -372,16 +376,14 @@ def heat_estimate_ratio(
     if rhs == 0.0:
         return math.nan, math.nan
     g = u0.grid
-    u_fields = [u0]
+    # one row of block norms per Duhamel field, taken as the field is made: no field is kept
+    rows = {spec.p: [list(block_norms(u0, spec.p, filt).values())]}
     u_prev = u0.coeffs
     for (t_prev, f_prev), (t_next, f_next) in zip(f_snapshots[:-1], f_snapshots[1:]):
         dt = t_next - t_prev
         decay = _heat_multiplier(g, mu, dt)
-        u_next = decay * u_prev + 0.5 * dt * (decay * f_prev.coeffs + f_next.coeffs)
-        u_fields.append(SpectralField(g, u_next))
-        u_prev = u_next
-
-    rows = {spec.p: [list(block_norms(f, spec.p, filt).values()) for f in u_fields]}
+        u_prev = decay * u_prev + 0.5 * dt * (decay * f_prev.coeffs + f_next.coeffs)
+        rows[spec.p].append(list(block_norms(SpectralField(g, u_prev), spec.p, filt).values()))
     ends = []
     for rho1, inv_r1 in ((math.inf, 0.0), (rho2, inv_r2)):
         lhs_spec = _as_hybrid(BesovSpec(spec.s + 2.0 * inv_r1, spec.p, spec.r), filt)

@@ -41,6 +41,7 @@ configuration's ``pressure_coeff``; ``full_residual`` adds its ``drag``,
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -54,6 +55,7 @@ from .grid import (
     Grid,
     SpectralField,
     _divergence,
+    _in_halves,
     _jacobian,
     _jacobian_upper,
     _read_only,
@@ -108,6 +110,28 @@ class BlowupError(RuntimeError):
         self.last_state = last_state
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+# what a config field of each declared type takes: an int or a float is never a bool
+_TAKES = {
+    "int": lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+    "float": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "float | list[float]": lambda v: _is_number(v) or (isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
+
+
+def _check_types(config) -> None:
+    """Reject a value that a field of a config dataclass does not take by its annotation, naming the field."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not _TAKES[f.type](value):
+            raise ValueError(f"{f.name} = {value!r} is not {f.type} (got {type(value).__name__})")
+
+
 def _check_finite(config) -> None:
     """Reject a NaN or infinite float in any field of a config dataclass, naming the field."""
     for name, value in vars(config).items():
@@ -127,6 +151,7 @@ class SolverConfig:
     forcing: bool = True
 
     def __post_init__(self):
+        _check_types(self)
         _check_finite(self)
         if self.mu <= 0:
             raise ValueError("mu must be positive")
@@ -324,10 +349,12 @@ def _implicit_solve(u2_coeffs: np.ndarray, grid: Grid, m_sol, w) -> np.ndarray:
     The irrotational part is -grad(div u)/|xi|^2, so the result is
     m_sol u - grad(w div u).  At xi = 0, where the mean sits, m_par = m_sol.
     """
-    out = u2_coeffs * m_sol
     w_div = _divergence(u2_coeffs, grid)
-    w_div *= w
-    out -= _jacobian(w_div, grid)
+    _in_halves(lambda h: np.multiply(w_div[h], w[h], out=w_div[h]), grid, 0)
+    w_grad = _jacobian(w_div, grid)
+    out = np.empty(u2_coeffs.shape, dtype=np.complex128)
+    # out = m_sol u, then out -= grad(w div u), one half at a time
+    _in_halves(lambda h: np.subtract(np.multiply(u2_coeffs[h], m_sol[h], out=out[h]), w_grad[h], out=out[h]), grid, 0)
     return out
 
 

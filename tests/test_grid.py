@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,16 +30,20 @@ from swlp import (
 )
 from swlp.dyadic import default_filter
 from swlp.grid import (
+    _divergence,
     _heat_multiplier,
+    _i_xi,
+    _in_halves,
     _jacobian,
+    _jacobian_upper,
     _workers,
     kept_power,
     multiplied_values,
     parseval_power,
     parseval_sum,
 )
-from swlp.quasi import gaussian_bump
-from swlp.solver import SolverConfig, _implicit_multipliers
+from swlp.quasi import gaussian_bump, heat_evolve
+from swlp.solver import SolverConfig, _implicit_multipliers, _implicit_solve
 
 from oracles import component, curl_norm, dealias_mask, sym_grad
 
@@ -155,19 +161,95 @@ def test_threaded_transforms_from_concurrent_callers():
     fields = [rng.standard_normal((2, *g.shape)) for _ in range(4)]
     expected = [(transform(v, g), inverse_transform(transform(v, g), g)) for v in fields]
 
-    def both(v):
+    multipliers = _implicit_multipliers(g, SolverConfig(mu=0.5, a=0.01, dt=0.01))
+    expected = [(c, values, _implicit_solve(c, g, *multipliers)) for c, values in expected]
+
+    def all_three(v):
         c = transform(v, g)
-        return c, inverse_transform(c, g)
+        return c, inverse_transform(c, g), _implicit_solve(c, g, *multipliers)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(len(fields)) as pool:
-            got = [f.result(timeout=60) for f in [pool.submit(both, v) for v in fields for _ in range(3)]]
+            got = [f.result(timeout=60) for f in [pool.submit(all_three, v) for v in fields for _ in range(3)]]
     finally:
         sys.setswitchinterval(interval)
-    for (c, values), (c_ref, values_ref) in zip(got, [e for e in expected for _ in range(3)]):
-        assert np.array_equal(c, c_ref) and np.array_equal(values, values_ref)
+    for results, results_ref in zip(got, [e for e in expected for _ in range(3)]):
+        assert all(np.array_equal(a, b) for a, b in zip(results, results_ref, strict=True))
+
+
+def _mirror(a, g):
+    """a(-k) at every k of the lattice."""
+    axes = tuple(range(-g.dim, 0))
+    return np.roll(np.flip(a, axes), 1, axes)
+
+
+@pytest.mark.parametrize("g", THREADED.values(), ids=THREADED.keys())
+def test_split_operators_have_the_bits_of_their_numpy_expressions(g):
+    """On the lattices whose operators run in two halves, each has the bits of the plain
+    numpy expression it computes."""
+    assert _workers(g) == 2
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((g.dim, *g.shape))
+    # the transform: rfftn's half k_last >= 0, and the later mode of each mirror pair (in
+    # row-major order, k_last last) the conjugate of the earlier one
+    h = g.n // 2
+    full = np.zeros(vals.shape, dtype=np.complex128)
+    full[..., : h + 1] = np.fft.rfftn(vals, axes=tuple(range(-g.dim, 0)), norm="forward")
+    order = np.arange(g.n**g.dim).reshape(g.shape)
+    k_last = np.arange(g.n)
+    later = (k_last > h) | (((k_last == 0) | (k_last == h)) & (order > _mirror(order, g)))
+    c = transform(vals, g)
+    assert np.array_equal(c, np.where(later, np.conj(_mirror(full, g)), full))
+
+    i_xi = _i_xi(g)
+    jac = _jacobian(c, g)
+    for j, m in enumerate(i_xi):
+        assert np.array_equal(jac[:, j], m * c)
+    rows, cols = np.triu_indices(g.dim)
+    assert np.array_equal(_jacobian_upper(c, g), np.stack([i_xi[j] * c[i] for i, j in zip(rows, cols)]))
+    div_c = i_xi[0] * c[0]
+    for j in range(1, g.dim):
+        div_c += i_xi[j] * c[j]
+    assert np.array_equal(_divergence(c, g), div_c)
+    # the implicit solve, written out: m_sol u - grad(w div u)
+    m_sol, w = _implicit_multipliers(g, SolverConfig(mu=0.5, a=0.01, dt=0.01))
+    w_div = div_c * w
+    solved = c * m_sol
+    solved -= np.stack([m * w_div for m in i_xi])
+    assert np.array_equal(_implicit_solve(c, g, m_sol, w), solved)
+    q1 = gaussian_bump(g, 0.5, 1.0, 0.1)
+    assert np.array_equal(heat_evolve(q1, 0.5, 0.01).coeffs, q1.coeffs * _heat_multiplier(g, 0.5, 0.01))
+    assert np.array_equal((SpectralField(g, c) * -0.3).coeffs, c * -0.3)
+
+
+def test_in_halves_joins_the_pool_half_and_raises_either_error():
+    """An error of either half reaches the caller, and only once the pool half has finished."""
+    g = THREADED["2d_256"]
+    caller = threading.get_ident()
+    finished = threading.Event()
+    seen = []
+
+    def caller_fails(index):
+        seen.append(index)
+        if threading.get_ident() == caller:
+            raise ValueError("caller half")
+        time.sleep(0.2)
+        finished.set()
+
+    with pytest.raises(ValueError, match="caller half"):
+        _in_halves(caller_fails, g, 0)
+    assert finished.is_set()
+    # the two halves of axis 0, the second counted from the end
+    assert sorted(seen, key=str) == [(Ellipsis, slice(-128, None), slice(None)), (Ellipsis, slice(None, 128), slice(None))]
+
+    def pool_fails(index):
+        if threading.get_ident() != caller:
+            raise ValueError("pool half")
+
+    with pytest.raises(ValueError, match="pool half"):
+        _in_halves(pool_fails, g, 0)
 
 
 def test_import_loads_no_scipy():

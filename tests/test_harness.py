@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swlp import checks
 from swlp.cli import main as cli_main
@@ -240,6 +242,21 @@ def test_load_config_applies_overrides(tmp_path):
     assert cfg.seed == RunConfig().seed
 
 
+# the JSON types each declared config field type takes (a bool is no int)
+TAKES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,), "float | list[float]": (int, float, list)}
+NUMBERS = st.one_of(st.integers(-100, 100), st.floats(-1e3, 1e3))
+JSON_VALUES = st.one_of(NUMBERS, st.booleans(), st.text(max_size=3), st.lists(NUMBERS, max_size=3), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(dataclasses.fields(RunConfig)), value=JSON_VALUES)
+def test_a_config_value_of_an_undeclared_type_is_rejected_by_name(field, value):
+    assert set(TAKES) == {f.type for f in dataclasses.fields(RunConfig)}
+    assume(type(value) not in TAKES[field.type])
+    with pytest.raises(ValueError, match=f"^{field.name} = "):
+        RunConfig(**{**FAST, field.name: value})
+
+
 def test_run_config_rejects_a_band_outside_the_levels():
     # FAST's 64^2 grid over period 64 resolves the levels [-4, 2]
     for band in ({"pert_l_lo": 9, "pert_l_hi": 10}, {"pert_h2_l_lo": -12, "pert_h2_l_hi": -10}):
@@ -357,13 +374,25 @@ def test_cli_bad_config_exit_2(tmp_path):
         ("seed", -1),
         ("seed", 1.5),
         ("cfl_max", math.inf),
+        # a value of another type than the field's annotation
+        ("l0", 0.5),
+        ("mu", True),
+        ("pert_solenoidal", "no"),
+        ("dump_fields", "false"),
+        ("pert_l_lo", 2.5),
+        ("dim", True),
+        ("dim", 2.0),
+        ("mu", "0.1"),
+        ("period", [64.0, "64"]),
+        ("mode", None),
     ],
 )
-def test_cli_bad_config_value_exit_2(tmp_path, key, value):
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**FAST, key: value}))
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+    assert key in capsys.readouterr().err
 
 
 def test_cli_blowup_exit_3(tmp_path):
