@@ -13,9 +13,10 @@ p = 2 norms never leave coefficient space: ``grid.parseval_power`` gives
 exactly.  Every block weight is real and radial in xi, so the Hermitian part
 of Delta_l u is phi_l c_h, and one power array per field, summed over each
 |xi| shell of the filter, gives the L2 norm of every block.  Any other p
-reads the block values that ``dyadic`` makes and caches on the field, and the
-L^inf pieces of ``besov_minus1_infty`` come in two stacks of ``dyadic`` band
-values, each of half the pieces, so that no more than half are held at once.
+makes one stack of ``dyadic`` block values and drops it (a norm caches no
+blocks on its field), and the L^inf pieces of ``besov_minus1_infty`` come in
+two stacks of band values, each of half the pieces, so that no more than
+half are held at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicFilter, _band_values, _block_values, _check_grid
+from .dyadic import DyadicFilter, _band_values, _check_grid
 from .grid import SpectralField, _heat_multiplier, parseval_power, parseval_sum
 
 __all__ = [
@@ -135,14 +136,14 @@ def _block_norms(
             shell_power = _shell_power(field, filt)
         energies = filt.table**2 @ shell_power
         return {l: math.sqrt(field.grid.volume * float(e)) for l, e in zip(filt.levels, energies)}
-    return dict(zip(filt.levels, _lp(_block_values(filt, field), p, field.grid.volume)))
+    return dict(zip(filt.levels, _lp(_band_values(filt, field, [(l, l) for l in filt.levels]), p, field.grid.volume)))
 
 
 def block_norms(field: SpectralField, p: float, filt: DyadicFilter) -> dict[int, float]:
     """L^p norms of every dyadic block within the filter range.
 
     p = 2 comes by Parseval from one power array per field, with no inverse transform; any
-    other p reads the block values the field caches per filter (``dyadic._block_values``).
+    other p from one stacked inverse transform of the blocks, which the field does not keep.
     """
     _check_grid(filt, field)
     return _block_norms(field, _check_index(p, "p"), filt)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .checks import SUITES, verify
-from .harness import FIT_WINDOW, fit_series, load_config, run
+from .harness import FIT_WINDOW, InitialStateError, fit_series, load_config, run
 from .solver import BlowupError, CflError
 
 
@@ -61,6 +61,9 @@ def main(argv=None) -> int:
             return 2
         try:
             result = run(config, out_dir=args.out)
+        except InitialStateError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         except (CflError, BlowupError) as exc:
             print(f"runtime failure: {exc}", file=sys.stderr)
             return 3

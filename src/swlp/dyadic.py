@@ -15,9 +15,10 @@ levels onto the lattice, and ``weight`` and ``cumulative_below`` are bands.
 
 This module alone makes a field's band values (``_band_values``, the one caller
 of ``grid.multiplied_values``), caches its block values read-only on the field,
-per filter object and for the field's lifetime (``_block_values``), and checks
-that a filter belongs to a field's grid (``_check_grid``); ``besov`` and
-``paraproduct`` only read them (guard: ``tests/test_one_band_path.py``).
+per filter object and for the field's lifetime (``_block_values``, which only the
+Bony operators ``paraproduct.para`` and ``remainder`` call), and checks that a
+filter belongs to a field's grid (``_check_grid``); ``besov`` and ``paraproduct``
+only read them (guard: ``tests/test_one_band_path.py``).
 """
 
 from __future__ import annotations

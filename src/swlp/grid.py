@@ -48,7 +48,9 @@ few operations:
 * ``shift_phase``, the exponent of a translation.
 
 ``tests/test_one_layout.py`` fails on a lattice index, a roll, a flip or a
-``Grid.xi_grids()`` call anywhere else in the package.
+``Grid.xi_grids()`` call anywhere else in the package.  A field's coefficients
+and values are read-only: code that writes does so into arrays it made, before
+it wraps them in a field.
 
 Hermitian part: ``values`` is the real part of the inverse DFT, which is
 the inverse DFT of the Hermitian part of the coefficients,
@@ -577,20 +579,19 @@ def _value_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
 class SpectralField:
     """Scalar or vector field carrying collocation values and coefficients.
 
-    Coefficients are the ground truth.  Two things derived from them are
-    made lazily and cached: ``values``, and in ``_blocks`` the pair
-    ``(filter, stack)``, ``stack`` the read-only values of every dyadic block
-    of the field under that filter object, which ``dyadic._block_values``
-    alone makes and reads (this class only declares the slot).  Fields are
-    treated as immutable values: operations return new instances and never
-    mutate their inputs.  Never write into the ``.coeffs`` of a field whose
-    values or blocks were read: the caches would no longer match them.
+    Coefficients are the ground truth.  A field is an immutable value: the
+    ``coeffs`` array it is given becomes read-only (no copy is made), and so
+    do ``values``, made lazily and cached, or a copy of the caller's values in
+    ``from_values``.  In ``_blocks`` the pair ``(filter, stack)`` caches the
+    read-only values of every dyadic block under that filter object, which
+    ``dyadic._block_values`` alone makes and reads, for the Bony operators
+    (this class only declares the slot).
     """
 
     __slots__ = ("grid", "coeffs", "_values", "_blocks")
 
     def __init__(self, grid: Grid, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        coeffs = _read_only(np.asarray(coeffs, dtype=np.complex128))
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[None]
         if coeffs.shape[1:] != grid.shape:
@@ -604,7 +605,7 @@ class SpectralField:
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
-        values = _value_stack(grid, values)
+        values = _read_only(_value_stack(grid, np.array(values, dtype=np.float64)))
         f = cls(grid, transform(values, grid))
         f._values = values
         return f
@@ -620,7 +621,7 @@ class SpectralField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = inverse_transform(self.coeffs, self.grid)
+            self._values = _read_only(inverse_transform(self.coeffs, self.grid))
         return self._values
 
     def mean(self) -> np.ndarray:
@@ -635,9 +636,6 @@ class SpectralField:
         coeffs = self.coeffs.copy()
         coeffs[_mean_mode(self.grid)].real = m
         return SpectralField(self.grid, coeffs)
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check(other)
@@ -694,21 +692,18 @@ def dealiased_from_values(grid: Grid, values: np.ndarray) -> SpectralField:
     return SpectralField(grid, _dealias_in_place(transform(_value_stack(grid, values), grid), grid))
 
 
-def mult(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dealiased pointwise product.
-
-    Scalar*scalar, scalar*vector, or componentwise when shapes match.
-    """
+def _check_pair(u: SpectralField, v: SpectralField) -> None:
+    """The operands of a pointwise product: same grid, and equal component counts unless one side is a scalar."""
     if u.grid != v.grid:
         raise ValueError("grid mismatch")
-    a, b = u.values, v.values
-    if u.ncomp == 1 and v.ncomp > 1:
-        a = np.broadcast_to(a, b.shape)
-    elif v.ncomp == 1 and u.ncomp > 1:
-        b = np.broadcast_to(b, a.shape)
-    elif u.ncomp != v.ncomp:
+    if u.ncomp != v.ncomp and 1 not in (u.ncomp, v.ncomp):
         raise ValueError("component-count mismatch")
-    return dealiased_from_values(u.grid, a * b)
+
+
+def mult(u: SpectralField, v: SpectralField) -> SpectralField:
+    """Dealiased pointwise product: scalar*scalar, scalar*vector, or componentwise when shapes match."""
+    _check_pair(u, v)
+    return dealiased_from_values(u.grid, u.values * v.values)
 
 
 def grad(field: SpectralField) -> SpectralField:
@@ -757,7 +752,7 @@ def dilate(field: SpectralField, l_factor: int) -> SpectralField:
     if l_factor < 1 or not _is_power_of_two(l_factor):
         raise ValueError("l_factor must be a positive power of two")
     if l_factor == 1:
-        return field.copy()
+        return field
     out = np.zeros_like(field.coeffs)
     k = np.rint(g.wavenumbers()).astype(int)
     keep = np.abs(k) < g.n // (2 * l_factor)

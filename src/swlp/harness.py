@@ -43,6 +43,7 @@ from .solver import (
 __all__ = [
     "RunConfig",
     "RunResult",
+    "InitialStateError",
     "DecayReport",
     "SERIES_COLUMNS",
     "DECAY_FITS",
@@ -71,6 +72,10 @@ SERIES_COLUMNS = (
 DECAY_FITS = (("linf_rho_minus_1", 0, 0.15), ("besov_u_m1_inf", 1, 0.20))
 # the default fit window (t_min, t_max)
 FIT_WINDOW = (2.0, 20.0)
+
+
+class InitialStateError(ValueError):
+    """A config whose initial state breaks the density floor: bad input, found before any step."""
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,10 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
     grid = make_grid(config.dim, config.n, config.period)
     scfg = config.solver_config()
     filt = default_filter(grid)
-    state = _initial_state(config, grid, filt)
+    try:
+        state = _initial_state(config, grid, filt)
+    except ValueError as exc:  # the density floor, which only the built state shows
+        raise InitialStateError(exc) from None
 
     series = _Series(scfg, filt, config.l0)
     series.record(state)

@@ -12,8 +12,8 @@ product throughout the package.
 Each operator is a sum over levels q of blockwise products a_q b_q, built
 from the values of the blocks Delta_l u and Delta_l v alone, which
 ``dyadic._block_values`` makes in one stacked inverse transform and caches on
-the field per filter object: para(u, v), para(v, u) and remainder(u, v) on
-one pair make two inverse transforms between them.  The low factor
+the field per filter object, for these two operators alone: para(u, v), para(v,
+u) and remainder(u, v) on one pair make two inverse transforms.  The low factor
 S_{q-1} u of T_u v is a running sum of u's block values plus mean(u), and
 the near factor of R(u, v) the sum of three neighbouring block values of v.
 Every level is used: a zero block has exactly zero values.  The products are
@@ -38,7 +38,7 @@ from .besov import (
     lp_norm,
 )
 from .dyadic import DyadicFilter, _block_values
-from .grid import Grid, SpectralField, dealiased_from_values, mult
+from .grid import Grid, SpectralField, _check_pair, dealiased_from_values, mult
 
 __all__ = [
     "para",
@@ -48,14 +48,6 @@ __all__ = [
     "hybrid_para_ratio",
     "composition_ratio",
 ]
-
-
-def _check_pair(u: SpectralField, v: SpectralField) -> None:
-    """Same grid, and equal component counts unless one side is a scalar."""
-    if u.grid != v.grid:
-        raise ValueError("grid mismatch")
-    if u.ncomp != v.ncomp and 1 not in (u.ncomp, v.ncomp):
-        raise ValueError("component-count mismatch")
 
 
 def _constant(c: np.ndarray, grid: Grid) -> np.ndarray:

@@ -258,10 +258,10 @@ def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: f
         """The terms of momentum component i, in the order they are summed, each made when
         asked for and dropped when the next one is asked for."""
         if drho_dt is not None:
-            time = dealiased_from_values(g, drho_dt.values[0] * u_vals[i]).coeffs[0]
-            time += dealiased_from_values(g, rho_vals * du_dt.values[i]).coeffs[0]
-            yield time
-            del time
+            yield (
+                dealiased_from_values(g, drho_dt.values[0] * u_vals[i]).coeffs[0]
+                + dealiased_from_values(g, rho_vals * du_dt.values[i]).coeffs[0]
+            )
         yield _divergence(dealiased_from_values(g, u_vals[i] * ru_vals).coeffs, g)
         stress = np.empty((g.dim, *g.shape))
         for j, out in enumerate(stress):

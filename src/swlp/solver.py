@@ -387,12 +387,12 @@ def step(state: SimState, config: SolverConfig) -> SimState:
     if cfl > config.cfl_max:
         raise CflError(f"advective CFL {cfl:.3g} exceeds cap {config.cfl_max:.3g}")
     state._rho_values  # checks the density floor, once per state
-    # the right-hand sides are fresh arrays that nothing else holds: the update reuses them
-    h2_new = h2_rhs.coeffs
-    h2_new *= dt
+    # fields are read-only: the update is made in new arrays, and each right-hand side goes once read
+    h2_new = h2_rhs.coeffs * dt
+    del h2_rhs
     h2_new += state.h2.coeffs
-    u2_new = u2_rhs.coeffs
-    u2_new *= dt
+    u2_new = u2_rhs.coeffs * dt
+    del u2_rhs
     u2_new += state.u2.coeffs
     # dealiased as made: so are the right-hand sides and the state, and the solve acts mode by mode
     h2_f = SpectralField(g, h2_new)

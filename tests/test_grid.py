@@ -28,7 +28,7 @@ from swlp import (
     transform,
     xi_mag2,
 )
-from swlp.dyadic import default_filter
+from swlp.dyadic import _block_values, default_filter
 from swlp.grid import (
     _divergence,
     _heat_multiplier,
@@ -39,11 +39,13 @@ from swlp.grid import (
     _workers,
     kept_power,
     multiplied_values,
+    dealiased_from_values,
     parseval_power,
     parseval_sum,
 )
+from swlp.paraproduct import para
 from swlp.quasi import gaussian_bump, heat_evolve
-from swlp.solver import SolverConfig, _implicit_multipliers, _implicit_solve
+from swlp.solver import SolverConfig, _implicit_multipliers, _implicit_solve, initial_state, step
 
 from oracles import component, curl_norm, dealias_mask, sym_grad
 
@@ -518,3 +520,65 @@ def test_cached_operators_are_shared_and_read_only():
     low = filt.cumulative_below(filt.l_max + 1)
     low[...] = 0.0
     assert filt.cumulative_below(filt.l_max + 1).max() > 0.5
+
+
+def _made_fields(g):
+    """A field from each way the package makes one: the constructor, ``from_values``, a
+    transform, ``dealiased_from_values``, arithmetic, ``grad``, ``heat_evolve`` and a step."""
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((1, *g.shape))
+    f = SpectralField.from_values(g, values)
+    cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01)
+    bump = gaussian_bump(g, 0.3, 1.0, cfg.mu)
+    state = step(initial_state(bump, 0.01 * f, SpectralField.zeros(g, g.dim), cfg), cfg)
+    return {
+        "constructor": SpectralField(g, rng.standard_normal(g.shape) + 0j),
+        "from_values": f,
+        "transform": SpectralField(g, transform(values, g)),
+        "dealiased_from_values": dealiased_from_values(g, values),
+        "add": f + f,
+        "sub": f - f,
+        "mul": 2.0 * f,
+        "neg": -f,
+        "with_mean": f.with_mean(1.0),
+        "grad": grad(f),
+        "heat_evolve": heat_evolve(bump, cfg.mu, 0.1),
+        **{f"step_{name}": getattr(state, name) for name in ("q1", "h2", "u2", "u1_cache")},
+    }
+
+
+@pytest.mark.parametrize("g", [GRIDS["2d"], THREADED["2d_256"]], ids=["2d", "2d_256"])
+def test_fields_are_read_only(g):
+    filt = default_filter(g)
+    for name, f in _made_fields(g).items():
+        for arr in (f.coeffs, f.values):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+        assert not f.coeffs.flags.writeable and not f.values.flags.writeable, name
+    # the Bony operators' cached block values, too
+    f = _made_fields(g)["from_values"]
+    para(filt, f, f)
+    with pytest.raises(ValueError, match="read-only"):
+        _block_values(filt, f)[0, 0, 0, 0] = 1.0
+
+
+def test_a_field_keeps_no_alias_of_its_input():
+    g = make_grid(2, 16, (2 * math.pi, 2 * math.pi))
+    values = np.random.default_rng(2).standard_normal((1, *g.shape))
+    f = SpectralField.from_values(g, values)
+    given = values.copy()
+    # the caller's array stays the caller's: zeroing it leaves the field as it was
+    values[...] = 0.0
+    assert np.array_equal(f.values, given)
+    assert np.allclose(f.values, inverse_transform(f.coeffs, g), rtol=0.0, atol=1e-14)
+    # the constructor takes the caller's coefficients as they are, and makes them read-only
+    coeffs = transform(np.random.default_rng(3).standard_normal(g.shape), g)
+    h = SpectralField(g, coeffs)
+    assert np.shares_memory(h.coeffs, coeffs)
+    with pytest.raises(ValueError, match="read-only"):
+        coeffs[0, 0] = 0.0
+    # an immutable value needs no copy
+    assert dilate(f, 1) is f
+    assert not hasattr(SpectralField, "copy")

@@ -395,6 +395,17 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_cli_initial_density_below_the_floor_exit_2(tmp_path, capsys):
+    """A config whose initial density dips below the floor is bad input: the floor shows
+    only in the built state, which the run makes before it writes anything."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 32, "period": 16.0, "t_end": 0.1, "amplitude": -0.9999999, "width": 20.0}))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: density floor violated") and "1e-06" in err
+
+
 def test_cli_blowup_exit_3(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -230,14 +230,14 @@ def test_heat_estimate_ratio_finite():
 
 @pytest.mark.parametrize(
     "p, ends, bound",
-    [(1, (0.5045512297169001, 1.546882723510914), 300), (2, (0.5027204806341499, 1.5484117239152262), 12)],
+    [(1, (0.5045512297169001, 1.546882723510914), 75), (2, (0.5027204806341499, 1.5484117239152262), 12)],
 )
 def test_heat_estimate_ratio_holds_no_duhamel_field(p, ends, bound):
     """The tracemalloc peak of the ratio over 33 snapshots at 64^2, in real lattices
     (n^2 * 8 bytes): each Duhamel field gives its row of block norms as it is made and is
-    dropped.  Keeping every field peaked at 68 lattices for p = 2 and 544 for p = 1, with
-    the same ratios; at p = 1 most of the 265 left are the block values that the forcing
-    norm caches on the caller's snapshots."""
+    dropped, and a p != 2 block norm drops its stack of block values, caching none on the
+    caller's snapshots.  Keeping every field peaked at 68 lattices for p = 2 and 544 for
+    p = 1, with the same ratios, and caching each snapshot's stack at 265 for p = 1."""
     g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
     filt = default_filter(g)
     rng = np.random.default_rng(5)
