@@ -193,7 +193,7 @@ def kernel_rates():
 @_criterion(7, "quasi", "maximum principle across all snapshots", needs_run=True)
 def maximum_principle(run: RunResult):
     cfg = run.config
-    g = make_grid(cfg.dim, cfg.n, (cfg.period,) * cfg.dim)
+    g = make_grid(cfg.dim, cfg.n, cfg.period)
     q0 = gaussian_bump(g, cfg.amplitude, cfg.width, cfg.mu)
     lo0 = 1.0 + float(q0.values[0].min())
     hi0 = 1.0 + float(q0.values[0].max())

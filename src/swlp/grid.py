@@ -41,16 +41,15 @@ few operations:
   of the values);
 * ``parseval_power``, the L2 power of a coefficient stack, and its sum
   ``parseval_sum``;
-* ``kept_power``, the power of the modes a dealias keeps;
 * ``dealias`` and ``dealiased_from_values``, which zero the dropped slabs;
 * ``SpectralField.mean`` and ``SpectralField.with_mean``, which read and set
   the ``k = 0`` coefficients;
 * ``shift_phase``, the exponent of a translation.
 
-``tests/test_one_layout.py`` fails on a lattice index, a roll, a flip or a
-``Grid.xi_grids()`` call anywhere else in the package.  A field's coefficients
-and values are read-only: code that writes does so into arrays it made, before
-it wraps them in a field.
+The ``layout`` rule of ``tests/test_ownership.py`` fails on a lattice index, a
+roll, a flip or a ``Grid.xi_grids()`` call anywhere else in the package.  A
+field's coefficients and values are read-only: code that writes does so into
+arrays it made, before it wraps them in a field.
 
 Hermitian part: ``values`` is the real part of the inverse DFT, which is
 the inverse DFT of the Hermitian part of the coefficients,
@@ -124,7 +123,6 @@ __all__ = [
     "multiplied_values",
     "parseval_power",
     "parseval_sum",
-    "kept_power",
     "shift_phase",
     "dealias",
     "dealiased_from_values",
@@ -522,7 +520,7 @@ def _square_sum(a: np.ndarray) -> float:
     temporary.  A BLAS dot product would be faster alone, but its threads keep
     spinning on the cores that the transforms' threads need.
     """
-    # a copy when ``a`` is not contiguous, as the blocks of ``kept_power`` are
+    # a view of a contiguous ``a``, as every caller's is; a copy otherwise
     flat = a.reshape(-1).view(np.float64)
     square = np.empty(min(flat.size, _SQUARE_CHUNK))
     total = 0.0
@@ -530,27 +528,6 @@ def _square_sum(a: np.ndarray) -> float:
         chunk = flat[lo : lo + _SQUARE_CHUNK]
         total += float(np.sum(np.square(chunk, out=square[: chunk.size])))
     return total
-
-
-@lru_cache(maxsize=_OPERATOR_CACHE)
-def _kept_blocks(grid: Grid) -> tuple[tuple, ...]:
-    """The indices of the 2^dim blocks of modes the 2/3 dealias keeps; built once per grid.
-
-    Per axis the kept |k_j| < n/3 are two runs of indices in fft layout: the m
-    indices of 0 <= k_j < m and the m - 1 of -m < k_j < 0.
-    """
-    m = (int(np.count_nonzero(np.abs(grid.wavenumbers()) < 2.0 / 3.0 * grid.n / 2.0)) + 1) // 2
-    runs = (slice(0, m), slice(grid.n - m + 1, None))
-    return tuple((Ellipsis, *block) for block in product(runs, repeat=grid.dim))
-
-
-def kept_power(coeffs: np.ndarray, grid: Grid) -> float:
-    """sum |c|^2 over the modes that ``dealias`` keeps, all components.
-
-    Those modes lie off the Nyquist planes, where c_h = c, so ``volume *`` it is
-    the squared L2 norm of the dealiased field.
-    """
-    return sum(_square_sum(coeffs[block]) for block in _kept_blocks(grid))
 
 
 def shift_phase(grid: Grid, x0) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .besov import _time_hybrid, besov_minus1_infty, block_norms, lp_norm
 from .dyadic import DyadicFilter, default_filter, default_levels
 from .grid import Grid, SpectralField, dump_field, helmholtz_split, make_grid
-from .quasi import gaussian_bump, kernel_rate
+from .quasi import DensityFloorError, gaussian_bump, kernel_rate
 from .solver import (
     BlowupError,
     CflError,
@@ -274,7 +274,7 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
     filt = default_filter(grid)
     try:
         state = _initial_state(config, grid, filt)
-    except ValueError as exc:  # the density floor, which only the built state shows
+    except DensityFloorError as exc:  # only the built state shows it
         raise InitialStateError(exc) from None
 
     series = _Series(scfg, filt, config.l0)

@@ -38,7 +38,6 @@ from .dyadic import DyadicFilter
 from .grid import (
     Grid,
     SpectralField,
-    _dealias_in_place,
     _divergence,
     _heat_multiplier,
     _in_halves,
@@ -49,12 +48,10 @@ from .grid import (
     div,
     grad,
     inverse_transform,
-    kept_power,
     laplacian,
     mult,
     parseval_sum,
     shift_phase,
-    transform,
     xi_mag2,
 )
 
@@ -80,11 +77,15 @@ def kernel_rate(dim: int, alpha_order: int, p: float) -> float:
     return dim / 2.0 * (1.0 - inv_p) + alpha_order / 2.0
 
 
+class DensityFloorError(ValueError):
+    """A density sample below ``DENSITY_FLOOR``, or NaN."""
+
+
 def _check_floor(rho_values: np.ndarray) -> None:
     """Reject density samples below ``DENSITY_FLOOR`` or NaN (a minimum over values, no transform)."""
     low = float(rho_values.min())
     if not low >= DENSITY_FLOOR:
-        raise ValueError(f"density floor violated: min(rho) = {low:.3g} < {DENSITY_FLOOR:.3g}")
+        raise DensityFloorError(f"density floor violated: min(rho) = {low:.3g} < {DENSITY_FLOOR:.3g}")
 
 
 def heat_evolve(q1: SpectralField, mu: float, t: float) -> SpectralField:
@@ -112,17 +113,17 @@ def log_density(q1: SpectralField) -> SpectralField:
     rho = 1.0 + q1.values[0]
     _check_floor(rho)
     log_rho = np.log(rho)
-    coeffs = transform(log_rho[None], g)
+    out = dealiased_from_values(g, log_rho)
     # Parseval: the power of the coefficients is the mean square of the values
     total = _square_sum(log_rho) / log_rho.size
-    kept = kept_power(coeffs, g)
+    kept = _square_sum(out.coeffs)
     if total > 0 and (total - kept) / total > LOG_TAIL_TOL:
         warnings.warn(
             "log-density truncation tail exceeds 1e-10 of the L2 mass; "
             "increase resolution",
             stacklevel=3,
         )
-    return SpectralField(g, _dealias_in_place(coeffs, g))
+    return out
 
 
 def velocity_from_density(q1: SpectralField, mu: float) -> SpectralField:

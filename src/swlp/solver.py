@@ -71,6 +71,7 @@ from .grid import (
     xi_mag2,
 )
 from .quasi import (
+    DensityFloorError,
     _check_floor,
     _heat_rates,
     _rel_l2,
@@ -206,9 +207,10 @@ class SimState:
         """e^{h2} at the grid points; built once per state."""
         return np.exp(self.h2.values[0])
 
-    @cached_property
+    @property
     def _rho_values(self) -> np.ndarray:
-        """rho1 e^{h2} at the grid points, checked against the density floor; built once per state."""
+        """rho1 e^{h2} at the grid points, checked against the density floor; not kept: ``step``
+        checks each state it makes, and ``_recomposed`` reads it once."""
         rho_vals = (1.0 + self.q1.values[0]) * self._exp_h2
         _check_floor(rho_vals)
         return rho_vals
@@ -255,7 +257,7 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
 
     with q = (mu grad h2 - u1)/2, p = q - u and w = mu grad h2 - u2.  The
     products are formed pointwise, in blocks of ``_RHS_BLOCK`` points.  The
-    density floor is left to the caller: ``step`` checks it after the CFL cap.
+    density floor is not checked: ``step`` checks each state as it makes it.
     """
     g = state.grid
     dim = g.dim
@@ -373,34 +375,37 @@ def step(state: SimState, config: SolverConfig) -> SimState:
 
     The new state's time is its step count times dt, the count of ``state`` being
     ``round(state.t / dt)``: a running sum t + dt drifts by round-off over a run.
+    A density below the floor, in the new state or in ``state``'s q1, raises a
+    ``BlowupError`` that carries ``state``.
     """
     g = state.grid
     dt = config.dt
     t = (round(state.t / dt) + 1) * dt
-    q1_next = heat_evolve(state.q1, config.mu, dt)
-    if config.mode == "heat_only":
-        u1_next = velocity_from_density(q1_next, config.mu)
-        return SimState(t=t, q1=q1_next, h2=state.h2, u2=state.u2, u1_cache=u1_next)
-
-    h2_rhs, u2_rhs, umax = assemble_rhs(state, config)
-    cfl = _cfl(umax, g, config)
-    if cfl > config.cfl_max:
-        raise CflError(f"advective CFL {cfl:.3g} exceeds cap {config.cfl_max:.3g}")
-    state._rho_values  # checks the density floor, once per state
-    # fields are read-only: the update is made in new arrays, and each right-hand side goes once read
-    h2_new = h2_rhs.coeffs * dt
-    del h2_rhs
-    h2_new += state.h2.coeffs
-    u2_new = u2_rhs.coeffs * dt
-    del u2_rhs
-    u2_new += state.u2.coeffs
-    # dealiased as made: so are the right-hand sides and the state, and the solve acts mode by mode
-    h2_f = SpectralField(g, h2_new)
-    u2_f = SpectralField(g, _implicit_solve(u2_new, g, *_implicit_multipliers(g, config)))
-    if not (np.isfinite(h2_f.values).all() and np.isfinite(u2_f.values).all()):
-        raise BlowupError(f"non-finite sample at t = {t:g}", state)
-    u1_next = velocity_from_density(q1_next, config.mu)
-    return SimState(t=t, q1=q1_next, h2=h2_f, u2=u2_f, u1_cache=u1_next)
+    try:
+        q1_next = heat_evolve(state.q1, config.mu, dt)
+        h2_f, u2_f = state.h2, state.u2
+        if config.mode != "heat_only":
+            h2_rhs, u2_rhs, umax = assemble_rhs(state, config)
+            cfl = _cfl(umax, g, config)
+            if cfl > config.cfl_max:
+                raise CflError(f"advective CFL {cfl:.3g} exceeds cap {config.cfl_max:.3g}")
+            # fields are read-only: the update is made in new arrays, and each right-hand side goes once read
+            h2_new = h2_rhs.coeffs * dt
+            del h2_rhs
+            h2_new += state.h2.coeffs
+            u2_new = u2_rhs.coeffs * dt
+            del u2_rhs
+            u2_new += state.u2.coeffs
+            # dealiased as made: so are the right-hand sides and the state, and the solve acts mode by mode
+            h2_f = SpectralField(g, h2_new)
+            u2_f = SpectralField(g, _implicit_solve(u2_new, g, *_implicit_multipliers(g, config)))
+            if not (np.isfinite(h2_f.values).all() and np.isfinite(u2_f.values).all()):
+                raise BlowupError(f"non-finite sample at t = {t:g}", state)
+        new = SimState(t=t, q1=q1_next, h2=h2_f, u2=u2_f, u1_cache=velocity_from_density(q1_next, config.mu))
+        new._rho_values  # the density floor, checked as the state is made
+    except DensityFloorError as exc:
+        raise BlowupError(str(exc), state) from None
+    return new
 
 
 def recompose(state: SimState) -> tuple[SpectralField, SpectralField]:

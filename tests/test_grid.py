@@ -37,7 +37,6 @@ from swlp.grid import (
     _jacobian,
     _jacobian_upper,
     _workers,
-    kept_power,
     multiplied_values,
     dealiased_from_values,
     parseval_power,
@@ -437,8 +436,7 @@ def test_parseval_power_matches_the_whole_lattice_hermitian_part(g):
 @pytest.mark.parametrize("g", [*GRIDS.values(), *THREADED.values()], ids=[*GRIDS, *THREADED])
 def test_power_sums_match_the_power_array(g):
     """``parseval_sum`` is the sum of ``parseval_power``, also where the Nyquist planes are
-    not Hermitian, and ``kept_power`` is its sum over the modes a dealias keeps; both also
-    take one component's lattice without a component axis."""
+    not Hermitian; it also takes one component's lattice without a component axis."""
     rng = np.random.default_rng(9)
     white = SpectralField.from_values(g, rng.standard_normal((1, *g.shape)))
     vector = SpectralField.from_values(g, rng.standard_normal((g.dim, *g.shape)))
@@ -451,9 +449,6 @@ def test_power_sums_match_the_power_array(g):
     for name, coeffs in cases.items():
         power = parseval_power(coeffs if coeffs.ndim > g.dim else coeffs[None], g)
         assert parseval_sum(coeffs, g) == pytest.approx(float(np.sum(power)), rel=1e-13, abs=0), name
-        kept = kept_power(coeffs, g)
-        assert kept == pytest.approx(float(np.sum(power * dealias_mask(g))), rel=1e-13, abs=0), name
-        assert kept == pytest.approx(parseval_sum(dealias(SpectralField(g, coeffs)).coeffs, g), rel=1e-13, abs=0), name
 
 
 @on_grids

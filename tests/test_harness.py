@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swlp import checks
+from swlp import checks, solver
 from swlp.cli import main as cli_main
 from swlp.besov import besov_minus1_infty
 from swlp.dyadic import default_filter
@@ -25,6 +25,7 @@ from swlp.harness import (
     load_config,
     run,
 )
+from swlp.quasi import _check_floor
 from swlp.solver import (
     CflError,
     cfl_number,
@@ -404,6 +405,36 @@ def test_cli_initial_density_below_the_floor_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: density floor violated") and "1e-06" in err
+
+
+def test_cli_density_floor_after_the_first_step_exit_3(tmp_path, capsys, monkeypatch):
+    """A density below the floor in a later state is a runtime failure: the run keeps the
+    rows computed before it and writes a summary with status ``blowup``."""
+    calls = []
+
+    # the floor is checked on the initial state (1), each snapshot's copy (2, 5) and each
+    # state a step makes (3, 4, 6): the one the 3rd step makes dips below it
+    def floor(rho):
+        calls.append(None)
+        _check_floor(rho * 0.0 if len(calls) == 6 else rho)
+
+    monkeypatch.setattr(solver, "_check_floor", floor)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "n": 32, "period": 16.0, "t_end": 0.5, "snapshot_dt": 0.1}))
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("runtime failure: density floor violated: min(rho) = 0 < 1e-06")
+    with open(out / "series.csv") as fh:
+        assert [float(row["t"]) for row in csv.DictReader(fh)] == pytest.approx([0.0, 0.1])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "blowup"
+    assert (summary["t_fail"], summary["t_final"]) == pytest.approx((0.15, 0.1))
+
+
+def test_criterion_7_on_a_run_with_a_period_per_axis():
+    result = run(RunConfig(**{**FAST, "n": 32, "period": [16.0, 16.0]}), out_dir=None)
+    records, _ = checks.maximum_principle(result)
+    assert records and all(r["passed"] for r in records)
 
 
 def test_cli_blowup_exit_3(tmp_path):

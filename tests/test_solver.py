@@ -248,7 +248,7 @@ def test_cfl_error_raised(counted):
     slow, slow_cfg, _ = _small_state()
     step(slow, slow_cfg)
     low = SimState(t=slow.t, q1=slow.q1, h2=slow.h2.with_mean(-20.0), u2=slow.u2, u1_cache=slow.u1_cache)
-    with pytest.raises(ValueError, match="density floor"):
+    with pytest.raises(BlowupError, match="density floor"):
         step(low, slow_cfg)
     assert calls == []
 
