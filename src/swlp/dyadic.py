@@ -18,7 +18,7 @@ of ``grid.multiplied_values``), caches its block values read-only on the field,
 per filter object and for the field's lifetime (``_block_values``, which only the
 Bony operators ``paraproduct.para`` and ``remainder`` call), and checks that a
 filter belongs to a field's grid (``_check_grid``); ``besov`` and ``paraproduct``
-only read them (guard: the ``band_path`` rule of ``tests/test_ownership.py``).
+only read them (guard: the ``band_path`` rule of ``tests/guards.py``).
 """
 
 from __future__ import annotations

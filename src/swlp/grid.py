@@ -46,7 +46,7 @@ few operations:
   the ``k = 0`` coefficients;
 * ``shift_phase``, the exponent of a translation.
 
-The ``layout`` rule of ``tests/test_ownership.py`` fails on a lattice index, a
+The ``layout`` rule of ``tests/guards.py`` fails on a lattice index, a
 roll, a flip or a ``Grid.xi_grids()`` call anywhere else in the package.  A
 field's coefficients and values are read-only: code that writes does so into
 arrays it made, before it wraps them in a field.
