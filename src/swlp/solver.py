@@ -210,7 +210,7 @@ class SimState:
     @property
     def _rho_values(self) -> np.ndarray:
         """rho1 e^{h2} at the grid points, checked against the density floor; not kept: ``step``
-        checks each state it makes, and ``_recomposed`` reads it once."""
+        checks each state whose h2 it moves, and ``_recomposed`` reads it once."""
         rho_vals = (1.0 + self.q1.values[0]) * self._exp_h2
         _check_floor(rho_vals)
         return rho_vals
@@ -257,7 +257,7 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
 
     with q = (mu grad h2 - u1)/2, p = q - u and w = mu grad h2 - u2.  The
     products are formed pointwise, in blocks of ``_RHS_BLOCK`` points.  The
-    density floor is not checked: ``step`` checks each state as it makes it.
+    density floor is not checked: ``step`` checks each state it makes.
     """
     g = state.grid
     dim = g.dim
@@ -375,8 +375,9 @@ def step(state: SimState, config: SolverConfig) -> SimState:
 
     The new state's time is its step count times dt, the count of ``state`` being
     ``round(state.t / dt)``: a running sum t + dt drifts by round-off over a run.
-    A density below the floor, in the new state or in ``state``'s q1, raises a
-    ``BlowupError`` that carries ``state``.
+    A density below the floor, in ``state``'s q1 or in the new state, raises a
+    ``BlowupError`` that carries ``state``; a ``heat_only`` step leaves h2 as it is
+    and checks only q1.
     """
     g = state.grid
     dt = config.dt
@@ -402,7 +403,8 @@ def step(state: SimState, config: SolverConfig) -> SimState:
             if not (np.isfinite(h2_f.values).all() and np.isfinite(u2_f.values).all()):
                 raise BlowupError(f"non-finite sample at t = {t:g}", state)
         new = SimState(t=t, q1=q1_next, h2=h2_f, u2=u2_f, u1_cache=velocity_from_density(q1_next, config.mu))
-        new._rho_values  # the density floor, checked as the state is made
+        if config.mode != "heat_only":
+            new._rho_values  # h2 moved: the density floor, checked as the state is made
     except DensityFloorError as exc:
         raise BlowupError(str(exc), state) from None
     return new

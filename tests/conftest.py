@@ -7,6 +7,8 @@ import pytest
 
 from swlp import default_filter, make_grid
 
+pytest.register_assert_rewrite("guards")  # the guard tests assert there, and their failures list the sites
+
 
 @pytest.fixture(scope="session")
 def grid2d():

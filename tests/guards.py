@@ -3,15 +3,17 @@ implementation, and each rule flags the sites that form its idea outside its own
 
 The package is read with ``ast`` in one walk.  A rule is a function
 ``flag(node, parent, filename, scope)`` that returns what ``node`` does, as a short text,
-or None; ``scope`` is the innermost function around the node, or None at module level.
-``sites`` runs a rule over a tree and reports each node it flags outside the rule's owners
-(files, or (file name, function name) pairs) as ``file:line: what in function``.  Each
-rule has an example source that shows each form it flags and each it lets pass.  The
-``tests/test_one_*.py`` files run one rule each: on every package file, and on its example."""
+or None; ``scope`` is the innermost function around the node, or the module.  ``sites``
+reports each node a rule flags outside its owners (files, or (file name, function name)
+pairs) as ``file:line: what in function``.  Each rule has an example source that shows
+each form it flags and each it lets pass.  ``package_test`` and ``example_test`` make the
+two tests of a rule, which each ``tests/test_one_<rule>.py`` holds."""
 
 import ast
 from functools import cache
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src/swlp").glob("*.py"))
@@ -24,7 +26,7 @@ def called(call: ast.Call) -> str | None:
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
-def walk(node: ast.AST, scope: ast.AST | None = None):
+def walk(node: ast.AST, scope: ast.AST):
     """Every node below ``node``, depth first in source order, as (node, parent, scope)."""
     for child in ast.iter_child_nodes(node):
         yield child, node, scope
@@ -37,8 +39,8 @@ def sites(tree: ast.AST, filename: str, flag, owners=frozenset()) -> list[str]:
     if filename in owners:
         return []
     found = []
-    for node, parent, scope in walk(tree):
-        fn = scope.name if scope else None
+    for node, parent, scope in walk(tree, tree):
+        fn = scope.name if isinstance(scope, FUNCTIONS) else None
         what = None if (filename, fn) in owners else flag(node, parent, filename, scope)
         if what:
             found.append(f"{filename}:{node.lineno}: {what} in {fn}")
@@ -46,23 +48,23 @@ def sites(tree: ast.AST, filename: str, flag, owners=frozenset()) -> list[str]:
 
 
 @cache
-def assigned(scope: ast.AST | None, uses) -> frozenset[str]:
-    """The names that function ``scope`` assigns from a value for which ``uses(value, names)``
-    holds, ``names`` being the names found so far: after ``mag2 = xi_mag2(g)``, also the
-    ``w`` of ``w = 2.0 * mag2``."""
+def assigned(scope: ast.AST, uses) -> frozenset[str]:
+    """The names that ``scope`` assigns from a value for which ``uses(value, names)`` holds,
+    ``names`` being the names found so far: after ``mag2 = xi_mag2(g)``, also the ``w`` of
+    ``w = 2.0 * mag2``.  A module's names are those it assigns outside its functions."""
+    own = list(ast.walk(scope) if isinstance(scope, FUNCTIONS) else (n for n, _, s in walk(scope, scope) if s is scope))
     names: frozenset[str] = frozenset()
-    while scope is not None:
+    while True:
         found = {
             t.id
-            for n in ast.walk(scope)
+            for n in own
             if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and n.value is not None and uses(n.value, names)
             for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
             if isinstance(t, ast.Name)
         }
         if found <= names:
-            break
+            return names
         names |= found
-    return names
 
 
 FFT_CALLS = {"fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft", "fft2", "ifft2"}
@@ -111,10 +113,10 @@ def layout(node, parent, filename, scope):
     return None
 
 
-def _imaginary(node: ast.AST) -> bool:
-    if isinstance(node, ast.UnaryOp):
-        node = node.operand
-    return isinstance(node, ast.Constant) and isinstance(node.value, complex)
+def _constant(node: ast.AST, kinds) -> bool:
+    """A constant of one of ``kinds``, or its negation."""
+    node = node.operand if isinstance(node, ast.UnaryOp) else node
+    return isinstance(node, ast.Constant) and isinstance(node.value, kinds)
 
 
 def derivative(node, parent, filename, scope):
@@ -123,7 +125,8 @@ def derivative(node, parent, filename, scope):
     constant; owners |xi|^2, the multipliers i xi_j and the shift's phase -i xi . x0."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "xi_grids":
         return "xi_grids()"
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (_imaginary(node.left) or _imaginary(node.right)):
+    product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+    if product and (_constant(node.left, complex) or _constant(node.right, complex)):
         return "imaginary product"
     return None
 
@@ -144,12 +147,6 @@ def _power_of_two(node: ast.AST) -> bool:
     return pow_ and isinstance(node.left, ast.Constant) and node.left.value == 2
 
 
-def _number(node: ast.AST) -> bool:
-    if isinstance(node, ast.UnaryOp):
-        node = node.operand
-    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
-
-
 def weighted_sum(node, parent, filename, scope):
     """Every Besov-type norm weights its dyadic blocks in ``besov._weighted``.  Flagged: a
     block weight 2^{ls}, ``2.0 ** (l * s)`` with neither factor a number, or
@@ -157,7 +154,8 @@ def weighted_sum(node, parent, filename, scope):
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
         return None
     exp = node.right
-    product = isinstance(exp, ast.BinOp) and isinstance(exp.op, ast.Mult) and not (_number(exp.left) or _number(exp.right))
+    product = isinstance(exp, ast.BinOp) and isinstance(exp.op, ast.Mult)
+    product = product and not (_constant(exp.left, (int, float)) or _constant(exp.right, (int, float)))
     return ast.unparse(node) if _power_of_two(node.left) or (_power_of_two(node) and product) else None
 
 
@@ -172,14 +170,8 @@ def band_path(node, parent, filename, scope):
         return "._blocks" if any(getattr(a, "value", None) == "_blocks" for a in node.args) else None
     if getattr(node, "attr", None) != "_blocks":
         return None
-    slot_init = (
-        filename == "grid.py"
-        and getattr(scope, "name", None) == "__init__"
-        and isinstance(parent, ast.Assign)
-        and isinstance(parent.value, ast.Constant)
-        and parent.value.value is None
-        and node in parent.targets
-    )
+    slot_init = (filename, getattr(scope, "name", None)) == ("grid.py", "__init__") and isinstance(parent, ast.Assign)
+    slot_init = slot_init and node in parent.targets and isinstance(parent.value, ast.Constant) and parent.value.value is None
     return None if slot_init else "._blocks"
 
 
@@ -224,9 +216,13 @@ EXAMPLES = {
         "    w[(slice(None), *zero)] = u.coeffs[:, 1:][zero]\n"
         "    # component indices and value arrays are allowed\n"
         "    a = u.coeffs[0] + u.coeffs[i : i + 1] + u.values[:, 0] + _jacobian(u.coeffs, g)[upper]\n"
-        "    v = np.fft.ifftn(u.coeffs[0]).real + sfft.rfftn(u.values, axes=(1, 2))\n",
+        "    v = np.fft.ifftn(u.coeffs[0]).real + sfft.rfftn(u.values, axes=(1, 2))\n"
+        "C = u.coeffs\n"
+        "ZERO = (0,) * 2\n"
+        "x = C[0, 0] + u.coeffs[ZERO] + C[0]\n",
         {"m.py": ["2: roll() in f", "2: flip() in f", "3: xi_grids() in f", "4: lattice index in f", "6: lattice index in f",
-                  *["9: lattice index in f"] * 3, "12: ifftn() in f", "12: rfftn() in f"], "grid.py": []},
+                  *["9: lattice index in f"] * 3, "12: ifftn() in f", "12: rfftn() in f", *["15: lattice index in None"] * 2],
+         "grid.py": []},
     ),
     "derivative": (
         "def xi_mag2(g):\n"
@@ -297,10 +293,23 @@ def package_sites(rule: str, path: Path) -> list[str]:
     return sites(ast.parse(path.read_text(), filename=str(path)), path.name, flag, owners)
 
 
-def example_sites(rule: str) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Per file name of ``rule``'s example: the sites the rule flags in its source, and
-    the sites the example expects."""
-    flag, owners = RULES[rule]
-    source, expected = EXAMPLES[rule]
-    found = {name: sites(ast.parse(source), name, flag, owners) for name in expected}
-    return found, {name: [f"{name}:{site}" for site in lines] for name, lines in expected.items()}
+def package_test(rule: str, files=PACKAGE):
+    """A test that ``rule`` flags no site in each of ``files``, one case per file."""
+
+    @pytest.mark.parametrize("path", files, ids=lambda p: str(p.relative_to(ROOT)))
+    def test(path):
+        assert package_sites(rule, path) == []
+
+    return test
+
+
+def example_test(rule: str):
+    """A test that ``rule`` flags in its example exactly the sites the example expects."""
+
+    def test():
+        flag, owners = RULES[rule]
+        source, expected = EXAMPLES[rule]
+        found = {name: sites(ast.parse(source), name, flag, owners) for name in expected}
+        assert found == {name: [f"{name}:{site}" for site in lines] for name, lines in expected.items()}
+
+    return test

@@ -13,7 +13,7 @@ from swlp import checks, solver
 from swlp.cli import main as cli_main
 from swlp.besov import besov_minus1_infty
 from swlp.dyadic import default_filter
-from swlp.grid import make_grid
+from swlp.grid import SpectralField, make_grid
 from swlp.harness import (
     FIT_WINDOW,
     SERIES_COLUMNS,
@@ -25,7 +25,6 @@ from swlp.harness import (
     load_config,
     run,
 )
-from swlp.quasi import _check_floor
 from swlp.solver import (
     CflError,
     cfl_number,
@@ -410,15 +409,15 @@ def test_cli_initial_density_below_the_floor_exit_2(tmp_path, capsys):
 def test_cli_density_floor_after_the_first_step_exit_3(tmp_path, capsys, monkeypatch):
     """A density below the floor in a later state is a runtime failure: the run keeps the
     rows computed before it and writes a summary with status ``blowup``."""
-    calls = []
+    heat_evolve, steps = solver.heat_evolve, []
 
-    # the floor is checked on the initial state (1), each snapshot's copy (2, 5) and each
-    # state a step makes (3, 4, 6): the one the 3rd step makes dips below it
-    def floor(rho):
-        calls.append(None)
-        _check_floor(rho * 0.0 if len(calls) == 6 else rho)
+    # the 3rd step's q1 is -1 everywhere, so the density 1 + q1 of the state it makes is 0
+    def dip(q1, mu, t):
+        steps.append(t)
+        q = heat_evolve(q1, mu, t)
+        return SpectralField.from_values(q.grid, q.values * 0.0 - 1.0) if len(steps) == 3 else q
 
-    monkeypatch.setattr(solver, "_check_floor", floor)
+    monkeypatch.setattr(solver, "heat_evolve", dip)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**FAST, "n": 32, "period": 16.0, "t_end": 0.5, "snapshot_dt": 0.1}))
     out = tmp_path / "o"
