@@ -12,11 +12,10 @@ p = 2 norms never leave coefficient space: ``grid.parseval_power`` gives
 ``lp_norm(u, 2)**2 = vol * sum |c_h|^2`` is the collocation definition above
 exactly.  Every block weight is real and radial in xi, so the Hermitian part
 of Delta_l u is phi_l c_h, and one power array per field, summed over each
-|xi| shell of the filter, gives the L2 norm of every block.  Any other p
-makes one stack of ``dyadic`` block values and drops it (a norm caches no
-blocks on its field), and the L^inf pieces of ``besov_minus1_infty`` come in
-two stacks of band values, each of half the pieces, so that no more than
-half are held at once.
+|xi| shell of the filter, gives the L2 norm of every block.  Any other p,
+and each L^inf piece of ``besov_minus1_infty``, takes the values of one band
+at a time from ``dyadic._band_values`` and drops them before the next (a norm
+caches no blocks on its field).
 """
 
 from __future__ import annotations
@@ -83,33 +82,32 @@ class HybridBesovSpec:
             _check_index(getattr(self, name), name)
 
 
-def _lp(values: np.ndarray, p: float, volume: float) -> list[float]:
-    """L^p norms of a stack of fields given as values (fields, ncomp, *grid)."""
-    axes = tuple(range(1, values.ndim - 1))
-    if values.shape[1] == 1:
-        mag = np.abs(values[:, 0])
+def _lp(values: np.ndarray, p: float, volume: float) -> float:
+    """L^p norm of one field given as values (ncomp, *grid)."""
+    if values.shape[0] == 1:
+        mag = np.abs(values[0])
     else:
         # the squared magnitude summed component by component, in np.sum's order
-        mag = np.square(values[:, 0])
+        mag = np.square(values[0])
         square = np.empty_like(mag)
-        for comp in range(1, values.shape[1]):
-            mag += np.square(values[:, comp], out=square)
+        for comp in values[1:]:
+            mag += np.square(comp, out=square)
         del square
         if math.isinf(p):
             # sqrt is monotone and correctly rounded: the sqrt of the max is the max of the sqrt
-            return [math.sqrt(v) for v in mag.max(axis=axes)]
+            return math.sqrt(mag.max())
         np.sqrt(mag, out=mag)
     if math.isinf(p):
-        return [float(v) for v in mag.max(axis=axes)]
-    return [float(v) for v in (np.mean(mag**p, axis=axes) * volume) ** (1.0 / p)]
+        return float(mag.max())
+    # the root by numpy's array power: the scalar power can differ in the last bit
+    return ((np.mean(mag**p, keepdims=True) * volume) ** (1.0 / p)).item()
 
 
 def lp_norm(field: SpectralField, p: float) -> float:
     p = _check_index(p, "p")
     if p == 2.0:
-        g = field.grid
-        return math.sqrt(g.volume * parseval_sum(field.coeffs, g))
-    return _lp(field.values[None], p, field.grid.volume)[0]
+        return math.sqrt(field.grid.volume * parseval_sum(field.coeffs, field.grid))
+    return _lp(field.values, p, field.grid.volume)
 
 
 def _shell_power(field: SpectralField, filt: DyadicFilter) -> np.ndarray:
@@ -136,14 +134,14 @@ def _block_norms(
             shell_power = _shell_power(field, filt)
         energies = filt.table**2 @ shell_power
         return {l: math.sqrt(field.grid.volume * float(e)) for l, e in zip(filt.levels, energies)}
-    return dict(zip(filt.levels, _lp(_band_values(filt, field, [(l, l) for l in filt.levels]), p, field.grid.volume)))
+    return {l: _lp(_band_values(filt, field, l, l), p, field.grid.volume) for l in filt.levels}
 
 
 def block_norms(field: SpectralField, p: float, filt: DyadicFilter) -> dict[int, float]:
     """L^p norms of every dyadic block within the filter range.
 
     p = 2 comes by Parseval from one power array per field, with no inverse transform; any
-    other p from one stacked inverse transform of the blocks, which the field does not keep.
+    other p from one inverse transform per block, each block's values dropped after its norm.
     """
     _check_grid(filt, field)
     return _block_norms(field, _check_index(p, "p"), filt)
@@ -232,27 +230,15 @@ def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | 
     for decay diagnostics where the homogeneous sup is dominated by the
     ever-lower frequency content of spreading heat profiles).
 
-    The pieces go through two stacks of band values (``dyadic._band_values``), the
-    first half of them (lowest first) and then the rest: a stack of every piece, or
-    the field's cached blocks, would hold (pieces x components) lattices at once.
+    Each piece is one band of ``dyadic._band_values``, dropped after its L^inf norm.
     """
-    _check_grid(filt, field)
-    # (weight, (lowest level, highest level)) of every piece
-    pieces = [(2.0 ** (-l), (l, l)) for l in filt.levels if low_cut is None or l >= low_cut]
+    # (weight, lowest level, highest level) of every piece
+    pieces = [(2.0 ** (-l), l, l) for l in filt.levels if low_cut is None or l >= low_cut]
     if low_cut is not None:
         # S_{low_cut} u, the blocks below low_cut lumped into one piece (zero
         # when low_cut <= l_min, all blocks when low_cut > l_max)
-        pieces.insert(0, (2.0 ** (-low_cut), (filt.l_min, low_cut - 1)))
-    if not pieces:
-        return 0.0
-    # two stacks, each holding half of the pieces' coefficients and values at once
-    half = (len(pieces) + 1) // 2
-    return max(
-        w * v
-        for stack in (pieces[:half], pieces[half:])
-        if stack
-        for (w, _), v in zip(stack, _lp(_band_values(filt, field, [band for _, band in stack]), INF, field.grid.volume))
-    )
+        pieces.insert(0, (2.0 ** (-low_cut), filt.l_min, low_cut - 1))
+    return max((w * _lp(_band_values(filt, field, lo, hi), INF, field.grid.volume) for w, lo, hi in pieces))
 
 
 def active_levels(field: SpectralField, filt: DyadicFilter) -> list[int]:

@@ -278,8 +278,7 @@ def frozen_estimate_constants():
 def scaling_equivariance():
     cfg = SolverConfig(mu=0.5, a=0.01, dt=0.01)
     st = perturbed_state(256, 11, cfg, 1e-2)
-    defect = scaling_check(st, cfg, 2)
-    control = scaling_check(st, cfg, 2, adjust_pressure=False)
+    defect, control = scaling_check(st, cfg, 2)
     records = [
         check("scaling_equivariance", defect, "<=", 1e-10),
         check("scaling_negative_control", control, ">", 1e-6),

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .checks import SUITES, verify
-from .harness import FIT_WINDOW, InitialStateError, fit_series, load_config, run
+from .harness import FIT_WINDOW, ConfigError, fit_series, load_config, run
 from .solver import BlowupError, CflError
 
 
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
             return 2
         try:
             result = run(config, out_dir=args.out)
-        except InitialStateError as exc:
+        except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except (CflError, BlowupError) as exc:
@@ -73,6 +73,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
+        if args.out:
+            try:
+                open(args.out, "a").close()  # a report path that cannot be written fails before any suite runs
+            except OSError as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return 2
         report = verify(args.suite)
         text = json.dumps(report, indent=2)
         if args.out:

@@ -13,12 +13,12 @@ over period 64 that is 27 435 shells and about 4 MiB in place of ten
 grid-sized arrays.  ``band(lo, hi)`` gathers the multiplier of any range of
 levels onto the lattice, and ``weight`` and ``cumulative_below`` are bands.
 
-This module alone makes a field's band values (``_band_values``, the one caller
-of ``grid.multiplied_values``), caches its block values read-only on the field,
-per filter object and for the field's lifetime (``_block_values``, which only the
-Bony operators ``paraproduct.para`` and ``remainder`` call), and checks that a
-filter belongs to a field's grid (``_check_grid``); ``besov`` and ``paraproduct``
-only read them (guard: the ``band_path`` rule of ``tests/guards.py``).
+This module alone makes a field's band values (``_band_values``, one inverse
+transform of one band's coefficients), caches its block values read-only on the
+field, per filter object and for the field's lifetime (``_block_values``, which
+only the Bony operators ``paraproduct.para`` and ``remainder`` call), and checks
+that a filter belongs to a field's grid (``_check_grid``); ``besov`` and
+``paraproduct`` only read them (guard: the ``band_path`` rule of ``tests/guards.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _read_only, multiplied_values, xi_mag2
+from .grid import Grid, SpectralField, _read_only, inverse_transform, xi_mag2
 
 __all__ = [
     "DyadicFilter",
@@ -160,20 +160,23 @@ def _check_grid(filt: DyadicFilter, f: SpectralField) -> None:
         raise ValueError("grid mismatch")
 
 
-def _band_values(filt: DyadicFilter, f: SpectralField, bands: list[tuple[int, int]]) -> np.ndarray:
-    """The values of sum_{l=lo}^{hi} Delta_l f for every ``(lo, hi)`` in ``bands``, stacked
-    ``(bands, ncomp, *grid)``, from one stacked inverse transform."""
+def _band_values(filt: DyadicFilter, f: SpectralField, lo: int, hi: int) -> np.ndarray:
+    """The values of sum_{l=lo}^{hi} Delta_l f, shaped ``(ncomp, *grid)``: one inverse
+    transform, which works in the band's coefficients."""
     _check_grid(filt, f)
-    return multiplied_values(f.coeffs, [filt.band(lo, hi) for lo, hi in bands], f.grid)
+    return inverse_transform(f.coeffs * filt.band(lo, hi), f.grid, overwrite=True)
 
 
 def _block_values(filt: DyadicFilter, f: SpectralField) -> np.ndarray:
     """The values of every block Delta_l f, l in ``filt.levels``, stacked ``(levels, ncomp, *grid)``.
 
-    Made once, then cached read-only on ``f`` and read again while ``filt`` is the same object.
+    Made once, one block at a time, then cached read-only on ``f`` while ``filt`` is the same object.
     """
     if f._blocks is None or f._blocks[0] is not filt:
-        f._blocks = (filt, _read_only(_band_values(filt, f, [(l, l) for l in filt.levels])))
+        stack = np.empty((len(filt.levels), *f.coeffs.shape))
+        for block, l in zip(stack, filt.levels):
+            block[...] = _band_values(filt, f, l, l)
+        f._blocks = (filt, _read_only(stack))
     return f._blocks[1]
 
 

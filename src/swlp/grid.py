@@ -82,7 +82,7 @@ exactly Hermitian (the transform of real values).  Its readers:
   coefficients to be Hermitian.  When the Nyquist planes' Hermitian part
   differs from their modes, it goes into a copy of the coefficients first
   (into the coefficients themselves when the caller gives them up, as
-  ``multiplied_values`` gives up its stack), so the values equal the real part of the full inverse DFT to round-off;
+  ``dyadic._band_values`` does), so the values equal the real part of the full inverse DFT to round-off;
 * ``parseval_power``: ``volume * sum |c_h|^2`` is the collocation L2 norm
   squared exactly, also for coefficients that are not Hermitian (an
   undealiased gradient's Nyquist modes), where plain ``sum |c|^2`` is not.
@@ -120,7 +120,6 @@ __all__ = [
     "xi_mag2",
     "transform",
     "inverse_transform",
-    "multiplied_values",
     "parseval_power",
     "parseval_sum",
     "shift_phase",
@@ -393,21 +392,6 @@ def inverse_transform(coeffs: np.ndarray, grid: Grid, overwrite: bool = False) -
     values = np.empty(coeffs.shape)
     _fft_pass(np.fft.irfft, half, values, grid.dim - 1, grid)
     return values
-
-
-def multiplied_values(coeffs: np.ndarray, multipliers: list[np.ndarray], grid: Grid) -> np.ndarray:
-    """Values of ``m * coeffs`` for every multiplier m, shape ``(len(multipliers), *coeffs.shape)``.
-
-    The products fill one preallocated stack, and one inverse transform
-    makes all of their values, working in the stack in place.
-    """
-    stack = np.empty((len(multipliers), *coeffs.shape), dtype=np.complex128)
-    for i, out in enumerate(stack):
-        np.multiply(coeffs, multipliers[i], out=out)
-    # the multipliers are no longer needed: unless the caller holds them too,
-    # this frees them before the transform allocates its output
-    del multipliers
-    return inverse_transform(stack, grid, overwrite=True)
 
 
 def _slab(grid: Grid, axis: int, index) -> tuple:

@@ -43,7 +43,7 @@ from .solver import (
 __all__ = [
     "RunConfig",
     "RunResult",
-    "InitialStateError",
+    "ConfigError",
     "DecayReport",
     "SERIES_COLUMNS",
     "DECAY_FITS",
@@ -74,8 +74,8 @@ DECAY_FITS = (("linf_rho_minus_1", 0, 0.15), ("besov_u_m1_inf", 1, 0.20))
 FIT_WINDOW = (2.0, 20.0)
 
 
-class InitialStateError(ValueError):
-    """A config whose initial state breaks the density floor: bad input, found before any step."""
+class ConfigError(ValueError):
+    """Bad input found before any step: an initial density below the floor, or an out_dir that cannot be made."""
 
 
 @dataclass(frozen=True)
@@ -265,9 +265,9 @@ def _initial_state(config: RunConfig, grid: Grid, filt: DyadicFilter) -> SimStat
 def run(config: RunConfig, out_dir=None) -> RunResult:
     """Integrate a configured run and write series/summary/field artifacts.
 
-    On a ``CflError`` or ``BlowupError`` the rows computed so far and a
-    summary with the failure status are written before the error is
-    re-raised.
+    ``out_dir`` is made after the initial state, before any step.  On a
+    ``CflError`` or ``BlowupError`` the rows computed so far and a summary
+    with the failure status are written before the error is re-raised.
     """
     grid = make_grid(config.dim, config.n, config.period)
     scfg = config.solver_config()
@@ -275,7 +275,13 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
     try:
         state = _initial_state(config, grid, filt)
     except DensityFloorError as exc:  # only the built state shows it
-        raise InitialStateError(exc) from None
+        raise ConfigError(exc) from None
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory: {exc}") from None
 
     series = _Series(scfg, filt, config.l0)
     series.record(state)
@@ -293,10 +299,8 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
         status, failure = "blowup", exc
 
     rows = series.rows
-    result = RunResult(config=config, rows=rows, final_state=state, out_dir=None)
+    result = RunResult(config=config, rows=rows, final_state=state, out_dir=out_dir)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_series(out_dir / "series.csv", rows)
         summary = {
             "config": dataclasses.asdict(config),
@@ -314,7 +318,6 @@ def run(config: RunConfig, out_dir=None) -> RunResult:
             rho, u = recompose(state)
             dump_field(rho, out_dir / "rho_final", time=state.t)
             dump_field(u, out_dir / "u_final", time=state.t)
-        result.out_dir = out_dir
     if failure is not None:
         raise failure
     return result

@@ -11,11 +11,11 @@ product throughout the package.
 
 Each operator is a sum over levels q of blockwise products a_q b_q, built
 from the values of the blocks Delta_l u and Delta_l v alone, which
-``dyadic._block_values`` makes in one stacked inverse transform and caches on
-the field per filter object, for these two operators alone: para(u, v), para(v,
-u) and remainder(u, v) on one pair make two inverse transforms.  The low factor
-S_{q-1} u of T_u v is a running sum of u's block values plus mean(u), and
-the near factor of R(u, v) the sum of three neighbouring block values of v.
+``dyadic._block_values`` makes with one inverse transform per block and caches
+on the field per filter object, for these two operators alone: para(u, v),
+para(v, u) and remainder(u, v) on one pair transform each field's blocks once.
+The low factor S_{q-1} u of T_u v is a running sum of u's block values plus
+mean(u), and the near factor of R(u, v) the sum of three neighbouring ones of v.
 Every level is used: a zero block has exactly zero values.  The products are
 summed in value space and dealiased once.  The dealias is linear, so this
 equals the sum of the dealiased blockwise products, with one forward
@@ -140,7 +140,7 @@ def hybrid_para_ratio(
 
     All 0.0 when an input is zero, nan when the denominator otherwise vanishes.
     T_u v and R(u, v) read the block values that u and v cache for ``filt``, so
-    the two operators make two inverse transforms between them.
+    the two operators transform each field's blocks once between them.
     """
     den = hybrid_besov_norm(u, hspec_u, filt) * hybrid_besov_norm(v, hspec_v, filt)
     if den == 0.0:

@@ -497,19 +497,14 @@ def ft_specs(dim: int, l0: int = 0):
     }
 
 
-def scaling_check(
-    state: SimState,
-    config: SolverConfig,
-    l_factor: int,
-    adjust_pressure: bool = True,
-) -> float:
-    """Equivariance defect of the spatial operators under x -> l x, u -> l u.
+def scaling_check(state: SimState, config: SolverConfig, l_factor: int) -> tuple[float, float]:
+    """Equivariance defect of the spatial operators under x -> l x, u -> l u, and its negative control.
 
-    Compares the convective + viscous + pressure (with the coefficient
-    rescaled by l^2 when ``adjust_pressure``) momentum operator applied to
+    Compares the convective + viscous + pressure momentum operator applied to
     the index-dilated state against the dilated, l^3-scaled operator output;
-    the mass-flux operator is checked with factor l^2.  Returns the max of
-    the two relative discrepancies.
+    the mass-flux operator is checked with factor l^2.  Each value is the max of
+    the two relative discrepancies: the defect with the pressure coefficient
+    rescaled by l^2, the control without, which breaks the symmetry.
     """
     rho, u = recompose(state)
     # The exactness of the check needs triple products of the dilated
@@ -521,18 +516,20 @@ def scaling_check(
     rho_d = dilate(rho, l_factor)
     u_d = dilate(u, l_factor) * float(l_factor)
     a = config.pressure_coeff
-    a_resc = a * l_factor**2 if adjust_pressure else a
-
-    # drag is left out: r rho u scales with l, not l^3
-    mass_lhs, mom_lhs, _, _ = _system_residual(rho_d, u_d, None, None, config.mu, a_resc, 0.0)
     mass, mom, _, _ = _system_residual(rho, u, None, None, config.mu, a, 0.0)
     mom_rhs = dilate(mom, l_factor) * float(l_factor**3)
     mass_rhs = dilate(mass, l_factor) * float(l_factor**2)
     g = state.grid
-    return max(
-        _rel_l2(parseval_sum((lhs - rhs).coeffs, g), [parseval_sum(lhs.coeffs, g), parseval_sum(rhs.coeffs, g)])
-        for lhs, rhs in ((mom_lhs, mom_rhs), (mass_lhs, mass_rhs))
-    )
+
+    def defect(a_lhs: float) -> float:
+        # drag is left out: r rho u scales with l, not l^3
+        mass_lhs, mom_lhs, _, _ = _system_residual(rho_d, u_d, None, None, config.mu, a_lhs, 0.0)
+        return max(
+            _rel_l2(parseval_sum((lhs - rhs).coeffs, g), [parseval_sum(lhs.coeffs, g), parseval_sum(rhs.coeffs, g)])
+            for lhs, rhs in ((mom_lhs, mom_rhs), (mass_lhs, mass_rhs))
+        )
+
+    return defect(a * l_factor**2), defect(a)
 
 
 def _check_band(name: str, l_lo: int, l_hi: int, l_min: int, l_max: int) -> None:

@@ -37,13 +37,14 @@ def acceptance_run(tmp_path_factory):
     return run(config, out_dir=out)
 
 
-def _counted(monkeypatch, module: str, name: str) -> list:
-    """Counts calls of ``swlp.<module>.<name>`` made from any swlp module."""
+def _counted(monkeypatch, module: str, name: str, size=None) -> list:
+    """Records calls of ``swlp.<module>.<name>`` made from any swlp module: 1 per call, or
+    ``size(*args, **kwargs)`` of each call when given."""
     original = getattr(importlib.import_module(f"swlp.{module}"), name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(1 if size is None else size(*args, **kwargs))
         return original(*args, **kwargs)
 
     for mod_name, module_obj in list(sys.modules.items()):
@@ -62,6 +63,13 @@ def counted(monkeypatch):
 def inverse_transforms(monkeypatch):
     """Counts calls of ``grid.inverse_transform`` made from any swlp module."""
     return _counted(monkeypatch, "grid", "inverse_transform")
+
+
+@pytest.fixture
+def inverse_lattices(monkeypatch):
+    """Records the lattices that each call of ``grid.inverse_transform`` from any swlp module
+    transforms, each component of each band; their ``sum`` is the total."""
+    return _counted(monkeypatch, "grid", "inverse_transform", lambda coeffs, grid, **_: coeffs.size // math.prod(grid.shape))
 
 
 @pytest.fixture

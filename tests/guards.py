@@ -159,13 +159,23 @@ def weighted_sum(node, parent, filename, scope):
     return ast.unparse(node) if _power_of_two(node.left) or (_power_of_two(node) and product) else None
 
 
+def _uses_band(node: ast.AST, names) -> bool:
+    """A filter's band multiplier (``.band``, ``.weight``, ``.cumulative_below``) or one of ``names``."""
+    return any(
+        (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in {"band", "weight", "cumulative_below"})
+        or getattr(n, "id", None) in names
+        for n in ast.walk(node)
+    )
+
+
 def band_path(node, parent, filename, scope):
-    """``dyadic`` owns a field's band values.  Flagged: naming ``multiplied_values`` (the one
-    stacked inverse transform under several multipliers) and touching a field's ``_blocks``
-    cache, as an attribute or through ``getattr``/``setattr``/``delattr``.  ``grid.py``'s
-    ``SpectralField.__init__`` may set the slot to None."""
-    if getattr(node, "id", getattr(node, "attr", None)) == "multiplied_values":
-        return "multiplied_values"
+    """``dyadic`` owns a field's band values.  Flagged: an ``inverse_transform`` of a filter-band
+    product, directly or through a name the same function assigns from one, and touching a
+    field's ``_blocks`` cache, as an attribute or through ``getattr``/``setattr``/``delattr``.
+    ``grid.py``'s ``SpectralField.__init__`` may set the slot to None."""
+    if isinstance(node, ast.Call) and called(node) == "inverse_transform":
+        names = assigned(scope, _uses_band)
+        return "inverse_transform of a band" if any(_uses_band(arg, names) for arg in node.args) else None
     if isinstance(node, ast.Call) and called(node) in {"getattr", "setattr", "delattr"}:
         return "._blocks" if any(getattr(a, "value", None) == "_blocks" for a in node.args) else None
     if getattr(node, "attr", None) != "_blocks":
@@ -201,7 +211,7 @@ RULES = {
 }
 
 
-BAND_LATE = [f"{line}: multiplied_values in f" for line in (9, 10, 11)] + [f"{line}: ._blocks in f" for line in (12, 13, 14, 15)]
+BAND_LATE = [f"{line}: inverse_transform of a band in f" for line in (9, 10, 12)] + [f"{line}: ._blocks in f" for line in (15, 16, 17, 18)]
 # each example: its source, and per file name the sites it holds there, as ``line: what in function``
 EXAMPLES = {
     "layout": (
@@ -258,9 +268,12 @@ EXAMPLES = {
         "    def __init__(self, grid, coeffs):\n"
         "        self._blocks = None\n\n"
         "def f(filt, u):\n"
-        "    values = multiplied_values(u.coeffs, [filt.weight(0)], u.grid)\n"
-        "    stack = grid.multiplied_values(u.coeffs, [], u.grid)\n"
-        "    make = multiplied_values\n"
+        "    values = inverse_transform(u.coeffs * filt.weight(0), u.grid)\n"
+        "    low = grid.inverse_transform(u.coeffs * filt.cumulative_below(2), u.grid, overwrite=True)\n"
+        "    band = u.coeffs * filt.band(0, 2)\n"
+        "    high = inverse_transform(band, u.grid)\n"
+        "    # a field's own values, or a product with another multiplier, are allowed\n"
+        "    plain = inverse_transform(u.coeffs, u.grid) + inverse_transform(u.coeffs * _heat_multiplier(u.grid, 1.0, 0.5), u.grid)\n"
         "    cached = u._blocks\n"
         "    u._blocks = (filt, values)\n"
         "    u._blocks = None\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_besov_minus1_infty_modes(grid2d, filt2d, rng):
     assert hom > 0
     nonhom = besov_minus1_infty(u, filt2d, low_cut=2)
     assert nonhom > 0
-    # the stacked transform against one transform per block
+    # the pieces against the blocks as fields
     blocks = {l: 2.0 ** (-l) * lp_norm(dyadic_block(filt2d, u, l), math.inf) for l in filt2d.levels}
     assert hom == pytest.approx(max(blocks.values()), rel=1e-14)
     low = 2.0**-2 * lp_norm(freq_split(filt2d, u, 1)[0], math.inf)
@@ -144,19 +145,19 @@ def test_besov_minus1_infty_modes(grid2d, filt2d, rng):
 
 
 @pytest.mark.parametrize("ncomp", [1, 2])
-def test_block_norms_read_the_cached_block_values(grid2d, rng, inverse_transforms, ncomp):
-    # p = 1 and p = inf each make one stack of block values and keep none on the field;
+def test_block_norms_read_the_cached_block_values(grid2d, rng, inverse_lattices, ncomp):
+    # p = 1 and p = inf each transform every block (7 levels) and keep none on the field;
     # para makes the one cached stack, and a second para reads it; the norms have the
     # bits of one transform per block
     filt = default_filter(grid2d)
     f = SpectralField.from_values(grid2d, rng.standard_normal((ncomp, *grid2d.shape)))
-    del inverse_transforms[:]
+    del inverse_lattices[:]
     norms = {p: block_norms(f, p, filt) for p in (1.0, math.inf)}
-    assert len(inverse_transforms) == 2
+    assert sum(inverse_lattices) == 14 * ncomp
     para(filt, f, f)
-    assert len(inverse_transforms) == 3
+    assert sum(inverse_lattices) == 21 * ncomp
     para(filt, f, f)
-    assert len(inverse_transforms) == 3
+    assert sum(inverse_lattices) == 21 * ncomp
     for l in filt.levels:
         values = inverse_transform(f.coeffs * filt.weight(l), grid2d)
         mag = np.sqrt(np.sum(np.square(values), axis=0)) if ncomp > 1 else np.abs(values[0])
@@ -164,6 +165,19 @@ def test_block_norms_read_the_cached_block_values(grid2d, rng, inverse_transform
         assert norms[math.inf][l] == float(mag.max()), l
     with pytest.raises(ValueError, match="read-only"):
         _block_values(filt, f)[0, 0, 0, 0] = 1.0
+    # the tracemalloc peak of a p = 1 table at 128^2, in complex lattices (n^2 * 16 bytes):
+    # one block at a time; one stack of every block peaked at 12.5 (one component) and 24.0 (two)
+    g = make_grid(2, 128, (32.0, 32.0))
+    filt = default_filter(g)
+    f = SpectralField.from_values(g, rng.standard_normal((ncomp, *g.shape)))
+    block_norms(f, 1.0, filt)  # builds the per-grid operators that later calls reuse
+    tracemalloc.start()
+    try:
+        block_norms(f, 1.0, filt)
+        peak = tracemalloc.get_traced_memory()[1] / (16 * g.n**2)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5, peak
 
 
 def _white_noise(grid, ncomp):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swlp import checks, solver
+from swlp import checks, harness, solver
 from swlp.cli import main as cli_main
 from swlp.besov import besov_minus1_infty
 from swlp.dyadic import default_filter
@@ -148,8 +148,8 @@ def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms, trans
     # one per right-hand side and one for ln rho1
     assert len(transforms) <= 3
     del inverse_transforms[:]
-    # 15 are needed, with the L-inf blocks in two stacks; one transform per
-    # dyadic block or per product would make about 70
+    # 15 are needed, with one transform per L-inf piece; one transform per
+    # dyadic block of every norm or per product would make about 70
     _Series(scfg, filt).record(state)
     assert len(inverse_transforms) <= 15
 
@@ -158,32 +158,40 @@ def test_snapshot_diagnostics_memory_budget():
     """The snapshot diagnostics' working set, as the tracemalloc peak of what a call
     allocates, in complex lattices of the grid (n^2 * 16 bytes).  A step peaks at about
     14; the whole-field residual and one stack of every L-inf block took the
-    diagnostics to 37.6, the residual alone to 33.6 and the blocks to 9.1."""
-    config = RunConfig(**FAST)
-    grid = make_grid(2, config.n, config.period)
-    filt = default_filter(grid)
-    scfg = config.solver_config()
-    stepped = step(_initial_state(config, grid, filt), scfg)
+    diagnostics to 37.6, the residual alone to 33.6 and the blocks to 9.1.  The L-inf
+    pieces come one at a time: at 128^2 over period 32 (4 pieces) two stacks of half
+    of them peaked at 6.0."""
 
     def peak(fn, state) -> float:
         tracemalloc.start()
         try:
             fn(state)
-            return tracemalloc.get_traced_memory()[1] / (16 * config.n**2)
+            return tracemalloc.get_traced_memory()[1] / (16 * state.grid.n**2)
         finally:
             tracemalloc.stop()
 
-    def recomposed():
-        # a snapshot recomposes first; the fields are cached on the state
-        state = step(stepped, scfg)
-        recompose(state)
-        return state
+    def run_start(config):
+        grid = make_grid(2, config.n, config.period)
+        filt = default_filter(grid)
+        scfg = config.solver_config()
+        stepped = step(_initial_state(config, grid, filt), scfg)
 
+        def recomposed():
+            # a snapshot recomposes first; the fields are cached on the state
+            state = step(stepped, scfg)
+            recompose(state)
+            return state
+
+        return filt, scfg, stepped, recomposed
+
+    filt, scfg, stepped, recomposed = run_start(RunConfig(**FAST))
     # each measurement on a fresh state: a state caches what it computes
     assert peak(lambda st: _Series(scfg, filt).record(st), step(stepped, scfg)) <= 25
     assert peak(lambda st: full_residual(st, scfg), recomposed()) <= 18
     assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 5
     assert peak(lambda st: gronwall_integrand(st, filt), recomposed()) <= 10.5
+    filt, _, _, recomposed = run_start(RunConfig(**{**FAST, "n": 128, "period": 32.0}))
+    assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 3.5
 
 
 def test_step_after_a_snapshot_holds_what_any_step_holds():
@@ -404,6 +412,31 @@ def test_cli_initial_density_below_the_floor_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: density floor violated") and "1e-06" in err
+
+
+def test_cli_run_out_on_a_file_exit_2(tmp_path, capsys, monkeypatch):
+    """An ``--out`` that names a file is bad input: the run stops before its first step."""
+    real_step, steps = harness.step, []
+    monkeypatch.setattr(harness, "step", lambda state, scfg: steps.append(state.t) or real_step(state, scfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "n": 32, "period": 16.0}))
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert steps == []
+    assert capsys.readouterr().err.startswith("config error: cannot make the output directory")
+    assert out.read_text() == "kept"
+
+
+def test_cli_verify_out_in_a_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
+    """A report path in a missing directory is bad input: no criterion runs."""
+    ran = []
+    criteria = [dataclasses.replace(c, evaluate=lambda n=c.number: ran.append(n) or ([], "")) for c in checks.REGISTRY]
+    monkeypatch.setattr(checks, "REGISTRY", criteria)
+    assert cli_main(["verify", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert ran == []
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_density_floor_after_the_first_step_exit_3(tmp_path, capsys, monkeypatch):
