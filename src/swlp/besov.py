@@ -238,7 +238,7 @@ def besov_minus1_infty(field: SpectralField, filt: DyadicFilter, low_cut: int | 
         # S_{low_cut} u, the blocks below low_cut lumped into one piece (zero
         # when low_cut <= l_min, all blocks when low_cut > l_max)
         pieces.insert(0, (2.0 ** (-low_cut), filt.l_min, low_cut - 1))
-    return max((w * _lp(_band_values(filt, field, lo, hi), INF, field.grid.volume) for w, lo, hi in pieces))
+    return max(w * _lp(_band_values(filt, field, lo, hi), INF, field.grid.volume) for w, lo, hi in pieces)
 
 
 def active_levels(field: SpectralField, filt: DyadicFilter) -> list[int]:

@@ -238,7 +238,7 @@ def test_heat_estimate_ratio_holds_no_duhamel_field(p, ends, bound):
     dropped, and a p != 2 block norm takes one block's values at a time, caching none on
     the caller's snapshots.  Keeping every field peaked at 68 lattices for p = 2 and 544
     for p = 1, with the same ratios, caching each snapshot's stack at 265 for p = 1, and
-    one stack of every block per norm at 26.7."""
+    one stack of every block per norm at 26.6."""
     g = make_grid(2, 64, (2 * math.pi, 2 * math.pi))
     filt = default_filter(g)
     rng = np.random.default_rng(5)
