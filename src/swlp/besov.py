@@ -118,7 +118,7 @@ def _shell_power(field: SpectralField, filt: DyadicFilter) -> np.ndarray:
 
 def _staleness_check(shell_power: np.ndarray, filt: DyadicFilter) -> None:
     total = float(np.sum(shell_power[1:]))  # shell 0 is the mean mode
-    if total > 0 and 1.0 - float(filt.table.sum(axis=0) ** 2 @ shell_power) / total > 1e-3:
+    if total > 0 and 1.0 - float(filt.partition_sq @ shell_power) / total > 1e-3:
         warnings.warn(
             "more than 0.1% of the L2 mass sits in blocks outside the filter "
             "range; the Besov norm is unreliable",

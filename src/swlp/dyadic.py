@@ -76,7 +76,9 @@ class DyadicFilter:
 
     ``shell`` gives each lattice point the index of its |xi|^2 among the
     distinct values on the lattice, and row l - l_min of ``table`` holds
-    phi_l on those shells; both are read-only.
+    phi_l on those shells; ``partition_sq`` holds (sum_l phi_l)^2 on them,
+    the share of each shell's power that the filter's blocks cover.  All
+    three are read-only.
     """
 
     grid: Grid
@@ -84,6 +86,7 @@ class DyadicFilter:
     l_max: int
     shell: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
+    partition_sq: np.ndarray = field(repr=False)
 
     @property
     def levels(self) -> range:
@@ -146,7 +149,8 @@ def build_dyadic_filter(grid: Grid, l_min: int, l_max: int) -> DyadicFilter:
     for i, l in enumerate(range(l_min, l_max + 1)):
         if l in raw:
             table[i, pos] = raw[l][pos] / total[pos]
-    return DyadicFilter(grid, l_min, l_max, _read_only(shell.reshape(lattice.shape)), _read_only(table))
+    partition_sq = table.sum(axis=0) ** 2
+    return DyadicFilter(grid, l_min, l_max, *map(_read_only, (shell.reshape(lattice.shape), table, partition_sq)))
 
 
 def default_filter(grid: Grid) -> DyadicFilter:

@@ -16,10 +16,10 @@ Conventions used throughout the package:
   place;
 * every spatial derivative is one multiplication by ``i xi_j``: the
   multipliers are built once per grid (``_i_xi``), and ``_jacobian`` (with
-  its upper triangle ``_jacobian_upper`` and its entry ``_partial``),
-  ``_sym_grad_upper`` and ``_divergence`` are the only operations that
-  apply them.  ``grad``, ``div``, ``helmholtz_split`` and the solver's
-  derivatives are written with these;
+  its entry ``_partial``), ``_sym_grad_entry`` and ``_divergence`` are the
+  only operations that apply them.  ``grad``, ``div``, ``helmholtz_split``
+  and the derivatives of the solver and the residuals are written with
+  these;
 * the heat semigroup e^{-mu |xi|^2 t} is one multiplier, ``_heat_multiplier``:
   the exact heat flow of ``quasi.heat_evolve``, the Duhamel steps of
   ``quasi.heat_estimate_ratio`` and the samples of
@@ -76,13 +76,18 @@ exactly Hermitian (the transform of real values).  Its readers:
   only to round-off, so on them the later mode of each mirror pair takes
   the conjugate of the earlier one, as pocketfft's complex transform of
   real values does.  So the transform of real values is exactly Hermitian
-  on the whole lattice;
+  on the whole lattice.  A mode's mirror lies in row n - r of the first
+  axis when the mode is in row r, so the completion takes the rows below
+  -n/2, the rows 0 and -n/2, and those above -n/2 in separate pieces: a
+  piece reads no row that it writes but those two, and numpy copies no
+  more of its input;
 * ``inverse_transform`` runs the complex-to-real kernel ``irfftn``, which
   reads only the half ``k_last >= 0`` of the lattice and takes the
   coefficients to be Hermitian.  When the Nyquist planes' Hermitian part
   differs from their modes, it goes into a copy of the coefficients first
   (into the coefficients themselves when the caller gives them up, as
-  ``dyadic._band_values`` does), so the values equal the real part of the full inverse DFT to round-off;
+  ``dyadic._band_values`` and the callers that transform one derivative
+  do), so the values equal the real part of the full inverse DFT to round-off;
 * ``parseval_power``: ``volume * sum |c_h|^2`` is the collocation L2 norm
   squared exactly, also for coefficients that are not Hermitian (an
   undealiased gradient's Nyquist modes), where plain ``sum |c|^2`` is not.
@@ -93,8 +98,8 @@ Kernels and threads: the FFT is numpy's (pocketfft), and each transform is
 written as the 1-D passes of ``np.fft.rfftn`` or ``np.fft.irfftn``, in the
 same order, so it gives their bits (the forward one except on the plane
 modes that its completion overwrites).  At 2^16 lattice points per component and above, in
-2-D and 3-D (``_workers``), ``_in_halves`` runs half of each transform pass's lines, of the
-completion's rows and of each whole-lattice multiplier product (the derivatives, ``__mul__``,
+2-D and 3-D (``_workers``), ``_in_halves`` runs half of each transform pass's lines and of each
+whole-lattice multiplier product (the derivatives, ``__mul__``,
 ``solver._implicit_solve``, ``quasi.heat_evolve``) on ``_FFT_POOL`` and the other half on the
 calling thread.  numpy's FFT and ufuncs release the interpreter lock, and each line and point
 is computed on its own, so the split changes no bit either.  ``solver._rhs_block``'s many small
@@ -243,52 +248,30 @@ def _jacobian(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return jac
 
 
-def _jacobian_upper(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """The entries d_j f_i with i <= j of a vector field's Jacobian, stacked in ``np.triu_indices`` order.
-
-    They are the whole Jacobian when it is symmetric, as for a gradient field.
-    """
-    i_xi = _i_xi(grid)
-    rows, cols = np.triu_indices(grid.dim)
-    upper = np.empty((rows.size, *grid.shape), dtype=np.complex128)
-
-    def half(h):
-        for out, i, j in zip(upper, rows, cols):
-            np.multiply(i_xi[j][h], coeffs[i][h], out=out[h])
-
-    _in_halves(half, grid, 0)
-    return upper
-
-
 def _partial(coeffs: np.ndarray, grid: Grid, j: int) -> np.ndarray:
     """d_j f of a coefficient array, one derivative of ``_jacobian``."""
-    return _i_xi(grid)[j] * coeffs
+    m = _i_xi(grid)[j]
+    out = np.empty(coeffs.shape, dtype=np.complex128)
+    _in_halves(lambda h: np.multiply(m[h], coeffs[h], out=out[h]), grid, 0)
+    return out
 
 
-def _sym_grad_upper(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """The entries (D f)_ij = (d_j f_i + d_i f_j)/2 with i <= j of a vector field's symmetric
-    gradient, stacked in ``np.triu_indices`` order: the whole of it, as D is symmetric."""
-    i_xi = _i_xi(grid)
-    rows, cols = np.triu_indices(grid.dim)
-    upper = np.empty((rows.size, *grid.shape), dtype=np.complex128)
-    for out, i, j in zip(upper, rows, cols):
-        np.multiply(i_xi[j], coeffs[i], out=out)
-        out += i_xi[i] * coeffs[j]
-        out *= 0.5
-    return upper
+def _sym_grad_entry(coeffs: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
+    """The entry (D f)_ij = (d_j f_i + d_i f_j)/2 of a vector field's symmetric gradient."""
+    out = _partial(coeffs[i], grid, j)
+    out += _partial(coeffs[j], grid, i)
+    out *= 0.5
+    return out
 
 
-def _divergence(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Contract the axis just before the grid axes: sum_j d_j f[..., j], added in place in order of j."""
-    (m, f), *terms = zip(_i_xi(grid), np.moveaxis(coeffs, -grid.dim - 1, 0))
-    out, term = np.empty(f.shape, dtype=np.complex128), np.empty(f.shape, dtype=np.complex128)
-
-    def half(h):
-        part = np.multiply(m[h], f[h], out=out[h])
-        for m_j, f_j in terms:
-            part += np.multiply(m_j[h], f_j[h], out=term[h])
-
-    _in_halves(half, grid, 0)
+def _divergence(entries, grid: Grid) -> np.ndarray:
+    """sum_j d_j f_j, added in place in order of j, of the entries f_j of ``entries``: a stack
+    whose first axis is j, or an iterable that makes each entry when asked for, which goes
+    once differentiated."""
+    entries = iter(entries)
+    out = _partial(next(entries), grid, 0)
+    for j in range(1, grid.dim):
+        out += _partial(next(entries), grid, j)
     return out
 
 
@@ -358,10 +341,7 @@ def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
     _fft_pass(np.fft.rfft, values, half, grid.dim - 1, grid)
     for axis in range(grid.dim - 2, -1, -1):
         _fft_pass(np.fft.fft, half, half, axis, grid)
-    # the first piece (k_last < 0, every k_j != 0) is the largest; its n - 1 rows read and write disjoint columns
-    negative, *planes = _completion(grid)
-    _in_halves(lambda h: _nyquist_hermitian(coeffs, negative, fill=h), grid, 0, grid.n - 1)
-    for pair in planes:
+    for pair in _completion(grid):
         _nyquist_hermitian(coeffs, pair, fill=Ellipsis)
     return coeffs
 
@@ -427,14 +407,20 @@ def _completion(grid: Grid) -> tuple[tuple[tuple, tuple], ...]:
     ``k_last >= 0``: every mode with k_last < 0 other than -n/2, and on the self-conjugate
     planes k_last = 0 and -n/2, those whose first k_j other than 0 and -n/2 is negative.
     So the result is exactly Hermitian, with the bits of numpy's ``rfftn`` off those planes
-    (0 < k_last < n/2); ``tests/test_grid.py`` checks both.
+    (0 < k_last < n/2); ``tests/test_grid.py`` checks both.  On the first axis the rows
+    below -n/2, the rows 0 and -n/2 and the rows above -n/2 go in separate pieces: the
+    mirror of a row below -n/2 lies above it, and 0 and -n/2 are their own, so a piece
+    reads no row that it writes but those two, and numpy copies no more input.
     """
     h = grid.n // 2
     # per axis, (modes, mirrors): index k has its mirror at n - k, and 0 and h are their own
     whole = ((slice(1, None), slice(None, 0, -1)), (0, 0))
     negative = (slice(h + 1, None), slice(h - 1, 0, -1))
     own = (slice(None, None, h),) * 2
-    pieces = [(*other, negative) for other in product(whole, repeat=grid.dim - 1)]
+    rows = ((slice(1, h), slice(None, h, -1)), own, negative)
+    # the axes before the last: the first one in its three row ranges, the others whole
+    before_last = [rows, *[whole] * (grid.dim - 2)][: grid.dim - 1]
+    pieces = [(*other, negative) for other in product(*before_last)]
     for j in range(grid.dim - 1):
         pieces += [(*(own,) * j, negative, *rest, own) for rest in product(whole, repeat=grid.dim - 2 - j)]
     return tuple(((Ellipsis, *(m for m, _ in axes)), (Ellipsis, *(r for _, r in axes))) for axes in pieces)

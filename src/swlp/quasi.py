@@ -41,15 +41,14 @@ from .grid import (
     _divergence,
     _heat_multiplier,
     _in_halves,
+    _jacobian,
     _partial,
     _square_sum,
-    _sym_grad_upper,
+    _sym_grad_entry,
     dealiased_from_values,
-    div,
     grad,
     inverse_transform,
     laplacian,
-    mult,
     parseval_sum,
     shift_phase,
     xi_mag2,
@@ -128,7 +127,15 @@ def log_density(q1: SpectralField) -> SpectralField:
 
 def velocity_from_density(q1: SpectralField, mu: float) -> SpectralField:
     """u1 = -mu grad(ln rho1), rho1 = 1 + q1; irrotational by construction."""
-    return grad(log_density(q1)) * (-mu)
+    return _scaled_grad(log_density(q1), -mu)
+
+
+def _scaled_grad(f: SpectralField, c: float) -> SpectralField:
+    """c grad f of a scalar field, the gradient scaled in place: the bits of ``grad(f) * c``."""
+    g = f.grid
+    jac = _jacobian(f.coeffs[0], g)
+    _in_halves(lambda h: np.multiply(jac[h], c, out=jac[h]), g, 0)
+    return SpectralField(g, jac)
 
 
 def max_principle_check(
@@ -196,13 +203,18 @@ def kernel_decay_fit(
     return float(-slope)
 
 
-def _heat_rates(q1: SpectralField, mu: float):
-    """(rho1, d_t rho1, d_t u1) with the rates substituted from the heat equation:
+def _density(q1: SpectralField) -> SpectralField:
+    """rho1 = 1 + q1."""
+    return q1.with_mean(q1.mean() + 1.0)
+
+
+def _heat_rates(rho: SpectralField, mu: float):
+    """(d_t rho1, d_t u1) at rho1 = ``rho``, substituted from the heat equation:
     d_t rho1 = mu Lap rho1 and d_t u1 = -mu grad(d_t rho1 / rho1)."""
-    rho = q1.with_mean(q1.mean() + 1.0)
     drho_dt = laplacian(rho) * mu
-    du1_dt = grad(mult(drho_dt, _reciprocal(rho))) * (-mu)
-    return rho, drho_dt, du1_dt
+    # mult(d_t rho1, 1/rho1), with 1/rho1's coefficients gone once its values are made
+    quotient = dealiased_from_values(rho.grid, drho_dt.values * _reciprocal(rho).values)
+    return drho_dt, _scaled_grad(quotient, -mu)
 
 
 def _reciprocal(rho: SpectralField) -> SpectralField:
@@ -219,85 +231,106 @@ def _rel_l2(residual_sq: float, scales_sq) -> float:
     return math.sqrt(residual_sq / den)
 
 
-def _system_residual(rho, u, drho_dt, du_dt, mu: float, pressure: float, drag: float):
+def _system_residual(rho, u, rates, mu: float, pressure: float, drag: float):
     """The viscous shallow-water system at (rho, u): ``(mass, momentum, mass_rel, momentum_rel)``.
 
     mass:     d_t rho + div(rho u)
     momentum: d_t(rho u) + div(rho u x u) - div(mu rho D(u)) + pressure grad(rho) + drag rho u
 
-    The rates ``drho_dt`` and ``du_dt`` are given fields, or both None to drop
-    the time terms.  The relative residuals divide each L2 norm by the
-    largest L2 norm of its terms.  A zero ``pressure`` or ``drag`` drops its
-    term.
+    ``rates`` makes the pair ``(d_t rho, d_t u)`` of fields when called, or is None to
+    drop the time terms: the rates are made first, and each goes once its values are
+    made and its last term is.  The relative residuals divide each L2 norm by the
+    largest L2 norm of its terms.  A zero ``pressure`` or ``drag`` drops its term.
 
-    The momentum is built one component i at a time, with P the 2/3 dealias:
-    P(d_t rho u_i) + P(rho d_t u_i), sum_j d_j P(u_i (rho u)_j),
-    -mu sum_j d_j P(rho D(u)_ij), pressure d_i rho and drag (rho u)_i, each
-    added into the running sum as it is made, keeping only its squared
-    Parseval norm.  Every product is dealiased as in the whole-field sum of
-    these terms, left to right, so both fields have that sum's bits; only
-    the relative residuals move, by the order of the norms' sums.
+    Every field term is built one entry at a time, with P the 2/3 dealias: (rho u)_j
+    and its derivative, then the momentum one kind of term at a time over the
+    components i, each added into component i's running sum as it is made, keeping
+    only its squared Parseval norm: P(d_t rho u_i) + P(rho d_t u_i),
+    sum_j d_j P(u_i (rho u)_j), -mu sum_j d_j P(rho D(u)_ij), pressure d_i rho and
+    drag (rho u)_i.  Each entry D(u)_ij is transformed once and goes after its last
+    row.  Every product is dealiased as in the whole-field sum of these terms, left to
+    right, so both fields have that sum's bits; only the relative residuals move, by
+    the order of the norms' sums.
     """
     g = u.grid
-    # D(u) from its upper triangle: (D u)_ij = (D u)_ji
-    sym = inverse_transform(_sym_grad_upper(u.coeffs, g), g)
-    entry = {}
-    for k, (i, j) in enumerate(zip(*np.triu_indices(g.dim))):
-        entry[i, j] = entry[j, i] = sym[k]
-    rho_u = mult(rho, u)
-    flux = div(rho_u)
-    if drho_dt is None:
-        mass, mass_sq = flux, []
-    else:
-        mass, mass_sq = drho_dt + flux, [parseval_sum(drho_dt.coeffs, g)]
-    mass_sq.append(parseval_sum(flux.coeffs, g))
-    rho_vals, u_vals, ru_vals = rho.values[0], u.values, rho_u.values
-    # only the values of rho u are read from here on
-    del flux, rho_u
+    rho_vals, u_vals = rho.values[0], u.values
 
-    def row_terms(i):
-        """The terms of momentum component i, in the order they are summed, each made when
-        asked for and dropped when the next one is asked for."""
-        if drho_dt is not None:
-            yield (
-                dealiased_from_values(g, drho_dt.values[0] * u_vals[i]).coeffs[0]
-                + dealiased_from_values(g, rho_vals * du_dt.values[i]).coeffs[0]
-            )
-        yield _divergence(dealiased_from_values(g, u_vals[i] * ru_vals).coeffs, g)
-        stress = np.empty((g.dim, *g.shape))
-        for j, out in enumerate(stress):
-            np.multiply(rho_vals, entry[i, j], out=out)
-        # the values of rho D(u)_i go once their coefficients are made
-        stress = dealiased_from_values(g, stress).coeffs
-        visc = _divergence(stress, g)
-        del stress
-        visc *= -mu
-        yield visc
-        del visc
-        if pressure != 0.0:
-            yield _partial(rho.coeffs[0], g, i) * pressure
-        if drag != 0.0:
-            # (rho u)_i, with the bits of the component of mult(rho, u)
-            yield dealiased_from_values(g, rho_vals * u_vals[i]).coeffs[0] * drag
+    def product(a, b):
+        """P(a b) of two value arrays of one component: its coefficients."""
+        return dealiased_from_values(g, a * b).coeffs[0]
 
+    if rates is not None:
+        drho_dt, du_dt = rates()
+        du_vals = du_dt.values
+        del du_dt
+    # div(rho u), and the values of rho u, one component (rho u)_j at a time
+    ru_vals = []
+
+    def rho_u(j):
+        ru_j = product(rho_vals, u_vals[j])
+        ru_vals.append(inverse_transform(ru_j, g))
+        return ru_j
+
+    mass = _divergence(map(rho_u, range(g.dim)), g)
+    mass_sq = [parseval_sum(mass, g)]
     mom = np.empty(u.coeffs.shape, dtype=np.complex128)
-    # the squared norm of each term so far, by its place in the sum
-    mom_sq = [0.0] * 5
-    for i, total in enumerate(mom):
-        # counted by hand: enumerate would keep the last term alive while the next is made
-        k = 0
-        for term in row_terms(i):
-            mom_sq[k] += parseval_sum(term, g)
-            if k == 0:
-                total[...] = term
+    # the squared norm of each kind of term, summed over the components
+    mom_sq = []
+
+    def add(term):
+        """Add ``term(i)``, made when asked for, into the running sum of every component i;
+        the first kind of term starts the sums."""
+        square = 0.0
+        for i, total in enumerate(mom):
+            t = term(i)
+            square += parseval_sum(t, g)
+            if mom_sq:
+                total += t
             else:
-                total += term
-            del term
-            k += 1
+                total[...] = t
+            del t
+        mom_sq.append(square)
+
+    if rates is not None:
+        mass_sq.append(parseval_sum(drho_dt.coeffs, g))
+        # d_t rho + div(rho u), in the flux's array
+        mass += drho_dt.coeffs[0]
+        drho_vals = drho_dt.values[0]
+        del drho_dt
+        # the first kind of term, its two parts added into the sum as each is made
+        square = 0.0
+        for i, total in enumerate(mom):
+            total[...] = product(drho_vals, u_vals[i])
+            total += product(rho_vals, du_vals[i])
+            square += parseval_sum(total, g)
+        mom_sq.append(square)
+        del drho_vals, du_vals
+    add(lambda i: _divergence((product(u_vals[i], ru_vals[j]) for j in range(g.dim)), g))
+    del ru_vals
+    # D(u)_ij = D(u)_ji by its upper entry, made at its first row and dropped after its last
+    sym = {}
+
+    def stress(i, j):
+        key = min(i, j), max(i, j)
+        if key not in sym:
+            sym[key] = inverse_transform(_sym_grad_entry(u.coeffs, g, *key), g, overwrite=True)
+        return product(rho_vals, sym.pop(key) if i == key[1] else sym[key])
+
+    def visc(i):
+        out = _divergence((stress(i, j) for j in range(g.dim)), g)
+        out *= -mu
+        return out
+
+    add(visc)
+    if pressure != 0.0:
+        add(lambda i: _partial(rho.coeffs[0], g, i) * pressure)
+    if drag != 0.0:
+        # (rho u)_i, with the bits of the component of mult(rho, u)
+        add(lambda i: product(rho_vals, u_vals[i]) * drag)
     return (
-        mass,
+        SpectralField(g, mass),
         SpectralField(g, mom),
-        _rel_l2(parseval_sum(mass.coeffs, g), mass_sq),
+        _rel_l2(parseval_sum(mass, g), mass_sq),
         _rel_l2(parseval_sum(mom, g), mom_sq),
     )
 
@@ -309,9 +342,9 @@ def quasi_residual(q1: SpectralField, mu: float) -> tuple[float, float]:
     momentum: d_t(rho1 u1) + div(rho1 u1 x u1) - div(mu rho1 D(u1))
     with d_t terms substituted analytically via the heat equation.
     """
-    rho, drho_dt, du1_dt = _heat_rates(q1, mu)
+    rho = _density(q1)
     u1 = velocity_from_density(q1, mu)
-    _, _, mass_rel, mom_rel = _system_residual(rho, u1, drho_dt, du1_dt, mu, 0.0, 0.0)
+    _, _, mass_rel, mom_rel = _system_residual(rho, u1, lambda: _heat_rates(rho, mu), mu, 0.0, 0.0)
     return mass_rel, mom_rel
 
 
@@ -333,9 +366,9 @@ def friction_exact_residual(q1: SpectralField, mu: float, Fr: float, r: float) -
     """
     if Fr <= 0 or r < 0:
         raise ValueError("need Fr > 0 and r >= 0")
-    rho, drho_dt, du1_dt = _heat_rates(q1, mu)
+    rho = _density(q1)
     u1 = velocity_from_density(q1, mu)
-    _, mom_res, _, rel = _system_residual(rho, u1, drho_dt, du1_dt, mu, 1.0 / Fr**2, r)
+    _, mom_res, _, rel = _system_residual(rho, u1, lambda: _heat_rates(rho, mu), mu, 1.0 / Fr**2, r)
     relation_error = abs(r * mu * Fr**2 - 1.0)
     certified = relation_error <= 1e-12 and rel <= 1e-8
     return FrictionReport(

@@ -57,7 +57,7 @@ from .grid import (
     _divergence,
     _in_halves,
     _jacobian,
-    _jacobian_upper,
+    _partial,
     _read_only,
     dealias,
     dealiased_from_values,
@@ -73,6 +73,7 @@ from .grid import (
 from .quasi import (
     DensityFloorError,
     _check_floor,
+    _density,
     _heat_rates,
     _rel_l2,
     _system_residual,
@@ -246,7 +247,8 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
 
     Diffusion of u2 (and the friction drag) are left to the implicit part
     of the stepper and are not included here.  Everything is assembled in
-    collocation space with one forward transform per output component.
+    collocation space with one forward transform per output component, from
+    the values of the derivatives, each transformed on its own.
 
     grad ln rho1 = -u1/mu, so its products fold into those of u1 and grad h2,
     and D(u2) splits into d_j u2_i and d_i u2_j (grad u1 is symmetric):
@@ -261,14 +263,13 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
     """
     g = state.grid
     dim = g.dim
-
-    gh2 = inverse_transform(_jacobian(state.h2.coeffs[0], g), g)
-    du2 = inverse_transform(_jacobian(state.u2.coeffs, g), g)  # du2[i, j] = d_j u2_i
+    upper = list(zip(*np.triu_indices(dim)))
+    gh2 = _derivative_values(state.h2, [(0, j) for j in range(dim)], g)
+    du2 = _derivative_values(state.u2, list(np.ndindex(dim, dim)), g).reshape(dim, dim, *g.shape)  # du2[i, j] = d_j u2_i
     # grad u1 = -mu grad grad ln rho1 is symmetric: only its upper triangle is transformed
-    du1 = inverse_transform(_jacobian_upper(state.u1_cache.coeffs, g), g)
+    du1 = _derivative_values(state.u1_cache, upper, g)
     # the lattice axes of every value array as one axis of points
     inputs = [a.reshape(*a.shape[:-dim], -1) for a in (state.u1_cache.values, state.u2.values, gh2, du2, du1)]
-    upper = list(zip(*np.triu_indices(dim)))
     points = g.n**dim
     h2_rhs = np.empty(points)
     u2_rhs = np.empty((dim, points))
@@ -281,6 +282,15 @@ def assemble_rhs(state: SimState, config: SolverConfig) -> tuple[SpectralField, 
         dealiased_from_values(g, u2_rhs.reshape(dim, *g.shape)),
         umax,
     )
+
+
+def _derivative_values(f: SpectralField, entries, grid: Grid) -> np.ndarray:
+    """The values of the derivatives d_j f_i, (i, j) in ``entries``, stacked in that order:
+    each is transformed on its own, in its own coefficients, and copied into its place."""
+    values = np.empty((len(entries), *grid.shape))
+    for out, (i, j) in zip(values, entries):
+        out[...] = inverse_transform(_partial(f.coeffs[i], grid, j), grid, overwrite=True)
+    return values
 
 
 # points per block of the pointwise products: a block's two dozen arrays stay in the
@@ -300,12 +310,8 @@ def _rhs_block(u1, u2, gh2, du2, du1_upper, upper, h2_out, u2_out, config: Solve
     for (i, j), d in zip(upper, du1_upper):
         du1[i, j] = du1[j, i] = d
     u = u1 + u2
+    umax = max(float(u.max()), -float(u.min()))
     u1_mu = u1 / mu
-    w = mu * gh2
-    q = w - u1
-    q *= 0.5
-    p = q - u
-    w -= u2
     tmp = np.empty_like(h2_out)
 
     h2_out[...] = 0.0
@@ -316,6 +322,12 @@ def _rhs_block(u1, u2, gh2, du2, du1_upper, upper, h2_out, u2_out, config: Solve
         h2_out -= tmp
         h2_out -= du2[j, j]
 
+    w = mu * gh2
+    q = w - u1
+    q *= 0.5
+    # p = q - u is made in u's place: u is not read again
+    p = np.subtract(q, u, out=u)
+    w -= u2
     for i, out in enumerate(u2_out):
         np.multiply(config.forcing_coeff, u1_mu[i], out=out)
         np.multiply(config.pressure_coeff, gh2[i], out=tmp)
@@ -327,7 +339,7 @@ def _rhs_block(u1, u2, gh2, du2, du1_upper, upper, h2_out, u2_out, config: Solve
             out += tmp
             np.multiply(w[j], du1[i, j], out=tmp)
             out += tmp
-    return max(float(u.max()), -float(u.min()))
+    return umax
 
 
 @lru_cache(maxsize=_OPERATOR_CACHE)
@@ -435,30 +447,50 @@ def full_residual(
     integrated system is an exact reformulation (residuals at the spectral
     truncation floor for any state).
 
-    The rates are formed first, and what they are made from is dropped
-    before ``quasi._system_residual`` runs: it builds the momentum residual
-    one component at a time, in the order time, convection, viscosity,
-    pressure, drag, with the bits of the whole-field sum of those terms.
+    ``quasi._system_residual`` makes the rates first, and what they are made
+    from goes before it goes on: it builds every term one entry at a time, in
+    the order time, convection, viscosity, pressure, drag, with the bits of
+    the whole-field sum of those terms.
     """
     g = state.grid
     mu = config.mu
     rho, u = recompose(state)
-    drho1_dt, du_dt = _heat_rates(state.q1, mu)[1:]
-    drho_dt = mult(drho1_dt, dealiased_from_values(g, state._exp_h2))
-    # the rate of rho1 and its values go before the system residual's temporaries
-    del drho1_dt
-    if include_perturbation_rate:
-        h2_rhs, u2_rhs, _ = assemble_rhs(state, config)
-        # the implicit part of the step: mu div D(u2) - drag u2
-        u2 = state.u2
-        du2_dt = u2_rhs + (laplacian(u2) + grad(div(u2))) * (0.5 * mu) + u2 * (-config.drag)
-        drho_dt = drho_dt + mult(rho, h2_rhs)
-        du_dt = du_dt + du2_dt
-        del h2_rhs, u2_rhs, du2_dt
-    _, _, mass_rel, mom_rel = _system_residual(
-        rho, u, drho_dt, du_dt, mu, config.pressure_coeff, config.drag
-    )
+
+    def rates():
+        drho1_dt, du_dt = _heat_rates(_density(state.q1), mu)
+        # mult(d_t rho1, e^{h2}), e^{h2}'s coefficients gone once its values are made
+        drho_dt = dealiased_from_values(g, drho1_dt.values * dealiased_from_values(g, state._exp_h2).values)
+        # the rate of rho1 and its values go once the rate of rho is made
+        del drho1_dt
+        if include_perturbation_rate:
+            h2_rhs, u2_rhs, _ = assemble_rhs(state, config)
+            # the implicit part of the step: mu div D(u2) - drag u2
+            u2 = state.u2
+            du2_dt = u2_rhs + (laplacian(u2) + grad(div(u2))) * (0.5 * mu) + u2 * (-config.drag)
+            drho_dt = drho_dt + mult(rho, h2_rhs)
+            du_dt = du_dt + du2_dt
+        return drho_dt, du_dt
+
+    _, _, mass_rel, mom_rel = _system_residual(rho, u, rates, mu, config.pressure_coeff, config.drag)
     return mass_rel, mom_rel
+
+
+def _grad_linf(u: SpectralField) -> float:
+    """max |grad u| at the grid points, the bits of ``lp_norm(grad_norm_field(u), inf)``: its
+    squared magnitude is a running sum, one derivative d_j u_i at a time in the order of the
+    components (with one component, sqrt(d^2) = |d| exactly)."""
+    g = u.grid
+
+    def square(i, j):
+        d = inverse_transform(_partial(u.coeffs[i], g, j), g, overwrite=True)
+        return np.square(d, out=d)
+
+    entries = np.ndindex(u.ncomp, g.dim)
+    mag = square(*next(entries))
+    for ij in entries:
+        mag += square(*ij)
+    # sqrt is monotone and correctly rounded: the sqrt of the max is the max of the sqrt
+    return math.sqrt(mag.max())
 
 
 def gronwall_integrand(state: SimState, filt: DyadicFilter, l0: int = 0) -> float:
@@ -468,15 +500,13 @@ def gronwall_integrand(state: SimState, filt: DyadicFilter, l0: int = 0) -> floa
     spec_q_linear = HybridBesovSpec(dim / 2 + 1, dim / 2 + 2, 2, 2, math.inf, math.inf, l0)
     spec_du1 = HybridBesovSpec(dim / 2 - 1, dim / 2, 2, 2, math.inf, math.inf, l0)
     q1 = state.q1
-    du1 = grad_norm_field(state.u1_cache)
-    du1_term = max(lp_norm(du1, math.inf), hybrid_besov_norm(du1, spec_du1, filt))
-    # grad u1 and its values go before grad u is made
-    del du1
+    u1 = state.u1_cache
+    du1_term = max(_grad_linf(u1), hybrid_besov_norm(grad_norm_field(u1), spec_du1, filt))
     return (
         hybrid_besov_norm(q1, spec_q_quartic, filt) ** 4
         + hybrid_besov_norm(q1, spec_q_linear, filt)
         + du1_term
-        + lp_norm(grad_norm_field(state.u1_cache + state.u2), math.inf)
+        + _grad_linf(u1 + state.u2)
     )
 
 
@@ -516,14 +546,14 @@ def scaling_check(state: SimState, config: SolverConfig, l_factor: int) -> tuple
     rho_d = dilate(rho, l_factor)
     u_d = dilate(u, l_factor) * float(l_factor)
     a = config.pressure_coeff
-    mass, mom, _, _ = _system_residual(rho, u, None, None, config.mu, a, 0.0)
+    mass, mom, _, _ = _system_residual(rho, u, None, config.mu, a, 0.0)
     mom_rhs = dilate(mom, l_factor) * float(l_factor**3)
     mass_rhs = dilate(mass, l_factor) * float(l_factor**2)
     g = state.grid
 
     def defect(a_lhs: float) -> float:
         # drag is left out: r rho u scales with l, not l^3
-        mass_lhs, mom_lhs, _, _ = _system_residual(rho_d, u_d, None, None, config.mu, a_lhs, 0.0)
+        mass_lhs, mom_lhs, _, _ = _system_residual(rho_d, u_d, None, config.mu, a_lhs, 0.0)
         return max(
             _rel_l2(parseval_sum((lhs - rhs).coeffs, g), [parseval_sum(lhs.coeffs, g), parseval_sum(rhs.coeffs, g)])
             for lhs, rhs in ((mom_lhs, mom_rhs), (mass_lhs, mass_rhs))

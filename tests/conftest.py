@@ -73,6 +73,13 @@ def inverse_lattices(monkeypatch):
 
 
 @pytest.fixture
+def forward_lattices(monkeypatch):
+    """Records the lattices that each call of ``grid.transform`` from any swlp module
+    transforms, one per component; their ``sum`` is the total."""
+    return _counted(monkeypatch, "grid", "transform", lambda values, grid: values.size // math.prod(grid.shape))
+
+
+@pytest.fixture
 def transforms(monkeypatch):
     """Counts calls of ``grid.transform`` made from any swlp module."""
     return _counted(monkeypatch, "grid", "transform")

@@ -1,7 +1,7 @@
 """Grid operators that only the tests call, kept here as oracles.
 
-The package applies the symmetric gradient by its upper triangle
-(``grid._sym_grad_upper``), dealiases by zeroing slabs (``grid._dealias_in_place``)
+The package applies the symmetric gradient one entry at a time
+(``grid._sym_grad_entry``), dealiases by zeroing slabs (``grid._dealias_in_place``)
 and never takes a curl or a single component of a field.  These operators
 state those ideas whole, for the tests that check the package against them.
 """
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from swlp.grid import Grid, SpectralField, _jacobian, _sym_grad_upper, parseval_sum
+from swlp.grid import Grid, SpectralField, _jacobian, _sym_grad_entry, parseval_sum
 
 
 def component(field: SpectralField, i: int) -> SpectralField:
@@ -27,10 +27,9 @@ def sym_grad(field: SpectralField) -> np.ndarray:
     g = field.grid
     if field.ncomp != g.dim:
         raise ValueError("sym_grad expects a dim-component field")
-    upper = _sym_grad_upper(field.coeffs, g)
-    tensor = np.empty((g.dim, g.dim, *upper.shape[1:]), dtype=np.complex128)
-    for entry, i, j in zip(upper, *np.triu_indices(g.dim)):
-        tensor[i, j] = tensor[j, i] = entry
+    tensor = np.empty((g.dim, *field.coeffs.shape), dtype=np.complex128)
+    for i, j in zip(*np.triu_indices(g.dim)):
+        tensor[i, j] = tensor[j, i] = _sym_grad_entry(field.coeffs, g, i, j)
     return tensor
 
 

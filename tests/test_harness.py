@@ -121,46 +121,56 @@ def test_decay_fit_reads_the_final_snapshot(tmp_path):
     assert [f["n_points"] for f in report["fits"]] == [19, 19]
 
 
-def test_run_traces_one_residual_and_two_gradient_stacks_per_row(counted):
+def test_run_traces_one_residual_and_one_gradient_stack_per_row(counted):
     """The benchmark's tracer counts a run's snapshots by its ``solver.full_residual``
-    spans, and its ``harness.diag_per_step`` divides by that count."""
+    spans, and its ``harness.diag_per_step`` divides by that count.  The one gradient
+    stack of a row is grad u1's, for its p = 2 norm; the L-inf norms of grad u1 and
+    grad u take one derivative at a time."""
     residuals = counted("solver", "full_residual")
     gradients = counted("solver", "grad_norm_field")
     rows = run(RunConfig(**FAST)).rows
     assert len(rows) == 5
     assert len(residuals) == len(rows)
-    assert len(gradients) == 2 * len(rows)
+    assert len(gradients) == len(rows)
 
 
-def test_snapshot_diagnostics_inverse_transform_budget(inverse_transforms, transforms):
+def test_snapshot_diagnostics_inverse_transform_budget(inverse_lattices, forward_lattices):
+    """The lattices that a step and a snapshot transform, each component of each call
+    counted: the derivatives and terms made one entry at a time transform the lattices
+    that their whole-field stacks did."""
     config = RunConfig(**FAST)
     grid = make_grid(2, config.n, config.period)
     filt = default_filter(grid)
     scfg = config.solver_config()
     stepped = step(_initial_state(config, grid, filt), scfg)
-    del inverse_transforms[:]
-    del transforms[:]
+    del inverse_lattices[:]
+    del forward_lattices[:]
     state = step(stepped, scfg)
-    # a step needs 7; cfl_number reads the u1 and u2 values that
-    # assemble_rhs reads as well, so calling it again needs none
+    # the values of u1 (2), grad h2 (2), grad u2 (4) and the upper triangle of grad u1
+    # (3), of the new h2 and u2, checked finite (3), and of the new q1 (1); cfl_number
+    # reads the u1 and u2 values that assemble_rhs reads as well, so it needs none
     cfl_number(stepped, scfg)
-    assert len(inverse_transforms) <= 7
-    # one per right-hand side and one for ln rho1
-    assert len(transforms) <= 3
-    del inverse_transforms[:]
-    # 15 are needed, with one transform per L-inf piece; one transform per
-    # dyadic block of every norm or per product would make about 70
+    assert sum(inverse_lattices) == 15
+    # the right-hand sides (3) and ln rho1 (1)
+    assert sum(forward_lattices) == 4
+    del inverse_lattices[:]
+    del forward_lattices[:]
+    # one transform per L-inf piece; one per dyadic block of every norm or per
+    # product would make about 70 inverse ones
     _Series(scfg, filt).record(state)
-    assert len(inverse_transforms) <= 15
+    assert sum(inverse_lattices) == 29
+    assert sum(forward_lattices) == 19
 
 
 def test_snapshot_diagnostics_memory_budget():
-    """The snapshot diagnostics' working set, as the tracemalloc peak of what a call
-    allocates, in complex lattices of the grid (n^2 * 16 bytes).  A step peaks at about
-    14; the whole-field residual and one stack of every L-inf block took the
-    diagnostics to 37.6, the residual alone to 33.6 and the blocks to 9.1.  The L-inf
-    pieces come one at a time: at 128^2 over period 32 (4 pieces) two stacks of half
-    of them peaked at 6.0."""
+    """The working set of the snapshot diagnostics and of a step, as the tracemalloc peak
+    of what a call allocates, in complex lattices of the grid (n^2 * 16 bytes).  The
+    residual's terms and rates and the step's and the Gronwall L-inf norms' derivatives
+    come one entry at a time: as whole-field stacks they took a snapshot to 21.2, the
+    residual to 17.6, the Gronwall integrand to 10.1 and a step to 13.6 (at 64^2 a step
+    peaks in its pointwise products, whose one block is the lattice).  The L-inf pieces
+    come one at a time: at 128^2 over period 32 (4 pieces) two stacks of half of them
+    peaked at 6.0."""
 
     def peak(fn, state) -> float:
         tracemalloc.start()
@@ -186,10 +196,11 @@ def test_snapshot_diagnostics_memory_budget():
 
     filt, scfg, stepped, recomposed = run_start(RunConfig(**FAST))
     # each measurement on a fresh state: a state caches what it computes
-    assert peak(lambda st: _Series(scfg, filt).record(st), step(stepped, scfg)) <= 25
-    assert peak(lambda st: full_residual(st, scfg), recomposed()) <= 18
+    assert peak(lambda st: _Series(scfg, filt).record(st), step(stepped, scfg)) <= 13.5
+    assert peak(lambda st: full_residual(st, scfg), recomposed()) <= 10
     assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 5
-    assert peak(lambda st: gronwall_integrand(st, filt), recomposed()) <= 10.5
+    assert peak(lambda st: gronwall_integrand(st, filt), recomposed()) <= 8.5
+    assert peak(lambda st: step(st, scfg), step(stepped, scfg)) <= 13.25
     filt, _, _, recomposed = run_start(RunConfig(**{**FAST, "n": 128, "period": 32.0}))
     assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 3.5
 

@@ -271,7 +271,7 @@ def test_heat_estimate_rejects_bad_times_before_the_solve(counted, times):
 
 def _whole_field_residual(rho, u, drho_dt, du_dt, mu, pressure, drag):
     """The system as whole-field terms summed left to right, each term's norm from its own
-    field: the formula ``_system_residual`` builds one momentum component at a time."""
+    field: the formula ``_system_residual`` builds one entry at a time."""
     g = u.grid
     dim = g.dim
     rho_u = mult(rho, u)
@@ -301,7 +301,7 @@ def _whole_field_residual(rho, u, drho_dt, du_dt, mu, pressure, drag):
 @pytest.mark.parametrize("with_rates", [True, False], ids=["rates", "no_rates"])
 @pytest.mark.parametrize("pressure, drag", [(0.7, 0.3), (0.0, 0.0)], ids=["pressure_drag", "neither"])
 def test_system_residual_matches_the_whole_field_sum(dim, n, with_rates, pressure, drag):
-    """Built one momentum component at a time, the residual fields equal the whole-field sum
+    """Built one entry at a time, the residual fields equal the whole-field sum
     (np.array_equal), and the relative residuals agree to 1e-13."""
     g = make_grid(dim, n, tuple(2 * math.pi * (1 + a) for a in range(dim)))
     rng = np.random.default_rng(dim)
@@ -312,7 +312,7 @@ def test_system_residual_matches_the_whole_field_sum(dim, n, with_rates, pressur
     rho = field(1, 0.1).with_mean(1.0)
     u = field(dim, 1.0)
     rates = (field(1, 1.0), field(dim, 1.0)) if with_rates else (None, None)
-    got = _system_residual(rho, u, *rates, 0.1, pressure, drag)
+    got = _system_residual(rho, u, (lambda: rates) if with_rates else None, 0.1, pressure, drag)
     want = _whole_field_residual(rho, u, *rates, 0.1, pressure, drag)
     assert np.array_equal(got[0].coeffs, want[0].coeffs)
     assert np.array_equal(got[1].coeffs, want[1].coeffs)
