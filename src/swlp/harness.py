@@ -11,6 +11,7 @@ summary naming the failure.
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import json
@@ -194,9 +195,10 @@ class _Series:
 
     def record(self, state: SimState) -> dict:
         """Append the snapshot of ``state`` to the series and return its row."""
-        # a copy caches the recomposed fields and e^{h2}: they die with it, and
-        # the step that reads ``state`` next holds what any other step holds
-        state = dataclasses.replace(state)
+        # a shallow copy keeps the e^{h2} that the step cached (``dataclasses.replace`` would
+        # compute it again); what the snapshot caches on the copy, the recomposed fields, dies
+        # with it, so the step that reads ``state`` next holds what any other step holds
+        state = copy.copy(state)
         rho, u = recompose(state)
         res_mass, res_mom = full_residual(state, self.scfg)
         mass = rho.mean()[0] * state.grid.volume

@@ -208,19 +208,17 @@ def _density(q1: SpectralField) -> SpectralField:
     return q1.with_mean(q1.mean() + 1.0)
 
 
-def _heat_rates(rho: SpectralField, mu: float):
-    """(d_t rho1, d_t u1) at rho1 = ``rho``, substituted from the heat equation:
-    d_t rho1 = mu Lap rho1 and d_t u1 = -mu grad(d_t rho1 / rho1)."""
-    drho_dt = laplacian(rho) * mu
+def _heat_rates(q1: SpectralField, mu: float):
+    """(d_t rho1, d_t u1) at rho1 = 1 + q1, substituted from the heat equation:
+    d_t rho1 = mu Lap q1 and d_t u1 = -mu grad(d_t rho1 / rho1).  rho1's values,
+    checked against the density floor, are 1 + q1's, which a state has already made."""
+    g = q1.grid
+    rho_vals = 1.0 + q1.values[0]
+    _check_floor(rho_vals)
+    drho_dt = laplacian(q1) * mu
     # mult(d_t rho1, 1/rho1), with 1/rho1's coefficients gone once its values are made
-    quotient = dealiased_from_values(rho.grid, drho_dt.values * _reciprocal(rho).values)
+    quotient = dealiased_from_values(g, drho_dt.values * dealiased_from_values(g, 1.0 / rho_vals).values)
     return drho_dt, _scaled_grad(quotient, -mu)
-
-
-def _reciprocal(rho: SpectralField) -> SpectralField:
-    vals = rho.values
-    _check_floor(vals[0])
-    return dealiased_from_values(rho.grid, 1.0 / vals)
 
 
 def _rel_l2(residual_sq: float, scales_sq) -> float:
@@ -244,13 +242,13 @@ def _system_residual(rho, u, rates, mu: float, pressure: float, drag: float):
 
     Every field term is built one entry at a time, with P the 2/3 dealias: (rho u)_j
     and its derivative, then the momentum one kind of term at a time over the
-    components i, each added into component i's running sum as it is made, keeping
-    only its squared Parseval norm: P(d_t rho u_i) + P(rho d_t u_i),
-    sum_j d_j P(u_i (rho u)_j), -mu sum_j d_j P(rho D(u)_ij), pressure d_i rho and
-    drag (rho u)_i.  Each entry D(u)_ij is transformed once and goes after its last
-    row.  Every product is dealiased as in the whole-field sum of these terms, left to
-    right, so both fields have that sum's bits; only the relative residuals move, by
-    the order of the norms' sums.
+    components i, each added into component i's running sum, which starts at zero,
+    as it is made, keeping only its squared Parseval norm: P(d_t rho u_i + rho d_t u_i)
+    (one product, P being linear), sum_j d_j P(u_i (rho u)_j), -mu sum_j d_j P(rho D(u)_ij),
+    pressure d_i rho and drag (rho u)_i.  Each entry D(u)_ij is transformed once and
+    goes after its last row.  Every product is dealiased as in the whole-field sum of
+    these terms, left to right, so both fields have that sum's bits; only the relative
+    residuals move, by the order of the norms' sums.
     """
     g = u.grid
     rho_vals, u_vals = rho.values[0], u.values
@@ -273,21 +271,17 @@ def _system_residual(rho, u, rates, mu: float, pressure: float, drag: float):
 
     mass = _divergence(map(rho_u, range(g.dim)), g)
     mass_sq = [parseval_sum(mass, g)]
-    mom = np.empty(u.coeffs.shape, dtype=np.complex128)
+    mom = np.zeros(u.coeffs.shape, dtype=np.complex128)
     # the squared norm of each kind of term, summed over the components
     mom_sq = []
 
     def add(term):
-        """Add ``term(i)``, made when asked for, into the running sum of every component i;
-        the first kind of term starts the sums."""
+        """Add ``term(i)``, made when asked for, into the running sum of every component i."""
         square = 0.0
         for i, total in enumerate(mom):
             t = term(i)
             square += parseval_sum(t, g)
-            if mom_sq:
-                total += t
-            else:
-                total[...] = t
+            total += t
             del t
         mom_sq.append(square)
 
@@ -297,13 +291,8 @@ def _system_residual(rho, u, rates, mu: float, pressure: float, drag: float):
         mass += drho_dt.coeffs[0]
         drho_vals = drho_dt.values[0]
         del drho_dt
-        # the first kind of term, its two parts added into the sum as each is made
-        square = 0.0
-        for i, total in enumerate(mom):
-            total[...] = product(drho_vals, u_vals[i])
-            total += product(rho_vals, du_vals[i])
-            square += parseval_sum(total, g)
-        mom_sq.append(square)
+        # d_t(rho u)_i, one product: P is linear
+        add(lambda i: dealiased_from_values(g, drho_vals * u_vals[i] + rho_vals * du_vals[i]).coeffs[0])
         del drho_vals, du_vals
     add(lambda i: _divergence((product(u_vals[i], ru_vals[j]) for j in range(g.dim)), g))
     del ru_vals
@@ -344,7 +333,7 @@ def quasi_residual(q1: SpectralField, mu: float) -> tuple[float, float]:
     """
     rho = _density(q1)
     u1 = velocity_from_density(q1, mu)
-    _, _, mass_rel, mom_rel = _system_residual(rho, u1, lambda: _heat_rates(rho, mu), mu, 0.0, 0.0)
+    _, _, mass_rel, mom_rel = _system_residual(rho, u1, lambda: _heat_rates(q1, mu), mu, 0.0, 0.0)
     return mass_rel, mom_rel
 
 
@@ -368,7 +357,7 @@ def friction_exact_residual(q1: SpectralField, mu: float, Fr: float, r: float) -
         raise ValueError("need Fr > 0 and r >= 0")
     rho = _density(q1)
     u1 = velocity_from_density(q1, mu)
-    _, mom_res, _, rel = _system_residual(rho, u1, lambda: _heat_rates(rho, mu), mu, 1.0 / Fr**2, r)
+    _, mom_res, _, rel = _system_residual(rho, u1, lambda: _heat_rates(q1, mu), mu, 1.0 / Fr**2, r)
     relation_error = abs(r * mu * Fr**2 - 1.0)
     certified = relation_error <= 1e-12 and rel <= 1e-8
     return FrictionReport(

@@ -73,7 +73,6 @@ from .grid import (
 from .quasi import (
     DensityFloorError,
     _check_floor,
-    _density,
     _heat_rates,
     _rel_l2,
     _system_residual,
@@ -447,17 +446,19 @@ def full_residual(
     integrated system is an exact reformulation (residuals at the spectral
     truncation floor for any state).
 
-    ``quasi._system_residual`` makes the rates first, and what they are made
-    from goes before it goes on: it builds every term one entry at a time, in
-    the order time, convection, viscosity, pressure, drag, with the bits of
-    the whole-field sum of those terms.
+    The rates of rho1 come from q1 (``quasi._heat_rates``), and d_t rho =
+    P(d_t rho1 P(e^{h2})).  ``quasi._system_residual`` makes the rates first,
+    and what they are made from goes before it goes on: it builds every term one
+    entry at a time, in the order time, convection, viscosity, pressure, drag,
+    each kind added into one running sum, with the bits of the whole-field sum
+    of those terms.
     """
     g = state.grid
     mu = config.mu
     rho, u = recompose(state)
 
     def rates():
-        drho1_dt, du_dt = _heat_rates(_density(state.q1), mu)
+        drho1_dt, du_dt = _heat_rates(state.q1, mu)
         # mult(d_t rho1, e^{h2}), e^{h2}'s coefficients gone once its values are made
         drho_dt = dealiased_from_values(g, drho1_dt.values * dealiased_from_values(g, state._exp_h2).values)
         # the rate of rho1 and its values go once the rate of rho is made

@@ -27,6 +27,7 @@ from swlp.harness import (
 )
 from swlp.solver import (
     CflError,
+    SimState,
     cfl_number,
     full_residual,
     gronwall_integrand,
@@ -156,10 +157,11 @@ def test_snapshot_diagnostics_inverse_transform_budget(inverse_lattices, forward
     del inverse_lattices[:]
     del forward_lattices[:]
     # one transform per L-inf piece; one per dyadic block of every norm or per
-    # product would make about 70 inverse ones
+    # product would make about 70 inverse ones; the time term is one product per
+    # component, and rho1's values are 1 + q1's, which the state holds
     _Series(scfg, filt).record(state)
-    assert sum(inverse_lattices) == 29
-    assert sum(forward_lattices) == 19
+    assert sum(inverse_lattices) == 28
+    assert sum(forward_lattices) == 17
 
 
 def test_snapshot_diagnostics_memory_budget():
@@ -170,7 +172,7 @@ def test_snapshot_diagnostics_memory_budget():
     residual to 17.6, the Gronwall integrand to 10.1 and a step to 13.6 (at 64^2 a step
     peaks in its pointwise products, whose one block is the lattice).  The L-inf pieces
     come one at a time: at 128^2 over period 32 (4 pieces) two stacks of half of them
-    peaked at 6.0."""
+    peaked at 6.0.  A snapshot peaks at 12.6."""
 
     def peak(fn, state) -> float:
         tracemalloc.start()
@@ -196,7 +198,7 @@ def test_snapshot_diagnostics_memory_budget():
 
     filt, scfg, stepped, recomposed = run_start(RunConfig(**FAST))
     # each measurement on a fresh state: a state caches what it computes
-    assert peak(lambda st: _Series(scfg, filt).record(st), step(stepped, scfg)) <= 13.5
+    assert peak(lambda st: _Series(scfg, filt).record(st), step(stepped, scfg)) <= 13.0
     assert peak(lambda st: full_residual(st, scfg), recomposed()) <= 10
     assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 5
     assert peak(lambda st: gronwall_integrand(st, filt), recomposed()) <= 8.5
@@ -232,6 +234,23 @@ def test_step_after_a_snapshot_holds_what_any_step_holds():
         tracemalloc.stop()
     before, after = peaks
     assert after <= before + 0.5, peaks
+
+
+def test_each_state_evaluates_e_h2_once(monkeypatch):
+    """e^{h2} is evaluated once per state of a run: by ``initial_state`` and by each
+    step, for the density floor.  A snapshot's copy of the state keeps it; a copy
+    built anew (``dataclasses.replace``) would evaluate it again at every snapshot."""
+    exp_h2 = SimState.__dict__["_exp_h2"]
+    calls = []
+
+    def evaluate(state):
+        calls.append(state.t)
+        return np.exp(state.h2.values[0])
+
+    monkeypatch.setattr(exp_h2, "func", evaluate)
+    rows = run(RunConfig(**FAST)).rows
+    assert len(rows) == 5
+    assert len(calls) == 21
 
 
 def test_failed_run_keeps_rows_and_status(tmp_path):

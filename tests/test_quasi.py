@@ -269,7 +269,18 @@ def test_heat_estimate_rejects_bad_times_before_the_solve(counted, times):
     assert transforms == [] and multipliers == []
 
 
-def _whole_field_residual(rho, u, drho_dt, du_dt, mu, pressure, drag):
+def _one_product(rho, u, drho_dt, du_dt):
+    """d_t(rho u) as one dealiased product, P(d_t rho u + rho d_t u)."""
+    return dealias(SpectralField.from_values(u.grid, drho_dt.values * u.values + rho.values * du_dt.values))
+
+
+def _two_products(rho, u, drho_dt, du_dt):
+    """d_t(rho u) as P(d_t rho u) + P(rho d_t u): equal to ``_one_product`` but for round-off,
+    P being linear."""
+    return mult(drho_dt, u) + mult(rho, du_dt)
+
+
+def _whole_field_residual(rho, u, drho_dt, du_dt, mu, pressure, drag, time_term=_one_product):
     """The system as whole-field terms summed left to right, each term's norm from its own
     field: the formula ``_system_residual`` builds one entry at a time."""
     g = u.grid
@@ -287,7 +298,7 @@ def _whole_field_residual(rho, u, drho_dt, du_dt, mu, pressure, drag):
     mom_terms = [row_div(conv_rows), -(row_div(visc_rows) * mu), grad(rho) * pressure, rho_u * drag]
     if drho_dt is not None:
         mass_terms.insert(0, drho_dt)
-        mom_terms.insert(0, mult(drho_dt, u) + mult(rho, du_dt))
+        mom_terms.insert(0, time_term(rho, u, drho_dt, du_dt))
     mass = sum(mass_terms[1:], mass_terms[0])
     mom = sum(mom_terms[1:], mom_terms[0])
 
@@ -302,7 +313,10 @@ def _whole_field_residual(rho, u, drho_dt, du_dt, mu, pressure, drag):
 @pytest.mark.parametrize("pressure, drag", [(0.7, 0.3), (0.0, 0.0)], ids=["pressure_drag", "neither"])
 def test_system_residual_matches_the_whole_field_sum(dim, n, with_rates, pressure, drag):
     """Built one entry at a time, the residual fields equal the whole-field sum
-    (np.array_equal), and the relative residuals agree to 1e-13."""
+    (np.array_equal), and the relative residuals agree to 1e-13.  The time term
+    d_t(rho u) is one dealiased product; the sum with its two products P(d_t rho u) +
+    P(rho d_t u) differs only by round-off, at most 0.92 eps of the largest momentum
+    coefficient over these cases (3-D)."""
     g = make_grid(dim, n, tuple(2 * math.pi * (1 + a) for a in range(dim)))
     rng = np.random.default_rng(dim)
 
@@ -318,5 +332,9 @@ def test_system_residual_matches_the_whole_field_sum(dim, n, with_rates, pressur
     assert np.array_equal(got[1].coeffs, want[1].coeffs)
     assert got[2] == pytest.approx(want[2], rel=1e-13, abs=0)
     assert got[3] == pytest.approx(want[3], rel=1e-13, abs=0)
+    if with_rates:
+        two = _whole_field_residual(rho, u, *rates, 0.1, pressure, drag, time_term=_two_products)[1].coeffs
+        mom = got[1].coeffs
+        assert np.abs(mom - two).max() <= 2 * np.finfo(float).eps * np.abs(mom).max()
     # a random state is far from a solution: the residuals are not round-off
     assert min(got[2:]) > 1e-3
