@@ -29,7 +29,7 @@ from .quasi import (
     max_principle_check,
     quasi_residual,
 )
-from .solver import SolverConfig, full_residual, initial_state, random_band_field, scaling_check, step
+from .solver import SolverConfig, full_residual, initial_state, random_band_field, recompose, scaling_check, step
 from .sweeps import _TWO_SIDED, RATIO_NAMES, load_frozen, sweep_ratios
 
 __all__ = ["Criterion", "REGISTRY", "SUITES", "check", "perturbed_state", "verify"]
@@ -327,7 +327,7 @@ def quasi_mass_residual():
 def reformulation_residual():
     cfg = SolverConfig(mu=0.1, a=1e-2, dt=0.01)
     st = perturbed_state(128, 10, cfg, 1e-3, width=0.5)
-    mr, pr = full_residual(st, cfg, include_perturbation_rate=True)
+    mr, pr = full_residual(st, recompose(st), cfg, include_perturbation_rate=True)
     records = [
         check("reformulation_mass", mr, "<=", 1e-8),
         check("reformulation_momentum", pr, "<=", 1e-8),

@@ -11,7 +11,6 @@ summary naming the failure.
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import json
@@ -195,12 +194,10 @@ class _Series:
 
     def record(self, state: SimState) -> dict:
         """Append the snapshot of ``state`` to the series and return its row."""
-        # a shallow copy keeps the e^{h2} that the step cached (``dataclasses.replace`` would
-        # compute it again); what the snapshot caches on the copy, the recomposed fields, dies
-        # with it, so the step that reads ``state`` next holds what any other step holds
-        state = copy.copy(state)
-        rho, u = recompose(state)
-        res_mass, res_mom = full_residual(state, self.scfg)
+        # the recomposed fields die with the row: the step that reads ``state`` next holds
+        # what any other step holds
+        rho, u = recomposed = recompose(state)
+        res_mass, res_mom = full_residual(state, recomposed, self.scfg)
         mass = rho.mean()[0] * state.grid.volume
         mass0 = self.rows[0]["mass"] if self.rows else mass
         self.times.append(state.t)

@@ -1,5 +1,6 @@
 """The ownership rules of the package: each operator the paper's estimates rest on has one
-implementation, and each rule flags the sites that form its idea outside its owners.
+implementation, and each rule flags the sites that form its idea outside its owners.  The
+``hidden_cache`` rule has no owner: no value of the package caches behind its fields.
 
 The package is read with ``ast`` in one walk.  A rule is a function
 ``flag(node, parent, filename, scope)`` that returns what ``node`` does, as a short text,
@@ -201,6 +202,24 @@ def heat_flow(node, parent, filename, scope):
     return "exp of |xi|^2" if any(_uses_mag2(arg, names) for arg in node.args) else None
 
 
+def hidden_cache(node, parent, filename, scope):
+    """A value holds what it is: nothing is cached on an object behind its fields, and nothing
+    is copied to shed such a cache.  Flagged: ``cached_property``, as a name, an attribute or
+    an import, and every use of the ``copy`` module (``import copy``, ``from copy import``,
+    ``copy.copy``).  An array's own ``.copy()`` and a function cache (``lru_cache``) pass."""
+    if isinstance(node, ast.Import):
+        return "import copy" if any(alias.name == "copy" for alias in node.names) else None
+    if isinstance(node, ast.ImportFrom):
+        if node.module == "copy":
+            return "from copy import"
+        return "import cached_property" if any(alias.name == "cached_property" for alias in node.names) else None
+    if getattr(node, "id", None) == "cached_property" or getattr(node, "attr", None) == "cached_property":
+        return "cached_property"
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "copy":
+        return f"copy.{node.attr}"
+    return None
+
+
 RULES = {
     "layout": (layout, {"grid.py"}),
     "derivative": (derivative, {("grid.py", "xi_mag2"), ("grid.py", "_i_xi"), ("grid.py", "shift_phase")}),
@@ -208,6 +227,7 @@ RULES = {
     "weighted_sum": (weighted_sum, {("besov.py", "_weighted")}),
     "band_path": (band_path, {"dyadic.py"}),
     "heat_flow": (heat_flow, {("grid.py", "_heat_multiplier"), ("quasi.py", "gaussian_bump")}),
+    "hidden_cache": (hidden_cache, set()),
 }
 
 
@@ -296,6 +316,25 @@ EXAMPLES = {
         # the one multiplier may form it, and only in grid.py
         {"grid.py": ["5: exp of |xi|^2 in f", "6: exp of |xi|^2 in f"],
          "besov.py": ["5: exp of |xi|^2 in f", "6: exp of |xi|^2 in f", "12: exp of |xi|^2 in _heat_multiplier"]},
+    ),
+    "hidden_cache": (
+        "import copy\n"
+        "from copy import deepcopy\n"
+        "from functools import cached_property, lru_cache\n"
+        "import functools\n\n"
+        "class S:\n"
+        "    @cached_property\n"
+        "    def a(self):\n"
+        "        return 1\n\n"
+        "    @functools.cached_property\n"
+        "    def b(self):\n"
+        "        return 2\n\n"
+        "def f(s, c):\n"
+        "    t = copy.copy(s)\n"
+        "    # an array's own copy and a function cache are allowed\n"
+        "    return copy.deepcopy(t), c.copy(), lru_cache(maxsize=1)(f)\n",
+        {"m.py": ["1: import copy in None", "2: from copy import in None", "3: import cached_property in None",
+                  "7: cached_property in a", "11: cached_property in b", "16: copy.copy in f", "18: copy.deepcopy in f"]},
     ),
 }
 

@@ -553,7 +553,7 @@ def _made_fields(g):
         "with_mean": f.with_mean(1.0),
         "grad": grad(f),
         "heat_evolve": heat_evolve(bump, cfg.mu, 0.1),
-        **{f"step_{name}": getattr(state, name) for name in ("q1", "h2", "u2", "u1_cache")},
+        **{f"step_{name}": getattr(state, name) for name in ("q1", "h2", "u2", "u1")},
     }
 
 

@@ -27,7 +27,6 @@ from swlp.harness import (
 )
 from swlp.solver import (
     CflError,
-    SimState,
     cfl_number,
     full_residual,
     gronwall_integrand,
@@ -174,10 +173,10 @@ def test_snapshot_diagnostics_memory_budget():
     come one at a time: at 128^2 over period 32 (4 pieces) two stacks of half of them
     peaked at 6.0.  A snapshot peaks at 12.6."""
 
-    def peak(fn, state) -> float:
+    def peak(fn, state, *args) -> float:
         tracemalloc.start()
         try:
-            fn(state)
+            fn(state, *args)
             return tracemalloc.get_traced_memory()[1] / (16 * state.grid.n**2)
         finally:
             tracemalloc.stop()
@@ -189,22 +188,23 @@ def test_snapshot_diagnostics_memory_budget():
         stepped = step(_initial_state(config, grid, filt), scfg)
 
         def recomposed():
-            # a snapshot recomposes first; the fields are cached on the state
+            # a snapshot recomposes first; the pair is made outside the measured call
             state = step(stepped, scfg)
-            recompose(state)
-            return state
+            return state, recompose(state)
 
         return filt, scfg, stepped, recomposed
 
     filt, scfg, stepped, recomposed = run_start(RunConfig(**FAST))
-    # each measurement on a fresh state: a state caches what it computes
+    # each measurement on a fresh state: a field caches its values when they are read
     assert peak(lambda st: _Series(scfg, filt).record(st), step(stepped, scfg)) <= 13.0
-    assert peak(lambda st: full_residual(st, scfg), recomposed()) <= 10
-    assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 5
-    assert peak(lambda st: gronwall_integrand(st, filt), recomposed()) <= 8.5
+    assert peak(lambda st, rc: full_residual(st, rc, scfg), *recomposed()) <= 10
+    # the right-hand sides come before the heat rates: after them, the rate peaked at 16.1
+    assert peak(lambda st, rc: full_residual(st, rc, scfg, include_perturbation_rate=True), *recomposed()) <= 15
+    assert peak(lambda st, rc: besov_minus1_infty(rc[1], filt, low_cut=2), *recomposed()) <= 5
+    assert peak(lambda st, rc: gronwall_integrand(st, filt), *recomposed()) <= 8.5
     assert peak(lambda st: step(st, scfg), step(stepped, scfg)) <= 13.25
     filt, _, _, recomposed = run_start(RunConfig(**{**FAST, "n": 128, "period": 32.0}))
-    assert peak(lambda st: besov_minus1_infty(recompose(st)[1], filt, low_cut=2), recomposed()) <= 3.5
+    assert peak(lambda st, rc: besov_minus1_infty(rc[1], filt, low_cut=2), *recomposed()) <= 3.5
 
 
 def test_step_after_a_snapshot_holds_what_any_step_holds():
@@ -237,20 +237,22 @@ def test_step_after_a_snapshot_holds_what_any_step_holds():
 
 
 def test_each_state_evaluates_e_h2_once(monkeypatch):
-    """e^{h2} is evaluated once per state of a run: by ``initial_state`` and by each
-    step, for the density floor.  A snapshot's copy of the state keeps it; a copy
-    built anew (``dataclasses.replace``) would evaluate it again at every snapshot."""
-    exp_h2 = SimState.__dict__["_exp_h2"]
+    """e^{h2} is evaluated once per state of a run, by ``initial_state`` and by each step,
+    for the density floor, and a snapshot reads the state's.  A ``heat_only`` step moves
+    no h2 and hands on the e^{h2} it read, so its run evaluates it once."""
     calls = []
 
-    def evaluate(state):
-        calls.append(state.t)
-        return np.exp(state.h2.values[0])
+    def evaluate(q1, h2):
+        calls.append(None)
+        return exp_h2(q1, h2)
 
-    monkeypatch.setattr(exp_h2, "func", evaluate)
-    rows = run(RunConfig(**FAST)).rows
-    assert len(rows) == 5
-    assert len(calls) == 21
+    exp_h2 = solver._exp_h2
+    monkeypatch.setattr(solver, "_exp_h2", evaluate)
+    for mode, evaluations in (("shallow_water", 21), ("heat_only", 1)):
+        del calls[:]
+        rows = run(RunConfig(**FAST, mode=mode)).rows
+        assert len(rows) == 5
+        assert len(calls) == evaluations, mode
 
 
 def test_failed_run_keeps_rows_and_status(tmp_path):

@@ -66,7 +66,7 @@ def test_solver_fields_hold_their_nyquist_hermitian_part(dim, n):
     states = [st, step(st, cfg)]
     states.append(step(states[-1], cfg))
     for st in states:
-        fields = (st.q1, st.h2, st.u2, st.u1_cache, *recompose(st))
+        fields = (st.q1, st.h2, st.u2, st.u1, *recompose(st))
         assert [_nyquist_hermitian(f.coeffs, _nyquist_modes(st.grid)) for f in fields] == [None] * 6, st.t
 
 
@@ -108,8 +108,8 @@ def _rhs_terms(st, cfg):
     g = st.grid
     mu = cfg.mu
     _check_floor((1.0 + st.q1.values[0]) * np.exp(st.h2.values[0]))
-    lnrho1_grad = st.u1_cache * (-1.0 / mu)
-    u1 = st.u1_cache
+    lnrho1_grad = st.u1 * (-1.0 / mu)
+    u1 = st.u1
     u_tot = u1 + st.u2
     h2_grad = grad(st.h2)
     Du1 = sym_grad(u1)
@@ -135,7 +135,7 @@ def test_fast_rhs_matches_term_sum():
     for dim, n in ((1, 64), (2, 64), (3, 32)):
         st, cfg, _ = _small_state(n, dim=dim)
         h2_rhs, u2_rhs, umax = assemble_rhs(st, cfg)
-        assert umax == float(np.abs(st.u1_cache.values + st.u2.values).max()), dim
+        assert umax == float(np.abs(st.u1.values + st.u2.values).max()), dim
         terms_h, terms_u = _rhs_terms(st, cfg)
         assert np.abs(h2_rhs.coeffs - sum(t.coeffs for t in terms_h.values())).max() < 1e-13, dim
         assert np.abs(u2_rhs.coeffs - sum(t.coeffs for t in terms_u.values())).max() < 1e-13, dim
@@ -177,10 +177,10 @@ def test_friction_mode_full_residual():
     for r in (2.0, 1.0):
         cfg = SolverConfig(mu=0.5, a=0.0, Fr=1.0, r_fric=r, dt=0.01, mode="friction")
         st = initial_state(q1, SpectralField.zeros(g, 1), SpectralField.zeros(g, 2), cfg)
-        frozen[r] = full_residual(st, cfg)[1]
+        frozen[r] = full_residual(st, recompose(st), cfg)[1]
         # the friction reformulation is exact for any perturbed state
         pert = perturbed_state(128, 10, cfg, 1e-3, width=0.5)
-        mass_rel, mom_rel = full_residual(pert, cfg, include_perturbation_rate=True)
+        mass_rel, mom_rel = full_residual(pert, recompose(pert), cfg, include_perturbation_rate=True)
         assert mass_rel <= 1e-8 and mom_rel <= 1e-8, r
     assert frozen[2.0] <= 1e-10
     assert frozen[1.0] > 0.1
@@ -190,7 +190,7 @@ def test_reformulation_residual_certifies_exactness():
     # 3-D needs 64^3 here: at 32^3 the residual is resolution-limited near 1e-5
     for dim, n in ((1, 256), (2, 128), (3, 64)):
         st, cfg, _ = _small_state(n, dim=dim)
-        mass_rel, mom_rel = full_residual(st, cfg, include_perturbation_rate=True)
+        mass_rel, mom_rel = full_residual(st, recompose(st), cfg, include_perturbation_rate=True)
         assert mass_rel < 1e-8, (dim, mass_rel)
         assert mom_rel < 1e-8, (dim, mom_rel)
 
@@ -198,7 +198,7 @@ def test_reformulation_residual_certifies_exactness():
 def test_frozen_residual_negative_control():
     # frozen perturbation: the defect must NOT vanish for a generic state
     st, cfg, _ = _small_state(n=128, eps=5e-2)
-    _, mom_rel = full_residual(st, cfg)
+    _, mom_rel = full_residual(st, recompose(st), cfg)
     assert mom_rel > 1e-4
 
 
@@ -241,13 +241,15 @@ def test_cfl_error_raised(counted):
         step(st, cfg)
     assert str(exc.value) == message
     # e^{-20} puts rho below the density floor; the cap still fails first
-    low = SimState(t=st.t, q1=st.q1, h2=SpectralField.zeros(g, 1).with_mean(-20.0), u2=st.u2, u1_cache=st.u1_cache)
+    h2 = SpectralField.zeros(g, 1).with_mean(-20.0)
+    low = SimState(t=st.t, q1=st.q1, h2=h2, u2=st.u2, u1=st.u1, exp_h2=np.exp(h2.values[0]))
     with pytest.raises(CflError) as exc:
         step(low, cfg)
     assert str(exc.value) == message
     slow, slow_cfg, _ = _small_state()
     step(slow, slow_cfg)
-    low = SimState(t=slow.t, q1=slow.q1, h2=slow.h2.with_mean(-20.0), u2=slow.u2, u1_cache=slow.u1_cache)
+    h2 = slow.h2.with_mean(-20.0)
+    low = SimState(t=slow.t, q1=slow.q1, h2=h2, u2=slow.u2, u1=slow.u1, exp_h2=np.exp(h2.values[0]))
     with pytest.raises(BlowupError, match="density floor"):
         step(low, slow_cfg)
     assert calls == []
@@ -260,7 +262,8 @@ def test_blowup_error_carries_state():
         q1=st.q1,
         h2=st.h2,
         u2=SpectralField(st.grid, st.u2.coeffs * np.nan),
-        u1_cache=st.u1_cache,
+        u1=st.u1,
+        exp_h2=st.exp_h2,
     )
     with pytest.raises(BlowupError) as exc:
         step(bad, cfg)
@@ -304,9 +307,16 @@ def test_recompose_positive_density():
     rho, u = recompose(st)
     assert rho.values[0].min() > 0
     assert u.ncomp == 2
-    # computed once per state
-    again = recompose(st)
-    assert again[0] is rho and again[1] is u
+
+
+def test_a_state_holds_e_h2_read_only():
+    """``exp_h2`` is e^{h2} at the grid points, made with the state and read-only."""
+    st, cfg, _ = _small_state()
+    for state in (st, step(st, cfg)):
+        assert np.array_equal(state.exp_h2, np.exp(state.h2.values[0])), state.t
+        assert not state.exp_h2.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.exp_h2[0] = 1.0
 
 
 def test_p2_snapshot_norms_make_no_inverse_transform(inverse_transforms, monkeypatch):
@@ -404,9 +414,9 @@ def test_heat_only_step_moves_only_q1():
     for dim, n in ((1, 64), (2, 64), (3, 32)):
         st, _, _ = _small_state(n, dim=dim)
         nxt = step(st, cfg)
-        assert nxt.h2 is st.h2 and nxt.u2 is st.u2
+        assert nxt.h2 is st.h2 and nxt.u2 is st.u2 and nxt.exp_h2 is st.exp_h2
         assert np.array_equal(nxt.q1.coeffs, heat_evolve(st.q1, cfg.mu, cfg.dt).coeffs)
-        assert np.array_equal(nxt.u1_cache.coeffs, velocity_from_density(heat_evolve(st.q1, cfg.mu, cfg.dt), cfg.mu).coeffs)
+        assert np.array_equal(nxt.u1.coeffs, velocity_from_density(heat_evolve(st.q1, cfg.mu, cfg.dt), cfg.mu).coeffs)
         assert nxt.t == st.t + cfg.dt
 
 
